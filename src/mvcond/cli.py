@@ -37,17 +37,7 @@ from .semantics import (
     save_model,
     validate_model,
 )
-from .syntax import (
-    Cond,
-    Formula,
-    I,
-    J,
-    Not,
-    Top,
-    Bot,
-    Var,
-    subformula_closure,
-)
+from .syntax import Formula, I, J, Var, children, compile_formula
 
 __all__ = ["main", "build_parser"]
 
@@ -65,23 +55,14 @@ def _read_formula_lines(path: str) -> list[Formula]:
 
 
 def _ast(phi: Formula) -> dict:
+    out: dict = {"node": type(phi).__name__}
     if isinstance(phi, Var):
-        return {"node": "Var", "name": phi.name}
-    if isinstance(phi, Top):
-        return {"node": "Top"}
-    if isinstance(phi, Bot):
-        return {"node": "Bot"}
-    if isinstance(phi, Not):
-        return {"node": "Not", "child": _ast(phi.child)}
-    if isinstance(phi, J):
-        return {"node": "J", "index": str(phi.index), "child": _ast(phi.child)}
-    if isinstance(phi, I):
-        return {"node": "I", "index": str(phi.index), "child": _ast(phi.child)}
-    return {
-        "node": type(phi).__name__,
-        "left": _ast(phi.left),  # type: ignore[attr-defined]
-        "right": _ast(phi.right),  # type: ignore[attr-defined]
-    }
+        out["name"] = phi.name
+    elif isinstance(phi, (J, I)):
+        out["index"] = str(phi.index)
+    kids = [_ast(child) for child in children(phi)]
+    out.update(zip(("child",) if len(kids) == 1 else ("left", "right"), kids))
+    return out
 
 
 def _cmd_parse(args) -> tuple[int, dict]:
@@ -169,14 +150,19 @@ def _cmd_search(args) -> tuple[int, dict]:
 
 
 def _closure_of_all(formulas) -> list[Formula]:
-    seen: set[Formula] = set()
-    ordered: list[Formula] = []
+    slots: dict = {}
+    shapes: dict = {}
+    code: list = []
     for phi in formulas:
-        for sub in subformula_closure(phi):
-            if sub not in seen:
-                seen.add(sub)
-                ordered.append(sub)
-    return ordered
+        compile_formula(phi, slots, shapes, code)
+    return [node for node, _ in code]
+
+
+def _power(m: int, k: int) -> int | str:
+    """m ** k, or the string "m^k" once it has 4300 digits or more, which
+    Python's integer-to-string limit would refuse to print."""
+    bound = m**k
+    return f"{m}^{k}" if bound >= 10**4299 else bound
 
 
 def _cmd_filtrate(args) -> tuple[int, dict]:
@@ -190,7 +176,7 @@ def _cmd_filtrate(args) -> tuple[int, dict]:
         "sigma_size": len(sigma),
         "worlds_in": len(model.worlds),
         "classes": len(quotient.worlds),
-        "bound": model.m ** len(sigma),
+        "bound": _power(model.m, len(sigma)),
         "out": args.out,
         "discrepancies": [
             {
@@ -393,15 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    layout = {"indent": 2} if args.pretty else {"separators": (",", ":")}
     try:
         code, payload = args.handler(args)
+        text = json.dumps(payload, **layout)
     except (ValueError, OSError) as exc:
-        payload = {"status": "error", "error": str(exc)}
+        text = json.dumps({"status": "error", "error": str(exc)}, **layout)
         code = 3
         print(str(exc), file=sys.stderr)
-    if args.pretty:
-        text = json.dumps(payload, indent=2)
-    else:
-        text = json.dumps(payload, separators=(",", ":"))
     print(text)
     return code

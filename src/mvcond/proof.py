@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .parser import ParseError, parse, print_formula
 from .search import falsifying_assignment
@@ -30,12 +30,12 @@ from .syntax import (
     I,
     Iff,
     Imp,
-    J,
     Not,
     Top,
     Var,
     RESERVED_VAR,
     UnrepresentableIndexError,
+    compile_formula,
     imp_chain,
 )
 from .truthvalues import TruthValue, tv_odot
@@ -123,7 +123,8 @@ class RaGen:
     premise_lines: tuple[int, ...]
 
 
-Justification = Union[Premise, LTaut, Ax, MP, RCEA, RCEC, Ra, RaGen]
+# not typing.Union, whose cache would keep the package alive across re-imports
+Justification = Premise | LTaut | Ax | MP | RCEA | RCEC | Ra | RaGen
 
 
 @dataclass(frozen=True)
@@ -159,27 +160,19 @@ class Verdict:
 _RESERVED = Var(RESERVED_VAR)
 
 
-def _expand_constants(phi: Formula) -> Formula:
-    if isinstance(phi, Top):
-        return Imp(_RESERVED, _RESERVED)
-    if isinstance(phi, Bot):
-        return Not(Imp(_RESERVED, _RESERVED))
-    if isinstance(phi, (Var,)):
-        return phi
-    if isinstance(phi, Not):
-        return Not(_expand_constants(phi.child))
-    if isinstance(phi, J):
-        return J(phi.index, _expand_constants(phi.child))
-    if isinstance(phi, I):
-        return I(phi.index, _expand_constants(phi.child))
-    return type(phi)(
-        _expand_constants(phi.left), _expand_constants(phi.right)  # type: ignore[attr-defined]
-    )
-
-
 def rule_eq(x: Formula, y: Formula) -> bool:
-    """Structural equality modulo the spelling of T and F."""
-    return _expand_constants(x) == _expand_constants(y)
+    """Structural equality modulo the spelling of T and F.
+
+    Both formulas go into one node table in which T and F share the
+    slots of their expansions p -> p and ~(p -> p) over the reserved
+    variable, so equal slots mean equal trees once constants are expanded.
+    """
+    shapes: dict = {}
+    table = ({}, shapes, [])
+    truth = Imp(_RESERVED, _RESERVED)
+    shapes[(Top, None, ())] = compile_formula(truth, *table)
+    shapes[(Bot, None, ())] = compile_formula(Not(truth), *table)
+    return compile_formula(x, *table) == compile_formula(y, *table)
 
 
 def _match_a1(phi: Formula) -> bool:
@@ -236,16 +229,14 @@ def _match_lid(phi: Formula) -> bool:
     return isinstance(phi, Cond) and phi.left == phi.right
 
 
-_SCHEMAS = [("A1", _match_a1), ("A2", _match_a2), ("A3", _match_a3)]
+_MATCHERS = {"A1": _match_a1, "A2": _match_a2, "A3": _match_a3, "LID": _match_lid}
 
 
 def match_axiom(phi: Formula, allow_lid: bool = False) -> str | None:
     """Name of the first axiom schema phi instantiates, if any."""
-    for name, matcher in _SCHEMAS:
-        if matcher(phi):
+    for name, matcher in _MATCHERS.items():
+        if (allow_lid or name != "LID") and matcher(phi):
             return name
-    if allow_lid and _match_lid(phi):
-        return "LID"
     return None
 
 
@@ -337,6 +328,17 @@ def check_line(
     derivation: Derivation, index: int, rules_on_premises: bool = False
 ) -> LineError | None:
     """Check the 1-based line index; None means the line is in order."""
+    return _check_line(derivation, index, rules_on_premises, None)
+
+
+def _check_line(
+    derivation: Derivation,
+    index: int,
+    rules_on_premises: bool,
+    dependent: list[bool] | None,
+) -> LineError | None:
+    """check_line, given _premise_dependence(derivation) or None to
+    compute it when the line needs it."""
     if not 1 <= index <= len(derivation.lines):
         raise IndexError(f"no line {index}")
     line = derivation.lines[index - 1]
@@ -354,7 +356,8 @@ def check_line(
             )
 
     if not rules_on_premises and isinstance(rule, (RCEA, RCEC, Ra, RaGen)):
-        dependent = _premise_dependence(derivation)
+        if dependent is None:
+            dependent = _premise_dependence(derivation)
         for cited in _cited_lines(rule):
             if dependent[cited - 1]:
                 return err(
@@ -386,13 +389,7 @@ def check_line(
         return None
 
     if isinstance(rule, Ax):
-        matchers = {
-            "A1": _match_a1,
-            "A2": _match_a2,
-            "A3": _match_a3,
-            "LID": _match_lid,
-        }
-        matcher = matchers.get(rule.name)
+        matcher = _MATCHERS.get(rule.name)
         if matcher is None:
             return err(f"unknown axiom {rule.name!r}")
         if not matcher(line.formula):
@@ -447,62 +444,33 @@ def check_line(
             )
         return None
 
-    if isinstance(rule, Ra):
-        if len(rule.gammas) != m:
-            return err(f"needs exactly {m} indexed formulas, got {len(rule.gammas)}")
+    if isinstance(rule, (Ra, RaGen)):
+        if isinstance(rule, Ra):
+            thresholds = [Fraction(m - i, m - 1) for i in range(1, m + 1)]
+            parts, target, indices = rule.gammas, rule.gamma, [rule.a]
+            if len(parts) != m:
+                return err(f"needs exactly {m} indexed formulas, got {len(parts)}")
+        else:
+            thresholds, parts, target = rule.a_list, rule.chis, rule.chi
+            indices = [rule.a, *rule.a_list]
+            if len(thresholds) != len(parts):
+                return err(f"{len(thresholds)} thresholds for {len(parts)} formulas")
         if len(rule.premise_lines) != m:
             return err(
                 f"needs exactly {m} premise lines, got {len(rule.premise_lines)}"
             )
-        thresholds = [Fraction(m - i, m - 1) for i in range(1, m + 1)]
-        problem = _check_thresholds_on_chain([rule.a], m)
+        problem = _check_thresholds_on_chain(indices, m)
         if problem:
             return err(problem)
         for t, b in enumerate(_chain_fractions_desc(m)):
             cited = derivation.lines[rule.premise_lines[t] - 1].formula
-            expected = _graded_premise(
-                m, rule.a, b, thresholds, rule.gammas, rule.gamma
-            )
+            expected = _graded_premise(m, rule.a, b, thresholds, parts, target)
             if not rule_eq(cited, expected):
                 return err(
                     f"premise for b={b} (line {rule.premise_lines[t]}) is "
                     f"{print_formula(cited)}, expected {print_formula(expected)}"
                 )
-        expected = _graded_conclusion(
-            rule.a, rule.phi, thresholds, rule.gammas, rule.gamma
-        )
-        if not rule_eq(line.formula, expected):
-            return err(
-                f"conclusion is {print_formula(line.formula)}, "
-                f"expected {print_formula(expected)}"
-            )
-        return None
-
-    if isinstance(rule, RaGen):
-        if len(rule.a_list) != len(rule.chis):
-            return err(
-                f"{len(rule.a_list)} thresholds for {len(rule.chis)} formulas"
-            )
-        if len(rule.premise_lines) != m:
-            return err(
-                f"needs exactly {m} premise lines, got {len(rule.premise_lines)}"
-            )
-        problem = _check_thresholds_on_chain([rule.a, *rule.a_list], m)
-        if problem:
-            return err(problem)
-        for t, b in enumerate(_chain_fractions_desc(m)):
-            cited = derivation.lines[rule.premise_lines[t] - 1].formula
-            expected = _graded_premise(
-                m, rule.a, b, rule.a_list, rule.chis, rule.chi
-            )
-            if not rule_eq(cited, expected):
-                return err(
-                    f"premise for b={b} (line {rule.premise_lines[t]}) is "
-                    f"{print_formula(cited)}, expected {print_formula(expected)}"
-                )
-        expected = _graded_conclusion(
-            rule.a, rule.phi, rule.a_list, rule.chis, rule.chi
-        )
+        expected = _graded_conclusion(rule.a, rule.phi, thresholds, parts, target)
         if not rule_eq(line.formula, expected):
             return err(
                 f"conclusion is {print_formula(line.formula)}, "
@@ -519,8 +487,9 @@ def check_derivation(
     """Accept when every line checks and the last line equals the goal."""
     if not derivation.lines:
         return Verdict(False, None, "derivation has no lines")
+    dependent = _premise_dependence(derivation)
     for index in range(1, len(derivation.lines) + 1):
-        problem = check_line(derivation, index, rules_on_premises)
+        problem = _check_line(derivation, index, rules_on_premises, dependent)
         if problem is not None:
             return Verdict(False, problem.line, str(problem))
     last = derivation.lines[-1].formula

@@ -7,7 +7,10 @@ in a canonical order (world count ascending; valuations in ascending
 lexicographic numerator order over sorted variables; relation matrices
 row-major with entries descending from 1), so a given query always
 returns the same countermodel. A "none" outcome certifies only that no
-model within the given bounds refutes the formula.
+model within the given bounds refutes the formula. The search runs the
+evaluator's compiled program incrementally: conditional-free
+subformulas once per valuation, the nodes above a conditional once per
+relation candidate, all on integers.
 
 filtrate quotients a model by agreement on a subformula-closed set,
 taking the pointwise supremum of relation entries across classes, and
@@ -19,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
+from operator import le
 from typing import Mapping, Sequence
 
 from .semantics import (
@@ -26,7 +30,9 @@ from .semantics import (
     KripkeModel,
     Matrix,
     Proposition,
-    check_fid,
+    instruction,
+    operations,
+    proposition_from,
 )
 from .syntax import (
     And,
@@ -42,11 +48,13 @@ from .syntax import (
     OPlus,
     OTimes,
     Or,
+    RESERVED_VAR,
     Top,
     Var,
-    children,
+    compile_formula,
     free_vars,
     index_numerator,
+    subformula_closure,
 )
 from .truthvalues import (
     TruthValue,
@@ -161,12 +169,6 @@ def abstract_conditionals(phi: Formula) -> tuple[Formula, dict[Formula, Var]]:
     return walk(phi), mapping
 
 
-def _contains_cond(phi: Formula) -> bool:
-    if isinstance(phi, Cond):
-        return True
-    return any(_contains_cond(child) for child in children(phi))
-
-
 def falsifying_assignment(
     phi: Formula, m: int, abstract: bool = False
 ) -> dict[str, TruthValue] | None:
@@ -174,7 +176,7 @@ def falsifying_assignment(
     variables) giving a non-designated value, or None."""
     if abstract:
         phi, _ = abstract_conditionals(phi)
-    elif _contains_cond(phi):
+    elif any(isinstance(node, Cond) for node in subformula_closure(phi)):
         raise ConditionalPresentError(
             "formula contains a conditional; enable abstraction"
         )
@@ -225,78 +227,6 @@ class SearchOutcome:
     candidates: int
 
 
-def _cond_depth(phi: Formula) -> int:
-    deepest = max((_cond_depth(child) for child in children(phi)), default=0)
-    return deepest + (1 if isinstance(phi, Cond) else 0)
-
-
-def _cond_subformulas(phi: Formula) -> list[Cond]:
-    seen: set[Formula] = set()
-    out: list[Cond] = []
-
-    def visit(node: Formula) -> None:
-        if isinstance(node, Cond) and node not in seen:
-            seen.add(node)
-            out.append(node)
-        for child in children(node):
-            visit(child)
-
-    visit(phi)
-    return out
-
-
-def _prop_key(prop: Proposition, index: Mapping[str, int]):
-    return tuple(tuple(index[w] for w in cell) for cell in prop.cells)
-
-
-def _relation_candidates(
-    model: KripkeModel,
-    conds: Sequence[Cond],
-    values_desc: Sequence[TruthValue],
-    rounds_left: int = 6,
-):
-    """Yield models with relations assigned for every antecedent proposition.
-
-    Antecedent propositions are recomputed per candidate: an antecedent
-    containing a conditional may denote a different proposition once the
-    inner relation is fixed, so newly appearing propositions get their
-    own enumeration round until a fixed point is reached.
-    """
-    ev = Evaluator(model)
-    fresh: list[Proposition] = []
-    seen: set[Proposition] = set(model.relations)
-    for cond in conds:
-        prop = ev.proposition(cond.left)
-        if prop not in seen:
-            seen.add(prop)
-            fresh.append(prop)
-    if not fresh:
-        yield model
-        return
-    if rounds_left == 0:
-        raise SearchError("relation assignment did not stabilize")
-    index = model.world_index()
-    fresh.sort(key=lambda prop: _prop_key(prop, index))
-    n = len(model.worlds)
-    cells = n * n
-    for combo in product(values_desc, repeat=cells * len(fresh)):
-        relations = dict(model.relations)
-        for k, prop in enumerate(fresh):
-            chunk = combo[k * cells : (k + 1) * cells]
-            relations[prop] = tuple(
-                tuple(chunk[i * n + j] for j in range(n)) for i in range(n)
-            )
-        candidate = KripkeModel(
-            m=model.m,
-            worlds=model.worlds,
-            vars=model.vars,
-            valuation=model.valuation,
-            relations=relations,
-            default_policy=model.default_policy,
-        )
-        yield from _relation_candidates(candidate, conds, values_desc, rounds_left - 1)
-
-
 def countermodel_search(
     phi: Formula,
     m: int,
@@ -308,55 +238,132 @@ def countermodel_search(
     Relations are assigned exactly for the antecedent propositions the
     formula mentions; everything else falls to the constant-0 default.
     With require_fid, candidates violating the identity frame condition
-    are skipped (they still count against the budget).
+    are skipped (they still count against the budget). Relations are
+    integer matrices keyed by their antecedent's values; a KripkeModel is
+    built only for the countermodel returned.
     """
     if bounds is None:
         bounds = SearchBounds()
-    if _cond_depth(phi) > 3:
+    code: list = []
+    root = compile_formula(phi, {}, {}, code)
+    depth: list[int] = []
+    for node, kids in code:
+        depth.append(max((depth[k] for k in kids), default=0) + isinstance(node, Cond))
+    if depth[root] > 3:
         raise SearchError("conditional nesting deeper than 3 is not supported")
-    conds = _cond_subformulas(phi)
-    names = tuple(sorted(free_vars(phi)))
     if bounds.relation_values is None:
-        values_desc = [TruthValue(i, m) for i in range(m - 1, -1, -1)]
+        values_desc = list(range(m - 1, -1, -1))
     else:
-        numerators = sorted(set(bounds.relation_values), reverse=True)
-        for numerator in numerators:
+        values_desc = sorted(set(bounds.relation_values), reverse=True)
+        for numerator in values_desc:
             if not 0 <= numerator <= m - 1:
                 raise ValueError(
                     f"relation value numerator {numerator} not in [0, {m - 1}]"
                 )
-        values_desc = [TruthValue(i, m) for i in numerators]
+    var_slot = {node.name: s for s, (node, _) in enumerate(code) if isinstance(node, Var)}
+    names = tuple(sorted(var_slot))
+    # a node with depth[s] > 0 has a conditional at or below it, so its
+    # value depends on the relations; one inside the antecedent of some
+    # conditional can change which propositions need relations
+    in_antecedent = [False] * len(code)
+    for s in reversed(range(len(code))):
+        node, kids = code[s]
+        if isinstance(node, Cond):
+            in_antecedent[kids[0]] = True
+        if in_antecedent[s]:
+            for k in kids:
+                in_antecedent[k] = True
+    antecedents = sorted({kids[0] for node, kids in code if isinstance(node, Cond)})
+    top = m - 1
+    budget = bounds.max_candidates
     count = 0
     for n in range(1, bounds.max_worlds + 1):
-        worlds = tuple(f"w{i}" for i in range(n))
-        for assignment in product(range(m), repeat=n * len(names)):
-            valuation = {
-                v: {
-                    w: TruthValue(assignment[vi * n + wi], m)
-                    for wi, w in enumerate(worlds)
-                }
-                for vi, v in enumerate(names)
-            }
-            base = KripkeModel(
-                m=m,
-                worlds=worlds,
-                vars=names,
-                valuation=valuation,
-                relations={},
-                default_policy=TruthValue.bottom(m),
-            )
-            for candidate in _relation_candidates(base, conds, values_desc):
-                if (
-                    bounds.max_candidates is not None
-                    and count >= bounds.max_candidates
-                ):
-                    return SearchOutcome(None, None, True, count)
+        rel: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+        ops = operations(m, n, rel.get, 0)
+        values: list = [None] * len(code)
+        base, inner, outer = [], [], []
+        for s, (node, kids) in enumerate(code):
+            if not kids:
+                values[s] = ops[type(node)]
+                continue
+            step = (instruction(node, ops, m), kids[0], kids[-1], s)
+            (inner if in_antecedent[s] else outer if depth[s] else base).append(step)
+        var_at = [
+            (var_slot[v], vi * n) for vi, v in enumerate(names) if v != RESERVED_VAR
+        ]
+        matrices = [
+            tuple(entries[x * n : (x + 1) * n] for x in range(n))
+            for entries in product(values_desc, repeat=n * n)
+        ]
+        column_max = {id(rows): tuple(map(max, zip(*rows))) for rows in matrices}
+
+        def cells(key: tuple[int, ...]):
+            return tuple(tuple(y for y in range(n) if key[y] == c) for c in range(m))
+
+        def visit(rounds_left: int):
+            """The first refuting world (an index) or True for an exhausted
+            budget, over every completion of the relations fixed in rel."""
+            nonlocal count
+            for fn, i, j, s in inner:
+                values[s] = fn(values[i], values[j])
+            fresh = {values[a] for a in antecedents}.difference(rel)
+            if not fresh:
+                if budget is not None and count >= budget:
+                    return True
                 count += 1
-                if require_fid and check_fid(candidate):
-                    continue
-                hit = Evaluator(candidate).failing_world(phi)
+                if require_fid and not all(
+                    all(map(le, column_max[id(rows)], key)) for key, rows in rel.items()
+                ):
+                    return None
+                for fn, i, j, s in outer:
+                    values[s] = fn(values[i], values[j])
+                for x, v in enumerate(values[root]):
+                    if v != top:
+                        return x
+                return None
+            if rounds_left == 0:
+                raise SearchError("relation assignment did not stabilize")
+            keys = sorted(fresh, key=cells)
+            for combo in product(matrices, repeat=len(keys)):
+                rel.update(zip(keys, combo))
+                hit = visit(rounds_left - 1)
                 if hit is not None:
-                    return SearchOutcome((candidate, hit[0]), hit[1], False, count)
+                    return hit
+            for key in keys:
+                del rel[key]
+            return None
+
+        for assignment in product(range(m), repeat=n * len(names)):
+            for s, start in var_at:
+                values[s] = assignment[start : start + n]
+            for fn, i, j, s in base:
+                values[s] = fn(values[i], values[j])
+            hit = visit(6)
+            if hit is True:
+                return SearchOutcome(None, None, True, count)
+            if hit is not None:
+                worlds = tuple(f"w{i}" for i in range(n))
+                model = KripkeModel(
+                    m=m,
+                    worlds=worlds,
+                    vars=names,
+                    valuation={
+                        v: {
+                            w: TruthValue(assignment[vi * n + wi], m)
+                            for wi, w in enumerate(worlds)
+                        }
+                        for vi, v in enumerate(names)
+                    },
+                    relations={
+                        proposition_from(key, worlds, m): tuple(
+                            tuple(TruthValue(e, m) for e in row) for row in rows
+                        )
+                        for key, rows in rel.items()
+                    },
+                    default_policy=TruthValue.bottom(m),
+                )
+                value = TruthValue(values[root][hit], m)
+                return SearchOutcome((model, worlds[hit]), value, False, count)
     return SearchOutcome(None, None, False, count)
 
 
@@ -381,33 +388,30 @@ def filtrate(
     class members; the quotient keeps the model's default policy.
     Returns the quotient and the world-to-class map.
     """
-    ordered: list[Formula] = []
-    seen_formulas: set[Formula] = set()
+    slots: dict = {}
+    shapes: dict = {}
+    code: list = []
+    member_at: dict[int, Formula] = {}  # slot -> first member of sigma with it
     for phi in sigma:
-        if phi not in seen_formulas:
-            seen_formulas.add(phi)
-            ordered.append(phi)
-    if not ordered:
+        member_at.setdefault(compile_formula(phi, slots, shapes, code), phi)
+    if not member_at:
         raise SigmaNotClosedError("sigma must be non-empty")
-    for phi in ordered:
-        for child in children(phi):
-            if child not in seen_formulas:
-                raise SigmaNotClosedError(
-                    "sigma is not closed under subformulas: "
-                    f"missing a direct subformula of {phi!r}"
-                )
+    for slot, phi in member_at.items():
+        if any(kid not in member_at for kid in code[slot][1]):
+            raise SigmaNotClosedError(
+                "sigma is not closed under subformulas: "
+                f"missing a direct subformula of {phi!r}"
+            )
+    ordered = list(member_at.values())
 
     ev = Evaluator(model)
-    signatures = {
-        w: tuple(ev.value(w, phi).numerator for phi in ordered)
-        for w in model.worlds
-    }
+    columns = [ev.numerators(phi) for phi in ordered]
     class_of: dict[tuple[int, ...], str] = {}
     members: dict[str, list[str]] = {}
     class_ids: list[str] = []
     class_map: dict[str, str] = {}
     for i, w in enumerate(model.worlds):
-        sig = signatures[w]
+        sig = tuple(column[i] for column in columns)
         cid = class_of.get(sig)
         if cid is None:
             cid = f"c{i}"
@@ -418,7 +422,7 @@ def filtrate(
         class_map[w] = cid
     reps = {cid: members[cid][0] for cid in class_ids}
 
-    names = sorted({name for phi in ordered for name in free_vars(phi)})
+    names = sorted({phi.name for phi in ordered if isinstance(phi, Var)})
     valuation = {
         v: {cid: ev.value(reps[cid], Var(v)) for cid in class_ids} for v in names
     }
@@ -435,21 +439,17 @@ def filtrate(
         matrix = model.relations.get(prop)
         if matrix is None:
             continue  # default policy covers it in the quotient too
-        cells: list[list[str]] = [[] for _ in range(model.m)]
-        for cid in class_ids:
-            cells[ev.value(reps[cid], alpha).numerator].append(cid)
-        quotient_prop = Proposition(tuple(tuple(cell) for cell in cells))
-        rows = []
-        for xc in class_ids:
-            row = []
-            for yc in class_ids:
-                best = TruthValue.bottom(model.m)
-                for x in members[xc]:
-                    for y in members[yc]:
-                        best = tv_join(best, matrix[index[x]][index[y]])
-                row.append(best)
-            rows.append(tuple(row))
-        relations[quotient_prop] = tuple(rows)
+        values = ev.numerators(alpha)
+        quotient_prop = proposition_from(
+            [values[index[reps[cid]]] for cid in class_ids], class_ids, model.m
+        )
+        relations[quotient_prop] = tuple(
+            tuple(
+                max(matrix[index[x]][index[y]] for x in members[xc] for y in members[yc])
+                for yc in class_ids
+            )
+            for xc in class_ids
+        )
 
     quotient = KripkeModel(
         m=model.m,
@@ -500,15 +500,6 @@ def random_model(
     valuation = {
         v: {w: TruthValue(rng.randrange(m), m) for w in worlds} for v in names
     }
-    skeleton = KripkeModel(
-        m=m,
-        worlds=worlds,
-        vars=names,
-        valuation=valuation,
-        relations={},
-        default_policy=TruthValue.bottom(m),
-    )
-    ev = Evaluator(skeleton)
 
     def matrix() -> Matrix:
         return tuple(
@@ -517,13 +508,10 @@ def random_model(
 
     relations: dict[Proposition, Matrix] = {}
     for v in names:
-        relations[ev.proposition(Var(v))] = matrix()
+        values = [valuation[v][w].numerator for w in worlds]
+        relations[proposition_from(values, worlds, m)] = matrix()
     for _ in range(n_extra_relations):
-        assigned = [rng.randrange(m) for _ in worlds]
-        cells: list[list[str]] = [[] for _ in range(m)]
-        for w, value in zip(worlds, assigned):
-            cells[value].append(w)
-        prop = Proposition(tuple(tuple(cell) for cell in cells))
+        prop = proposition_from([rng.randrange(m) for _ in worlds], worlds, m)
         relations[prop] = matrix()
     return KripkeModel(
         m=m,

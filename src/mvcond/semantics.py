@@ -9,6 +9,12 @@ R(x,y) -> value(psi, y), where R is the relation keyed by phi's
 proposition; a missing relation either raises (default policy "error")
 or falls back to a constant from the chain.
 
+The evaluator compiles a formula once (syntax.compile_formula) and runs
+the post-order program at every world at once: a node's value is a tuple
+of integer numerators, one per world, so a conditional costs one relation
+lookup and O(worlds^2) integer steps. TruthValue appears only at the API
+boundary; countermodel_search runs on the same program.
+
 Models are treated as immutable once built; mutating one invalidates
 any Evaluator already holding it.
 """
@@ -17,7 +23,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from operator import sub
+from typing import Callable, Iterable, Mapping
 
 from .syntax import (
     And,
@@ -36,18 +43,10 @@ from .syntax import (
     RESERVED_VAR,
     Top,
     Var,
+    compile_formula,
     index_numerator,
 )
-from .truthvalues import (
-    TruthValue,
-    tv_imp,
-    tv_join,
-    tv_meet,
-    tv_neg,
-    tv_odot,
-    tv_ominus,
-    tv_oplus,
-)
+from .truthvalues import TruthValue
 
 __all__ = [
     "Proposition",
@@ -142,124 +141,157 @@ class FidViolation:
     target_cell: int | None  # 1-based cell of target, None if in no cell
 
 
-class Evaluator:
-    """Evaluates formulas in one model, caching per (world, formula).
+Values = tuple[int, ...]  # one numerator per world, in model order
 
-    The cache makes repeated antecedent lookups cheap when one formula
-    is evaluated at every world; build a fresh Evaluator after any
-    change to the model.
+
+def operations(
+    m: int, n: int, relation: Callable[[Values], object], default: int | None
+) -> dict:
+    """Per node type, the function from children's values to the node's
+    (unary ones ignore the second argument; J and I map to factories
+    taking the index numerator), and the values of Top, Bot and the
+    reserved variable. relation(values) is the integer matrix stored for
+    the antecedent with those values, or None; then every entry is
+    default, and a default of None raises MissingRelationError."""
+    top = m - 1
+
+    def cond(a: Values, b: Values) -> Values:
+        rows = relation(a)
+        if rows is None:
+            if default is None:
+                raise MissingRelationError(
+                    "no relation stored for antecedent proposition and "
+                    "default policy is 'error'"
+                )
+            return (top + min(0, min(b) - default),) * n
+        # min over y of min(top, top - R[x][y] + b[y])
+        return tuple([top + min(0, min(map(sub, b, row))) for row in rows])
+
+    return {
+        Not: lambda a, _: tuple([top - x for x in a]),
+        Imp: lambda a, b: tuple([top if x <= y else top - x + y for x, y in zip(a, b)]),
+        And: lambda a, b: tuple(map(min, a, b)),
+        Or: lambda a, b: tuple(map(max, a, b)),
+        OPlus: lambda a, b: tuple([min(top, x + y) for x, y in zip(a, b)]),
+        OTimes: lambda a, b: tuple([max(0, x + y - top) for x, y in zip(a, b)]),
+        OMinus: lambda a, b: tuple([max(0, x - y) for x, y in zip(a, b)]),
+        Iff: lambda a, b: tuple([top - abs(x - y) for x, y in zip(a, b)]),
+        Cond: cond,
+        J: lambda k: lambda a, _: tuple([top if x == k else 0 for x in a]),
+        I: lambda k: lambda a, _: tuple([top if x >= k else 0 for x in a]),
+        Top: (top,) * n,
+        Bot: (0,) * n,
+        Var: (0,) * n,  # the reserved variable; others come from a valuation
+    }
+
+
+def instruction(node: Formula, ops: dict, m: int) -> Callable:
+    """The function computing an inner node from its children's values."""
+    op = ops[type(node)]
+    return op(index_numerator(node.index, m)) if isinstance(node, (J, I)) else op
+
+
+def proposition_from(values: Values, worlds: tuple[str, ...], m: int) -> Proposition:
+    cells: list[list[str]] = [[] for _ in range(m)]
+    for w, v in zip(worlds, values):
+        cells[v].append(w)
+    return Proposition(tuple(tuple(cell) for cell in cells))
+
+
+class Evaluator:
+    """Evaluates formulas in one model at every world at once.
+
+    Each subformula is compiled and evaluated once, its numerators cached
+    by node identity; build a fresh Evaluator after any change to the
+    model. A variable without a value at some world raises
+    UndeclaredVariableError whichever world is asked about.
     """
 
     def __init__(self, model: KripkeModel):
         self.model = model
         self._index = model.world_index()
-        self._values: dict[tuple[str, Formula], TruthValue] = {}
-        self._props: dict[Formula, Proposition] = {}
+        policy = model.default_policy
+        default = None if policy is None else policy.numerator
+        self._ops = operations(model.m, len(model.worlds), self._matrix, default)
+        self._table: dict[Values, Matrix] | None = None
+        self._reset()
+
+    def _reset(self) -> None:
+        self._slots: dict = {}
+        self._shapes: dict = {}
+        self._code: list = []
+        self._values: list[Values] = []
+
+    def _matrix(self, key: Values) -> list[list[int]] | None:
+        if self._table is None:
+            # stored propositions keyed by their values; one that is not a
+            # partition listing worlds in model order can never be looked up
+            worlds, m, table = self.model.worlds, self.model.m, {}
+            for prop, matrix in self.model.relations.items():
+                cell_of = {w: c for c, cell in enumerate(prop.cells) for w in cell}
+                values = tuple(cell_of.get(w, m) for w in worlds)
+                if max(values, default=0) < m and proposition_from(values, worlds, m) == prop:
+                    table[values] = matrix
+            self._table = table
+        matrix = self._table.get(key)
+        return None if matrix is None else [[e.numerator for e in row] for row in matrix]
+
+    def _variable(self, name: str) -> Values:
+        per_world = self.model.valuation.get(name) or {}
+        missing = [w for w in self.model.worlds if w not in per_world]
+        if missing:
+            raise UndeclaredVariableError(
+                f"variable {name!r} has no value at world {missing[0]!r}"
+            )
+        return tuple([per_world[w].numerator for w in self.model.worlds])
+
+    def numerators(self, phi: Formula) -> Values:
+        """phi's value numerator at every world, in model order."""
+        code, values = self._code, self._values
+        try:
+            slot = compile_formula(phi, self._slots, self._shapes, code)
+            for node, kids in code[len(values):]:
+                if kids:
+                    fn = instruction(node, self._ops, self.model.m)
+                    values.append(fn(values[kids[0]], values[kids[-1]]))
+                elif isinstance(node, Var) and node.name != RESERVED_VAR:
+                    values.append(self._variable(node.name))
+                else:
+                    values.append(self._ops[type(node)])
+        except Exception:
+            self._reset()  # drop the nodes compiled but not evaluated
+            raise
+        return values[slot]
 
     def value(self, world: str, phi: Formula) -> TruthValue:
-        if world not in self._index:
+        xi = self._index.get(world)
+        if xi is None:
             raise UnknownWorldError(f"unknown world {world!r}")
-        key = (world, phi)
-        cached = self._values.get(key)
-        if cached is not None:
-            return cached
-        result = self._compute(world, phi)
-        self._values[key] = result
-        return result
-
-    def _relation_entry(self, prop: Proposition, xi: int, yi: int) -> TruthValue:
-        matrix = self.model.relations.get(prop)
-        if matrix is not None:
-            return matrix[xi][yi]
-        if self.model.default_policy is None:
-            raise MissingRelationError(
-                "no relation stored for antecedent proposition and "
-                "default policy is 'error'"
-            )
-        return self.model.default_policy
-
-    def _compute(self, world: str, phi: Formula) -> TruthValue:
-        m = self.model.m
-        if isinstance(phi, Var):
-            if phi.name == RESERVED_VAR:
-                # only reachable through constant expansion, where the
-                # surrounding _t -> _t makes the value irrelevant
-                return TruthValue.bottom(m)
-            per_world = self.model.valuation.get(phi.name)
-            if per_world is None or world not in per_world:
-                raise UndeclaredVariableError(
-                    f"variable {phi.name!r} has no value at world {world!r}"
-                )
-            return per_world[world]
-        if isinstance(phi, Top):
-            return TruthValue.top(m)
-        if isinstance(phi, Bot):
-            return TruthValue.bottom(m)
-        if isinstance(phi, Not):
-            return tv_neg(self.value(world, phi.child))
-        if isinstance(phi, Imp):
-            return tv_imp(self.value(world, phi.left), self.value(world, phi.right))
-        if isinstance(phi, And):
-            return tv_meet(self.value(world, phi.left), self.value(world, phi.right))
-        if isinstance(phi, Or):
-            return tv_join(self.value(world, phi.left), self.value(world, phi.right))
-        if isinstance(phi, OPlus):
-            return tv_oplus(self.value(world, phi.left), self.value(world, phi.right))
-        if isinstance(phi, OTimes):
-            return tv_odot(self.value(world, phi.left), self.value(world, phi.right))
-        if isinstance(phi, OMinus):
-            return tv_ominus(self.value(world, phi.left), self.value(world, phi.right))
-        if isinstance(phi, Iff):
-            left = self.value(world, phi.left)
-            right = self.value(world, phi.right)
-            return tv_meet(tv_imp(left, right), tv_imp(right, left))
-        if isinstance(phi, J):
-            k = index_numerator(phi.index, m)
-            hit = self.value(world, phi.child).numerator == k
-            return TruthValue.top(m) if hit else TruthValue.bottom(m)
-        if isinstance(phi, I):
-            k = index_numerator(phi.index, m)
-            hit = self.value(world, phi.child).numerator >= k
-            return TruthValue.top(m) if hit else TruthValue.bottom(m)
-        if isinstance(phi, Cond):
-            prop = self.proposition(phi.left)
-            xi = self._index[world]
-            result = TruthValue.top(m)
-            for yi, y in enumerate(self.model.worlds):
-                entry = self._relation_entry(prop, xi, yi)
-                result = tv_meet(result, tv_imp(entry, self.value(y, phi.right)))
-            return result
-        raise TypeError(f"not a formula node: {phi!r}")
+        return TruthValue(self.numerators(phi)[xi], self.model.m)
 
     def proposition(self, phi: Formula) -> Proposition:
-        cached = self._props.get(phi)
-        if cached is not None:
-            return cached
-        cells: list[list[str]] = [[] for _ in range(self.model.m)]
-        for w in self.model.worlds:
-            cells[self.value(w, phi).numerator].append(w)
-        prop = Proposition(tuple(tuple(cell) for cell in cells))
-        self._props[phi] = prop
-        return prop
+        return proposition_from(self.numerators(phi), self.model.worlds, self.model.m)
 
     def failing_world(self, phi: Formula) -> tuple[str, TruthValue] | None:
         """First world (in model order) where phi is not designated."""
-        for w in self.model.worlds:
-            v = self.value(w, phi)
-            if not v.is_designated:
-                return w, v
-        return None
+        return self.entailment_witness((), phi)
 
     def entailment_witness(
         self, sigma: Iterable[Formula], phi: Formula
     ) -> tuple[str, TruthValue] | None:
         """First world where every member of sigma is designated but phi is not."""
-        sigma = list(sigma)
-        for w in self.model.worlds:
-            if all(self.value(w, psi).is_designated for psi in sigma):
-                v = self.value(w, phi)
-                if not v.is_designated:
-                    return w, v
+        top = self.model.m - 1
+        alive = range(len(self.model.worlds))
+        for psi in sigma:
+            if not alive:
+                return None  # phi and the rest of sigma need not be evaluated
+            values = self.numerators(psi)
+            alive = [x for x in alive if values[x] == top]
+        if alive:
+            values = self.numerators(phi)
+            for x in alive:
+                if values[x] != top:
+                    return self.model.worlds[x], TruthValue(values[x], self.model.m)
         return None
 
 

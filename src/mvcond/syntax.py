@@ -36,6 +36,7 @@ __all__ = [
     "children",
     "free_vars",
     "subformula_closure",
+    "compile_formula",
     "imp_chain",
     "strong_product",
     "strong_sum",
@@ -162,40 +163,52 @@ class I(Formula):
 def children(phi: Formula) -> tuple[Formula, ...]:
     if isinstance(phi, (Var, Top, Bot)):
         return ()
-    if isinstance(phi, Not):
-        return (phi.child,)
-    if isinstance(phi, (J, I)):
+    if isinstance(phi, (Not, J, I)):
         return (phi.child,)
     return (phi.left, phi.right)  # type: ignore[attr-defined]
 
 
 def free_vars(phi: Formula) -> frozenset[str]:
-    out: set[str] = set()
+    return frozenset(node.name for node in subformula_closure(phi) if isinstance(node, Var))
+
+
+def compile_formula(phi: Formula, slots: dict, shapes: dict, code: list) -> int:
+    """Append phi's subformulas not yet compiled to code; return phi's slot.
+
+    code[slot] is (node, child slots), children first. slots maps
+    id(node) to (slot, node), holding the node so that its id is never
+    reused; shapes maps (type, name or index, child slots) to a slot, so
+    structurally equal subformulas share one slot. Iterative, so any
+    depth compiles.
+    """
     stack = [phi]
     while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            out.add(node.name)
-        else:
-            stack.extend(children(node))
-    return frozenset(out)
+        node = stack[-1]
+        if id(node) in slots:
+            stack.pop()
+            continue
+        if not isinstance(node, Formula):
+            raise TypeError(f"not a formula node: {node!r}")
+        kids = children(node)
+        todo = [kid for kid in kids if id(kid) not in slots]
+        if todo:
+            stack.extend(reversed(todo))
+            continue
+        stack.pop()
+        kid_slots = tuple(slots[id(kid)][0] for kid in kids)
+        param = node.name if isinstance(node, Var) else getattr(node, "index", None)
+        slot = shapes.setdefault((type(node), param, kid_slots), len(code))
+        if slot == len(code):
+            code.append((node, kid_slots))
+        slots[id(node)] = (slot, node)
+    return slots[id(phi)][0]
 
 
 def subformula_closure(phi: Formula) -> list[Formula]:
     """All subformulas of phi, deduplicated, in post-order of first occurrence."""
-    seen: set[Formula] = set()
-    order: list[Formula] = []
-
-    def visit(node: Formula) -> None:
-        if node in seen:
-            return
-        for child in children(node):
-            visit(child)
-        seen.add(node)
-        order.append(node)
-
-    visit(phi)
-    return order
+    code: list = []
+    compile_formula(phi, {}, {}, code)
+    return [node for node, _ in code]
 
 
 def imp_chain(antecedents: Sequence[Formula], psi: Formula) -> Formula:
@@ -309,35 +322,48 @@ def normalize(phi: Formula, m: int) -> Formula:
 
     Top becomes p -> p and Bot its negation, over the reserved variable.
     J/I expand through mk_J/mk_I for the given chain, so the result (and
-    hence normalize's idempotence) depends on m.
+    hence normalize's idempotence) depends on m. Each node is expanded
+    once per call, so subtrees shared by mk_J, mk_I, Iff and OMinus stay
+    shared in the result instead of being expanded again.
     """
-    if isinstance(phi, Var):
-        return phi
-    if isinstance(phi, Top):
-        return Imp(Var(RESERVED_VAR), Var(RESERVED_VAR))
-    if isinstance(phi, Bot):
-        return Not(Imp(Var(RESERVED_VAR), Var(RESERVED_VAR)))
-    if isinstance(phi, Not):
-        return Not(normalize(phi.child, m))
-    if isinstance(phi, Imp):
-        return Imp(normalize(phi.left, m), normalize(phi.right, m))
-    if isinstance(phi, Cond):
-        return Cond(normalize(phi.left, m), normalize(phi.right, m))
-    if isinstance(phi, Or):
-        left, right = normalize(phi.left, m), normalize(phi.right, m)
-        return Imp(Imp(left, right), right)
-    if isinstance(phi, And):
-        return normalize(Not(Or(Not(phi.left), Not(phi.right))), m)
-    if isinstance(phi, OPlus):
-        return Imp(Not(normalize(phi.left, m)), normalize(phi.right, m))
-    if isinstance(phi, OTimes):
-        return Not(Imp(normalize(phi.left, m), Not(normalize(phi.right, m))))
-    if isinstance(phi, OMinus):
-        return normalize(OTimes(phi.left, Not(phi.right)), m)
-    if isinstance(phi, Iff):
-        return normalize(And(Imp(phi.left, phi.right), Imp(phi.right, phi.left)), m)
-    if isinstance(phi, J):
-        return normalize(mk_J(phi.index, phi.child, m), m)
-    if isinstance(phi, I):
-        return normalize(mk_I(phi.index, phi.child, m), m)
-    raise TypeError(f"not a formula node: {phi!r}")
+    memo: dict[int, tuple[Formula, Formula]] = {}  # id -> (node held, result)
+
+    def go(phi: Formula) -> Formula:
+        hit = memo.get(id(phi))
+        if hit is not None:
+            return hit[1]
+        if isinstance(phi, Var):
+            out = phi
+        elif isinstance(phi, Top):
+            out = Imp(Var(RESERVED_VAR), Var(RESERVED_VAR))
+        elif isinstance(phi, Bot):
+            out = Not(Imp(Var(RESERVED_VAR), Var(RESERVED_VAR)))
+        elif isinstance(phi, Not):
+            out = Not(go(phi.child))
+        elif isinstance(phi, Imp):
+            out = Imp(go(phi.left), go(phi.right))
+        elif isinstance(phi, Cond):
+            out = Cond(go(phi.left), go(phi.right))
+        elif isinstance(phi, Or):
+            left, right = go(phi.left), go(phi.right)
+            out = Imp(Imp(left, right), right)
+        elif isinstance(phi, And):
+            out = go(Not(Or(Not(phi.left), Not(phi.right))))
+        elif isinstance(phi, OPlus):
+            out = Imp(Not(go(phi.left)), go(phi.right))
+        elif isinstance(phi, OTimes):
+            out = Not(Imp(go(phi.left), Not(go(phi.right))))
+        elif isinstance(phi, OMinus):
+            out = go(OTimes(phi.left, Not(phi.right)))
+        elif isinstance(phi, Iff):
+            out = go(And(Imp(phi.left, phi.right), Imp(phi.right, phi.left)))
+        elif isinstance(phi, J):
+            out = go(mk_J(phi.index, phi.child, m))
+        elif isinstance(phi, I):
+            out = go(mk_I(phi.index, phi.child, m))
+        else:
+            raise TypeError(f"not a formula node: {phi!r}")
+        memo[id(phi)] = (phi, out)
+        return out
+
+    return go(phi)

@@ -1,0 +1,354 @@
+"""Reference implementations kept as test oracles.
+
+These are the straightforward recursive versions of the evaluator, the
+countermodel search and normalize that the library once shipped. They
+evaluate one (world, formula) pair at a time, build a KripkeModel for
+every candidate and rewrite trees without sharing, so they are slow but
+easy to check by eye. The differential tests compare the library's
+compiled evaluator, incremental search and memoised normalize with them.
+"""
+
+from __future__ import annotations
+
+from itertools import product
+from typing import Iterable, Mapping, Sequence
+
+from mvcond.search import SearchBounds, SearchError, SearchOutcome
+from mvcond.semantics import (
+    KripkeModel,
+    MissingRelationError,
+    Proposition,
+    UndeclaredVariableError,
+    UnknownWorldError,
+    check_fid,
+)
+from mvcond.syntax import (
+    And,
+    Bot,
+    Cond,
+    Formula,
+    I,
+    Iff,
+    Imp,
+    J,
+    Not,
+    OMinus,
+    OPlus,
+    OTimes,
+    Or,
+    RESERVED_VAR,
+    Top,
+    Var,
+    children,
+    free_vars,
+    index_numerator,
+    mk_I,
+    mk_J,
+)
+from mvcond.truthvalues import (
+    TruthValue,
+    tv_imp,
+    tv_join,
+    tv_meet,
+    tv_neg,
+    tv_odot,
+    tv_ominus,
+    tv_oplus,
+)
+
+
+class ReferenceEvaluator:
+    """Evaluates formulas in one model, caching per (world, formula)."""
+
+    def __init__(self, model: KripkeModel):
+        self.model = model
+        self._index = model.world_index()
+        self._values: dict[tuple[str, Formula], TruthValue] = {}
+        self._props: dict[Formula, Proposition] = {}
+
+    def value(self, world: str, phi: Formula) -> TruthValue:
+        if world not in self._index:
+            raise UnknownWorldError(f"unknown world {world!r}")
+        key = (world, phi)
+        cached = self._values.get(key)
+        if cached is not None:
+            return cached
+        result = self._compute(world, phi)
+        self._values[key] = result
+        return result
+
+    def _relation_entry(self, prop: Proposition, xi: int, yi: int) -> TruthValue:
+        matrix = self.model.relations.get(prop)
+        if matrix is not None:
+            return matrix[xi][yi]
+        if self.model.default_policy is None:
+            raise MissingRelationError("no relation stored for antecedent proposition")
+        return self.model.default_policy
+
+    def _compute(self, world: str, phi: Formula) -> TruthValue:
+        m = self.model.m
+        if isinstance(phi, Var):
+            if phi.name == RESERVED_VAR:
+                return TruthValue.bottom(m)
+            per_world = self.model.valuation.get(phi.name)
+            if per_world is None or world not in per_world:
+                raise UndeclaredVariableError(
+                    f"variable {phi.name!r} has no value at world {world!r}"
+                )
+            return per_world[world]
+        if isinstance(phi, Top):
+            return TruthValue.top(m)
+        if isinstance(phi, Bot):
+            return TruthValue.bottom(m)
+        if isinstance(phi, Not):
+            return tv_neg(self.value(world, phi.child))
+        if isinstance(phi, Imp):
+            return tv_imp(self.value(world, phi.left), self.value(world, phi.right))
+        if isinstance(phi, And):
+            return tv_meet(self.value(world, phi.left), self.value(world, phi.right))
+        if isinstance(phi, Or):
+            return tv_join(self.value(world, phi.left), self.value(world, phi.right))
+        if isinstance(phi, OPlus):
+            return tv_oplus(self.value(world, phi.left), self.value(world, phi.right))
+        if isinstance(phi, OTimes):
+            return tv_odot(self.value(world, phi.left), self.value(world, phi.right))
+        if isinstance(phi, OMinus):
+            return tv_ominus(self.value(world, phi.left), self.value(world, phi.right))
+        if isinstance(phi, Iff):
+            left = self.value(world, phi.left)
+            right = self.value(world, phi.right)
+            return tv_meet(tv_imp(left, right), tv_imp(right, left))
+        if isinstance(phi, J):
+            k = index_numerator(phi.index, m)
+            hit = self.value(world, phi.child).numerator == k
+            return TruthValue.top(m) if hit else TruthValue.bottom(m)
+        if isinstance(phi, I):
+            k = index_numerator(phi.index, m)
+            hit = self.value(world, phi.child).numerator >= k
+            return TruthValue.top(m) if hit else TruthValue.bottom(m)
+        if isinstance(phi, Cond):
+            prop = self.proposition(phi.left)
+            xi = self._index[world]
+            result = TruthValue.top(m)
+            for yi, y in enumerate(self.model.worlds):
+                entry = self._relation_entry(prop, xi, yi)
+                result = tv_meet(result, tv_imp(entry, self.value(y, phi.right)))
+            return result
+        raise TypeError(f"not a formula node: {phi!r}")
+
+    def proposition(self, phi: Formula) -> Proposition:
+        cached = self._props.get(phi)
+        if cached is not None:
+            return cached
+        cells: list[list[str]] = [[] for _ in range(self.model.m)]
+        for w in self.model.worlds:
+            cells[self.value(w, phi).numerator].append(w)
+        prop = Proposition(tuple(tuple(cell) for cell in cells))
+        self._props[phi] = prop
+        return prop
+
+    def failing_world(self, phi: Formula) -> tuple[str, TruthValue] | None:
+        for w in self.model.worlds:
+            v = self.value(w, phi)
+            if not v.is_designated:
+                return w, v
+        return None
+
+    def entailment_witness(
+        self, sigma: Iterable[Formula], phi: Formula
+    ) -> tuple[str, TruthValue] | None:
+        sigma = list(sigma)
+        for w in self.model.worlds:
+            if all(self.value(w, psi).is_designated for psi in sigma):
+                v = self.value(w, phi)
+                if not v.is_designated:
+                    return w, v
+        return None
+
+
+def _cond_depth(phi: Formula) -> int:
+    deepest = max((_cond_depth(child) for child in children(phi)), default=0)
+    return deepest + (1 if isinstance(phi, Cond) else 0)
+
+
+def _cond_subformulas(phi: Formula) -> list[Cond]:
+    seen: set[Formula] = set()
+    out: list[Cond] = []
+
+    def visit(node: Formula) -> None:
+        if isinstance(node, Cond) and node not in seen:
+            seen.add(node)
+            out.append(node)
+        for child in children(node):
+            visit(child)
+
+    visit(phi)
+    return out
+
+
+def _prop_key(prop: Proposition, index: Mapping[str, int]):
+    return tuple(tuple(index[w] for w in cell) for cell in prop.cells)
+
+
+def _relation_candidates(
+    model: KripkeModel,
+    conds: Sequence[Cond],
+    values_desc: Sequence[TruthValue],
+    rounds_left: int = 6,
+):
+    """Models with relations assigned for every antecedent proposition,
+    with a new enumeration round for each proposition that appears once
+    an inner relation is fixed."""
+    ev = ReferenceEvaluator(model)
+    fresh: list[Proposition] = []
+    seen: set[Proposition] = set(model.relations)
+    for cond in conds:
+        prop = ev.proposition(cond.left)
+        if prop not in seen:
+            seen.add(prop)
+            fresh.append(prop)
+    if not fresh:
+        yield model
+        return
+    if rounds_left == 0:
+        raise SearchError("relation assignment did not stabilize")
+    index = model.world_index()
+    fresh.sort(key=lambda prop: _prop_key(prop, index))
+    n = len(model.worlds)
+    cells = n * n
+    for combo in product(values_desc, repeat=cells * len(fresh)):
+        relations = dict(model.relations)
+        for k, prop in enumerate(fresh):
+            chunk = combo[k * cells : (k + 1) * cells]
+            relations[prop] = tuple(
+                tuple(chunk[i * n + j] for j in range(n)) for i in range(n)
+            )
+        candidate = KripkeModel(
+            m=model.m,
+            worlds=model.worlds,
+            vars=model.vars,
+            valuation=model.valuation,
+            relations=relations,
+            default_policy=model.default_policy,
+        )
+        yield from _relation_candidates(candidate, conds, values_desc, rounds_left - 1)
+
+
+def reference_search(
+    phi: Formula,
+    m: int,
+    bounds: SearchBounds | None = None,
+    require_fid: bool = False,
+) -> SearchOutcome:
+    """The first refutation in the canonical enumeration order."""
+    if bounds is None:
+        bounds = SearchBounds()
+    if _cond_depth(phi) > 3:
+        raise SearchError("conditional nesting deeper than 3 is not supported")
+    conds = _cond_subformulas(phi)
+    names = tuple(sorted(free_vars(phi)))
+    if bounds.relation_values is None:
+        values_desc = [TruthValue(i, m) for i in range(m - 1, -1, -1)]
+    else:
+        numerators = sorted(set(bounds.relation_values), reverse=True)
+        for numerator in numerators:
+            if not 0 <= numerator <= m - 1:
+                raise ValueError(
+                    f"relation value numerator {numerator} not in [0, {m - 1}]"
+                )
+        values_desc = [TruthValue(i, m) for i in numerators]
+    count = 0
+    for n in range(1, bounds.max_worlds + 1):
+        worlds = tuple(f"w{i}" for i in range(n))
+        for assignment in product(range(m), repeat=n * len(names)):
+            valuation = {
+                v: {
+                    w: TruthValue(assignment[vi * n + wi], m)
+                    for wi, w in enumerate(worlds)
+                }
+                for vi, v in enumerate(names)
+            }
+            base = KripkeModel(
+                m=m,
+                worlds=worlds,
+                vars=names,
+                valuation=valuation,
+                relations={},
+                default_policy=TruthValue.bottom(m),
+            )
+            for candidate in _relation_candidates(base, conds, values_desc):
+                if (
+                    bounds.max_candidates is not None
+                    and count >= bounds.max_candidates
+                ):
+                    return SearchOutcome(None, None, True, count)
+                count += 1
+                if require_fid and check_fid(candidate):
+                    continue
+                hit = ReferenceEvaluator(candidate).failing_world(phi)
+                if hit is not None:
+                    return SearchOutcome((candidate, hit[0]), hit[1], False, count)
+    return SearchOutcome(None, None, False, count)
+
+
+def reference_normalize(phi: Formula, m: int) -> Formula:
+    """Expand every derived connective, rebuilding each subtree afresh."""
+    if isinstance(phi, Var):
+        return phi
+    if isinstance(phi, Top):
+        return Imp(Var(RESERVED_VAR), Var(RESERVED_VAR))
+    if isinstance(phi, Bot):
+        return Not(Imp(Var(RESERVED_VAR), Var(RESERVED_VAR)))
+    if isinstance(phi, Not):
+        return Not(reference_normalize(phi.child, m))
+    if isinstance(phi, Imp):
+        return Imp(reference_normalize(phi.left, m), reference_normalize(phi.right, m))
+    if isinstance(phi, Cond):
+        return Cond(reference_normalize(phi.left, m), reference_normalize(phi.right, m))
+    if isinstance(phi, Or):
+        left = reference_normalize(phi.left, m)
+        right = reference_normalize(phi.right, m)
+        return Imp(Imp(left, right), right)
+    if isinstance(phi, And):
+        return reference_normalize(Not(Or(Not(phi.left), Not(phi.right))), m)
+    if isinstance(phi, OPlus):
+        return Imp(Not(reference_normalize(phi.left, m)), reference_normalize(phi.right, m))
+    if isinstance(phi, OTimes):
+        return Not(
+            Imp(reference_normalize(phi.left, m), Not(reference_normalize(phi.right, m)))
+        )
+    if isinstance(phi, OMinus):
+        return reference_normalize(OTimes(phi.left, Not(phi.right)), m)
+    if isinstance(phi, Iff):
+        return reference_normalize(
+            And(Imp(phi.left, phi.right), Imp(phi.right, phi.left)), m
+        )
+    if isinstance(phi, J):
+        return reference_normalize(mk_J(phi.index, phi.child, m), m)
+    if isinstance(phi, I):
+        return reference_normalize(mk_I(phi.index, phi.child, m), m)
+    raise TypeError(f"not a formula node: {phi!r}")
+
+
+_RESERVED = Var(RESERVED_VAR)
+
+
+def _expand_constants(phi: Formula) -> Formula:
+    if isinstance(phi, Top):
+        return Imp(_RESERVED, _RESERVED)
+    if isinstance(phi, Bot):
+        return Not(Imp(_RESERVED, _RESERVED))
+    if isinstance(phi, Var):
+        return phi
+    if isinstance(phi, Not):
+        return Not(_expand_constants(phi.child))
+    if isinstance(phi, J):
+        return J(phi.index, _expand_constants(phi.child))
+    if isinstance(phi, I):
+        return I(phi.index, _expand_constants(phi.child))
+    return type(phi)(_expand_constants(phi.left), _expand_constants(phi.right))
+
+
+def reference_rule_eq(x: Formula, y: Formula) -> bool:
+    """Structural equality after expanding T and F over the reserved variable."""
+    return _expand_constants(x) == _expand_constants(y)

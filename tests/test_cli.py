@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from mvcond.cli import main
+from mvcond.cli import _power, main
 from mvcond.semantics import model_from_json, save_model
 from mvcond.search import random_model
 from mvcond.truthvalues import TruthValue
@@ -401,3 +401,33 @@ def test_repeated_invocations_are_bit_identical(capsys):
     assert first == second
     payload = json.loads(first)
     assert payload["candidates"] == 11
+
+
+def test_filtrate_bound_too_long_to_print_is_written_as_a_power(capsys, tmp_path):
+    names = [f"v{k}" for k in range(4600)]
+    doc = {
+        "m": 9,
+        "worlds": ["w0", "w1"],
+        "vars": names,
+        "valuation": {v: {"w0": k % 9, "w1": (k + 1) % 9} for k, v in enumerate(names)},
+        "relations": [],
+        "default_relation": 0,
+    }
+    model = tmp_path / "wide.json"
+    model.write_text(json.dumps(doc))
+    sigma = tmp_path / "sigma.txt"
+    sigma.write_text("".join(v + "\n" for v in names))
+    out = tmp_path / "quotient.json"
+    code, payload, _ = run(
+        capsys, "filtrate", "--model", str(model), "--sigma", str(sigma), "--out", str(out)
+    )
+    assert code == 0
+    assert payload["status"] == "ok"
+    assert payload["sigma_size"] == 4600
+    assert payload["bound"] == "9^4600"
+
+
+def test_filtrate_bound_switches_to_a_power_at_4300_digits():
+    assert _power(10, 4298) == 10**4298  # 4299 digits
+    assert _power(10, 4299) == "10^4299"  # 4300 digits
+    assert _power(3, 3) == 27

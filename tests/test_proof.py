@@ -1,11 +1,16 @@
 """Derivation checking: axioms, rules, graded-rule arithmetic, file IO."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 
+import mvcond.proof as proof
 from mvcond.parser import parse
 from mvcond.proof import (
     Ax,
@@ -27,7 +32,10 @@ from mvcond.proof import (
     match_axiom,
     rule_eq,
 )
-from mvcond.syntax import Cond, I, Imp, Not, Top, Var, imp_chain
+from mvcond.syntax import Bot, Cond, I, Imp, Not, Top, Var, children, imp_chain
+
+from formula_gen import random_formula
+from reference import reference_rule_eq
 
 DATA = Path(__file__).parent / "data" / "derivations"
 
@@ -414,3 +422,84 @@ def test_load_derivation_round_trip(tmp_path):
 def test_line_error_rendering():
     problem = LineError(4, "MP", "something is off")
     assert str(problem) == "line 4 (MP): something is off"
+
+
+def test_premise_dependence_is_computed_once_per_derivation(monkeypatch):
+    calls = []
+    original = proof._premise_dependence
+
+    def counting(derivation):
+        calls.append(derivation)
+        return original(derivation)
+
+    monkeypatch.setattr(proof, "_premise_dependence", counting)
+    swap = parse("q & r <-> r & q")
+    congruence = parse("(p => (q & r)) <-> (p => (r & q))")
+    lines = (Line(swap, LTaut()),) + tuple(Line(congruence, RCEC(1)) for _ in range(12))
+    assert check_derivation(Derivation(3, (), lines), congruence).ok
+    assert len(calls) == 1
+
+    goals = {
+        "rcec_mp.json": "(p => (q & r)) -> (p => (r & q))",
+        "ra_level_one.json": "I{0}(p => s) -> (I{1/2}(p => r) -> (I{1}(p => q) -> I{1}(p => q)))",
+    }
+    for name, goal in goals.items():
+        derivation = load_derivation(str(DATA / name))
+        calls.clear()
+        verdict = check_derivation(derivation, parse(goal))
+        assert len(calls) == 1
+        assert verdict.ok
+        # the public per-line check agrees line by line
+        assert all(
+            check_line(derivation, k) is None
+            for k in range(1, len(derivation.lines) + 1)
+        )
+
+
+def test_rule_eq_matches_the_reference_on_random_pairs():
+    rng = Random(17)
+    reserved = Var("_t")
+    for _ in range(300):
+        x = random_formula(rng, 4, names=("p", "q"))
+        # respell some constants, perturb some leaves, or keep x as it is
+        y = _respell(x, rng, reserved)
+        assert rule_eq(x, y) == reference_rule_eq(x, y)
+        assert rule_eq(y, x) == reference_rule_eq(y, x)
+        assert rule_eq(x, x)
+
+
+def _respell(phi, rng, reserved):
+    roll = rng.random()
+    if isinstance(phi, Top) and roll < 0.5:
+        return Imp(reserved, reserved)
+    if isinstance(phi, Bot) and roll < 0.5:
+        return Not(Imp(reserved, reserved))
+    if not children(phi):
+        return Var("q") if roll > 0.9 else phi
+    kids = [_respell(kid, rng, reserved) for kid in children(phi)]
+    if hasattr(phi, "index"):
+        return type(phi)(phi.index, *kids)
+    return type(phi)(*kids)
+
+
+def test_reimporting_the_package_releases_the_old_modules():
+    """Nothing process-wide, such as typing's cache, may keep old classes."""
+    script = (
+        "import gc, importlib, sys, weakref\n"
+        "importlib.import_module('mvcond.cli')\n"
+        "old = weakref.ref(sys.modules['mvcond.proof'].Ra)\n"
+        "for name in [n for n in sys.modules if n.split('.')[0] == 'mvcond']:\n"
+        "    del sys.modules[name]\n"
+        "importlib.import_module('mvcond.cli')\n"
+        "gc.collect()\n"
+        "print(old() is None)\n"
+    )
+    src = str(Path(proof.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.stdout.strip() == "True", done.stderr

@@ -1,11 +1,13 @@
 """Formula trees, derived-connective expansion, graded-test constructions."""
 
+import time
 from fractions import Fraction
 from random import Random
 
 import pytest
 
 from mvcond.search import value_under
+from mvcond.semantics import Evaluator, KripkeModel
 from mvcond.syntax import (
     And,
     Bot,
@@ -37,6 +39,7 @@ from mvcond.syntax import (
 from mvcond.truthvalues import TruthValue, chain
 
 from formula_gen import chain_formula
+from reference import reference_normalize
 
 P, Q, R = Var("p"), Var("q"), Var("r")
 
@@ -209,3 +212,33 @@ def test_structural_equality_is_exact():
     assert Imp(P, Q) != Imp(Q, P)
     assert J(Fraction(1, 2), P) != J(Fraction(1), P)
     assert J(Fraction(1, 2), P) != I(Fraction(1, 2), P)
+
+
+def _nested(op, depth, m):
+    phi = P
+    for _ in range(depth):
+        phi = op(Fraction(1, 4), phi)
+    return phi
+
+
+@pytest.mark.parametrize("op", [J, I])
+def test_normalize_expands_shared_subtrees_once(op):
+    phi = _nested(op, 3, 5)
+    start = time.perf_counter()
+    out = normalize(phi, 5)
+    assert time.perf_counter() - start < 1.0
+    # the result is a DAG; the compiled evaluator walks it once per node
+    model = KripkeModel(
+        5,
+        tuple(f"w{k}" for k in range(5)),
+        ("p",),
+        {"p": {f"w{k}": TruthValue(k, 5) for k in range(5)}},
+        {},
+        TruthValue(0, 5),
+    )
+    evaluator = Evaluator(model)
+    assert [evaluator.value(w, out) for w in model.worlds] == [
+        evaluator.value(w, phi) for w in model.worlds
+    ]
+    two = _nested(op, 2, 5)
+    assert normalize(two, 5) == reference_normalize(two, 5)
