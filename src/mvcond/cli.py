@@ -37,7 +37,7 @@ from .semantics import (
     save_model,
     validate_model,
 )
-from .syntax import Formula, I, J, Var, children, compile_formula
+from .syntax import Formula, I, J, NodeTable, Var, children
 
 __all__ = ["main", "build_parser"]
 
@@ -149,15 +149,6 @@ def _cmd_search(args) -> tuple[int, dict]:
     return 0, {"status": "no_countermodel", "candidates": outcome.candidates}
 
 
-def _closure_of_all(formulas) -> list[Formula]:
-    slots: dict = {}
-    shapes: dict = {}
-    code: list = []
-    for phi in formulas:
-        compile_formula(phi, slots, shapes, code)
-    return [node for node, _ in code]
-
-
 def _power(m: int, k: int) -> int | str:
     """m ** k, or the string "m^k" once it has 4300 digits or more, which
     Python's integer-to-string limit would refuse to print."""
@@ -167,7 +158,10 @@ def _power(m: int, k: int) -> int | str:
 
 def _cmd_filtrate(args) -> tuple[int, dict]:
     model = load_model(args.model)
-    sigma = _closure_of_all(_read_formula_lines(args.sigma))
+    table = NodeTable()  # sigma is every subformula of the lines read
+    for phi in _read_formula_lines(args.sigma):
+        table.add(phi)
+    sigma = table.nodes
     quotient, class_map = filtrate(model, sigma)
     discrepancies = check_preservation(model, quotient, class_map, sigma)
     save_model(quotient, args.out, extra={"class_map": class_map})

@@ -30,12 +30,12 @@ from .syntax import (
     I,
     Iff,
     Imp,
+    NodeTable,
     Not,
     Top,
     Var,
     RESERVED_VAR,
     UnrepresentableIndexError,
-    compile_formula,
     imp_chain,
 )
 from .truthvalues import TruthValue, tv_odot
@@ -167,12 +167,11 @@ def rule_eq(x: Formula, y: Formula) -> bool:
     slots of their expansions p -> p and ~(p -> p) over the reserved
     variable, so equal slots mean equal trees once constants are expanded.
     """
-    shapes: dict = {}
-    table = ({}, shapes, [])
+    table = NodeTable()
     truth = Imp(_RESERVED, _RESERVED)
-    shapes[(Top, None, ())] = compile_formula(truth, *table)
-    shapes[(Bot, None, ())] = compile_formula(Not(truth), *table)
-    return compile_formula(x, *table) == compile_formula(y, *table)
+    table.alias(Top, table.add(truth))
+    table.alias(Bot, table.add(Not(truth)))
+    return table.add(x) == table.add(y)
 
 
 def _match_a1(phi: Formula) -> bool:

@@ -43,6 +43,7 @@ from .syntax import (
     Iff,
     Imp,
     J,
+    NodeTable,
     Not,
     OMinus,
     OPlus,
@@ -51,7 +52,6 @@ from .syntax import (
     RESERVED_VAR,
     Top,
     Var,
-    compile_formula,
     free_vars,
     index_numerator,
     subformula_closure,
@@ -244,8 +244,9 @@ def countermodel_search(
     """
     if bounds is None:
         bounds = SearchBounds()
-    code: list = []
-    root = compile_formula(phi, {}, {}, code)
+    table = NodeTable()
+    root = table.add(phi)
+    code = list(zip(table.nodes, table.kids))
     depth: list[int] = []
     for node, kids in code:
         depth.append(max((depth[k] for k in kids), default=0) + isinstance(node, Cond))
@@ -263,8 +264,10 @@ def countermodel_search(
     var_slot = {node.name: s for s, (node, _) in enumerate(code) if isinstance(node, Var)}
     names = tuple(sorted(var_slot))
     # a node with depth[s] > 0 has a conditional at or below it, so its
-    # value depends on the relations; one inside the antecedent of some
-    # conditional can change which propositions need relations
+    # value depends on the relations; one inside an antecedent (inner) can
+    # change which propositions need relations. Depth-0 (base) nodes are
+    # evaluated once per valuation; visit evaluates inner ones on every
+    # call and the others (outer) once a candidate's relations are complete.
     in_antecedent = [False] * len(code)
     for s in reversed(range(len(code))):
         node, kids = code[s]
@@ -287,7 +290,7 @@ def countermodel_search(
                 values[s] = ops[type(node)]
                 continue
             step = (instruction(node, ops, m), kids[0], kids[-1], s)
-            (inner if in_antecedent[s] else outer if depth[s] else base).append(step)
+            (base if not depth[s] else inner if in_antecedent[s] else outer).append(step)
         var_at = [
             (var_slot[v], vi * n) for vi, v in enumerate(names) if v != RESERVED_VAR
         ]
@@ -343,25 +346,18 @@ def countermodel_search(
                 return SearchOutcome(None, None, True, count)
             if hit is not None:
                 worlds = tuple(f"w{i}" for i in range(n))
-                model = KripkeModel(
-                    m=m,
-                    worlds=worlds,
-                    vars=names,
-                    valuation={
-                        v: {
-                            w: TruthValue(assignment[vi * n + wi], m)
-                            for wi, w in enumerate(worlds)
-                        }
-                        for vi, v in enumerate(names)
-                    },
-                    relations={
-                        proposition_from(key, worlds, m): tuple(
-                            tuple(TruthValue(e, m) for e in row) for row in rows
-                        )
-                        for key, rows in rel.items()
-                    },
-                    default_policy=TruthValue.bottom(m),
-                )
+                valuation = {
+                    v: {w: TruthValue(e, m) for w, e in zip(worlds, assignment[vi * n :])}
+                    for vi, v in enumerate(names)
+                }
+                relations = {
+                    proposition_from(key, worlds, m): tuple(
+                        tuple(TruthValue(e, m) for e in row) for row in rows
+                    )
+                    for key, rows in rel.items()
+                }
+                bottom = TruthValue.bottom(m)
+                model = KripkeModel(m, worlds, names, valuation, relations, bottom)
                 value = TruthValue(values[root][hit], m)
                 return SearchOutcome((model, worlds[hit]), value, False, count)
     return SearchOutcome(None, None, False, count)
@@ -388,16 +384,14 @@ def filtrate(
     class members; the quotient keeps the model's default policy.
     Returns the quotient and the world-to-class map.
     """
-    slots: dict = {}
-    shapes: dict = {}
-    code: list = []
+    table = NodeTable()
     member_at: dict[int, Formula] = {}  # slot -> first member of sigma with it
     for phi in sigma:
-        member_at.setdefault(compile_formula(phi, slots, shapes, code), phi)
+        member_at.setdefault(table.add(phi), phi)
     if not member_at:
         raise SigmaNotClosedError("sigma must be non-empty")
     for slot, phi in member_at.items():
-        if any(kid not in member_at for kid in code[slot][1]):
+        if any(kid not in member_at for kid in table.kids[slot]):
             raise SigmaNotClosedError(
                 "sigma is not closed under subformulas: "
                 f"missing a direct subformula of {phi!r}"

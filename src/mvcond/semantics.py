@@ -9,8 +9,8 @@ R(x,y) -> value(psi, y), where R is the relation keyed by phi's
 proposition; a missing relation either raises (default policy "error")
 or falls back to a constant from the chain.
 
-The evaluator compiles a formula once (syntax.compile_formula) and runs
-the post-order program at every world at once: a node's value is a tuple
+The evaluator compiles a formula once into a syntax.NodeTable and runs
+that post-order program at every world at once: a node's value is a tuple
 of integer numerators, one per world, so a conditional costs one relation
 lookup and O(worlds^2) integer steps. TruthValue appears only at the API
 boundary; countermodel_search runs on the same program.
@@ -35,6 +35,7 @@ from .syntax import (
     Iff,
     Imp,
     J,
+    NodeTable,
     Not,
     OMinus,
     OPlus,
@@ -43,7 +44,6 @@ from .syntax import (
     RESERVED_VAR,
     Top,
     Var,
-    compile_formula,
     index_numerator,
 )
 from .truthvalues import TruthValue
@@ -213,27 +213,25 @@ class Evaluator:
         policy = model.default_policy
         default = None if policy is None else policy.numerator
         self._ops = operations(model.m, len(model.worlds), self._matrix, default)
-        self._table: dict[Values, Matrix] | None = None
+        self._relations: dict[Values, Matrix] | None = None
         self._reset()
 
     def _reset(self) -> None:
-        self._slots: dict = {}
-        self._shapes: dict = {}
-        self._code: list = []
+        self._table = NodeTable()
         self._values: list[Values] = []
 
     def _matrix(self, key: Values) -> list[list[int]] | None:
-        if self._table is None:
+        if self._relations is None:
             # stored propositions keyed by their values; one that is not a
             # partition listing worlds in model order can never be looked up
-            worlds, m, table = self.model.worlds, self.model.m, {}
+            worlds, m, keyed = self.model.worlds, self.model.m, {}
             for prop, matrix in self.model.relations.items():
                 cell_of = {w: c for c, cell in enumerate(prop.cells) for w in cell}
                 values = tuple(cell_of.get(w, m) for w in worlds)
                 if max(values, default=0) < m and proposition_from(values, worlds, m) == prop:
-                    table[values] = matrix
-            self._table = table
-        matrix = self._table.get(key)
+                    keyed[values] = matrix
+            self._relations = keyed
+        matrix = self._relations.get(key)
         return None if matrix is None else [[e.numerator for e in row] for row in matrix]
 
     def _variable(self, name: str) -> Values:
@@ -247,10 +245,10 @@ class Evaluator:
 
     def numerators(self, phi: Formula) -> Values:
         """phi's value numerator at every world, in model order."""
-        code, values = self._code, self._values
+        table, values = self._table, self._values
         try:
-            slot = compile_formula(phi, self._slots, self._shapes, code)
-            for node, kids in code[len(values):]:
+            slot = table.add(phi)
+            for node, kids in zip(table.nodes[len(values):], table.kids[len(values):]):
                 if kids:
                     fn = instruction(node, self._ops, self.model.m)
                     values.append(fn(values[kids[0]], values[kids[-1]]))

@@ -36,7 +36,7 @@ __all__ = [
     "children",
     "free_vars",
     "subformula_closure",
-    "compile_formula",
+    "NodeTable",
     "imp_chain",
     "strong_product",
     "strong_sum",
@@ -172,43 +172,59 @@ def free_vars(phi: Formula) -> frozenset[str]:
     return frozenset(node.name for node in subformula_closure(phi) if isinstance(node, Var))
 
 
-def compile_formula(phi: Formula, slots: dict, shapes: dict, code: list) -> int:
-    """Append phi's subformulas not yet compiled to code; return phi's slot.
+class NodeTable:
+    """The distinct subformulas of one or more formulas, children first.
 
-    code[slot] is (node, child slots), children first. slots maps
-    id(node) to (slot, node), holding the node so that its id is never
-    reused; shapes maps (type, name or index, child slots) to a slot, so
-    structurally equal subformulas share one slot. Iterative, so any
-    depth compiles.
+    nodes[slot] is a subformula and kids[slot] its children's slots.
+    Nodes are found by identity, and each is held so that its id is never
+    reused; structurally equal subformulas share one slot through their
+    children's slots, so no formula is hashed. add is iterative, so any
+    depth works.
     """
-    stack = [phi]
-    while stack:
-        node = stack[-1]
-        if id(node) in slots:
+
+    def __init__(self) -> None:
+        self.nodes: list[Formula] = []
+        self.kids: list[tuple[int, ...]] = []
+        self._slots: dict[int, tuple[int, Formula]] = {}  # id -> (slot, node held)
+        self._shapes: dict[tuple, int] = {}  # (type, name or index, kid slots) -> slot
+
+    def add(self, phi: Formula) -> int:
+        """Add phi's subformulas not yet in the table; return phi's slot."""
+        slots = self._slots
+        stack = [phi]
+        while stack:
+            node = stack[-1]
+            if id(node) in slots:
+                stack.pop()
+                continue
+            if not isinstance(node, Formula):
+                raise TypeError(f"not a formula node: {node!r}")
+            kids = children(node)
+            todo = [kid for kid in kids if id(kid) not in slots]
+            if todo:
+                stack.extend(reversed(todo))
+                continue
             stack.pop()
-            continue
-        if not isinstance(node, Formula):
-            raise TypeError(f"not a formula node: {node!r}")
-        kids = children(node)
-        todo = [kid for kid in kids if id(kid) not in slots]
-        if todo:
-            stack.extend(reversed(todo))
-            continue
-        stack.pop()
-        kid_slots = tuple(slots[id(kid)][0] for kid in kids)
-        param = node.name if isinstance(node, Var) else getattr(node, "index", None)
-        slot = shapes.setdefault((type(node), param, kid_slots), len(code))
-        if slot == len(code):
-            code.append((node, kid_slots))
-        slots[id(node)] = (slot, node)
-    return slots[id(phi)][0]
+            kid_slots = tuple(slots[id(kid)][0] for kid in kids)
+            param = node.name if isinstance(node, Var) else getattr(node, "index", None)
+            shape = (type(node), param, kid_slots)
+            slot = self._shapes.setdefault(shape, len(self.nodes))
+            if slot == len(self.nodes):
+                self.nodes.append(node)
+                self.kids.append(kid_slots)
+            slots[id(node)] = (slot, node)
+        return slots[id(phi)][0]
+
+    def alias(self, constant: type, slot: int) -> None:
+        """Give every Top (or every Bot) node added from now on the slot."""
+        self._shapes[(constant, None, ())] = slot
 
 
 def subformula_closure(phi: Formula) -> list[Formula]:
     """All subformulas of phi, deduplicated, in post-order of first occurrence."""
-    code: list = []
-    compile_formula(phi, {}, {}, code)
-    return [node for node, _ in code]
+    table = NodeTable()
+    table.add(phi)
+    return table.nodes
 
 
 def imp_chain(antecedents: Sequence[Formula], psi: Formula) -> Formula:

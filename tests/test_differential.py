@@ -15,7 +15,7 @@ from mvcond.semantics import (
     UndeclaredVariableError,
     model_to_json,
 )
-from mvcond.syntax import And, Cond, Var
+from mvcond.syntax import And, Cond, Imp, Not, Or, Var
 from mvcond.truthvalues import TruthValue
 
 from formula_gen import chain_formula
@@ -123,6 +123,9 @@ SEARCH_QUERIES = [
     ("p => p", 3, SearchBounds(2, None, 300), True),
     ("T -> (p | ~p)", 2, SearchBounds(max_worlds=2), False),
     ("J{1/2}(p) => I{1}(q)", 3, SearchBounds(max_worlds=2), False),
+    # a compound antecedent that also occurs outside every conditional
+    ("((p & q) => r) -> ((p & q) -> r)", 2, SearchBounds(max_worlds=2), False),
+    ("((p & q) => r) -> ~(p & q)", 3, SearchBounds(max_worlds=2), False),
 ]
 
 
@@ -145,3 +148,29 @@ def test_search_matches_reference_field_by_field(text, m, bounds, fid):
     if new.found is not None:
         model, witness = new.found
         assert ReferenceEvaluator(model).value(witness, phi) == new.value
+
+
+def _shared_formula(rng):
+    """A random formula built from a pool of earlier subformulas, so that
+    compound subformulas recur inside and outside antecedents."""
+    pool = [Var("p"), Var("q")]
+    conditionals = 0
+    for _ in range(6):
+        ctor = rng.choice((Not, Imp, And, Or, Cond, Cond))
+        if ctor is Cond and conditionals == 2:
+            ctor = Imp
+        conditionals += ctor is Cond
+        left, right = rng.choice(pool), rng.choice(pool)
+        pool.append(Not(left) if ctor is Not else ctor(left, right))
+    return Imp(pool[-2], pool[-1])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_search_matches_reference_on_formulas_with_shared_subformulas(seed):
+    rng = Random(seed)
+    bounds = SearchBounds(max_worlds=2, max_candidates=200)
+    for _ in range(4):
+        phi = _shared_formula(rng)
+        for m in (2, 3):
+            new = countermodel_search(phi, m, bounds)
+            assert _fields(new) == _fields(reference_search(phi, m, bounds))
