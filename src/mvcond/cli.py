@@ -4,8 +4,10 @@ Every subcommand prints one JSON document to stdout with a top-level
 "status" key; diagnostics go to stderr. Exit codes: 0 when the query
 holds (or plain success), 1 when it fails or a countermodel was found,
 2 for usage errors, 3 for malformed input, 4 when a search budget ran
-out. Output for equal inputs is byte-identical across runs; --pretty
-only toggles indentation.
+out, 5 for an internal error (a fault in mvcond; the traceback goes to
+stderr). Input nested too deeply to process counts as malformed input.
+Output for equal inputs is byte-identical across runs; --pretty only
+toggles indentation.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 
 from .parser import ParseError, parse, print_formula
@@ -377,9 +380,15 @@ def main(argv=None) -> int:
     try:
         code, payload = args.handler(args)
         text = json.dumps(payload, **layout)
-    except (ValueError, OSError) as exc:
-        text = json.dumps({"status": "error", "error": str(exc)}, **layout)
+    except (ValueError, OSError, RecursionError) as exc:
+        error = f"input nested too deeply: {exc}" if isinstance(exc, RecursionError) else str(exc)
+        text = json.dumps({"status": "error", "error": error}, **layout)
         code = 3
-        print(str(exc), file=sys.stderr)
+        print(error, file=sys.stderr)
+    except Exception as exc:  # the last boundary: report, never leave with exit 1
+        traceback.print_exc()
+        error = f"internal error: {type(exc).__name__}: {exc}"
+        text = json.dumps({"status": "error", "error": error}, **layout)
+        code = 5
     print(text)
     return code

@@ -54,274 +54,182 @@ class ParseError(ValueError):
         self.span = span
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    span: SourceSpan
+# Binary connectives, loosest first: (text, precedence, associativity).
+_PREC: dict[type, tuple[str, int, str]] = {
+    Cond: ("=>", 1, "none"),
+    Iff: ("<->", 2, "none"),
+    Imp: ("->", 3, "right"),
+    Or: ("|", 4, "left"),
+    And: ("&", 5, "left"),
+    OPlus: ("(+)", 6, "left"),
+    OTimes: ("(*)", 7, "left"),
+    OMinus: ("(-)", 8, "left"),
+}
+_NOT_PREC = 9
+_INFIX = {text: (prec, assoc, node_type) for node_type, (text, prec, assoc) in _PREC.items()}
+# the printer's view: spaced text, precedence, and the least precedence
+# each operand may have unparenthesized
+_OUTFIX = {
+    node_type: (f" {text} ", prec, prec + (assoc != "left"), prec + (assoc != "right"))
+    for node_type, (text, prec, assoc) in _PREC.items()
+}
+_ATOMS = {"T": Top, "F": Bot}
+_CONSTANTS = {Top: "T", Bot: "F"}
+
+# One token per match, after any whitespace: an identifier, a number, a
+# symbol (longest first, so "(+)" wins over "("), or any other character,
+# which is an error. T, F, J and I are one-letter keywords.
+_TOKEN = re.compile(
+    r"\s*(?:([a-z][a-zA-Z0-9_]*)|([0-9]+)|(\(\+\)|\(\*\)|\(-\)|<->|->|=>|[~|&(){}/TFJI])|(\S))"
+)
+_KINDS = (None, "IDENT", "NUMBER")
 
 
-_IDENT = re.compile(r"[a-z][a-zA-Z0-9_]*")
-_NUMBER = re.compile(r"[0-9]+")
-
-# Fixed-text tokens, longest first so e.g. "(+)" wins over "(".
-_SYMBOLS = [
-    ("(+)", "OPLUS"),
-    ("(*)", "OTIMES"),
-    ("(-)", "OMINUS"),
-    ("<->", "IFF"),
-    ("->", "IMP"),
-    ("=>", "COND"),
-    ("~", "NOT"),
-    ("|", "OR"),
-    ("&", "AND"),
-    ("(", "LPAREN"),
-    (")", "RPAREN"),
-    ("{", "LBRACE"),
-    ("}", "RBRACE"),
-    ("/", "SLASH"),
-]
-
-_KEYWORDS = {"T": "TOP", "F": "BOT", "J": "JOP", "I": "IOP"}
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    size = len(text)
-    while pos < size:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        match = _IDENT.match(text, pos)
-        if match:
-            tokens.append(
-                _Token("IDENT", match.group(), SourceSpan(pos, match.end()))
-            )
-            pos = match.end()
-            continue
-        match = _NUMBER.match(text, pos)
-        if match:
-            tokens.append(
-                _Token("NUMBER", match.group(), SourceSpan(pos, match.end()))
-            )
-            pos = match.end()
-            continue
-        if ch in _KEYWORDS:
-            tokens.append(_Token(_KEYWORDS[ch], ch, SourceSpan(pos, pos + 1)))
-            pos += 1
-            continue
-        for sym, kind in _SYMBOLS:
-            if text.startswith(sym, pos):
-                tokens.append(_Token(kind, sym, SourceSpan(pos, pos + len(sym))))
-                pos += len(sym)
-                break
-        else:
-            raise ParseError(
-                f"unexpected character {ch!r}", SourceSpan(pos, pos + 1)
-            )
-    tokens.append(_Token("EOF", "", SourceSpan(size, size)))
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, start) per token, then ("EOF", "", len(text)); a
+    symbol's kind is its text."""
+    tokens = []
+    for match in _TOKEN.finditer(text):
+        group = match.lastindex
+        token = match.group(group)
+        if group == 4:
+            start = match.start(group)
+            raise ParseError(f"unexpected character {token!r}", SourceSpan(start, start + 1))
+        tokens.append((_KINDS[group] if group < 3 else token, token, match.start(group)))
+    tokens.append(("EOF", "", len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def _error(message: str, token: tuple[str, str, int]) -> ParseError:
+    _, text, start = token
+    return ParseError(message, SourceSpan(start, start + len(text)))
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
+def _expect(tokens: list, i: int, kind: str, what: str) -> int:
+    if tokens[i][0] != kind:
+        raise _error(f"expected {what}", tokens[i])
+    return i + 1
 
-    def expect(self, kind: str, what: str) -> _Token:
-        token = self.peek()
-        if token.kind != kind:
-            raise ParseError(f"expected {what}", token.span)
-        return self.advance()
 
-    def formula(self) -> Formula:
-        node = self.cond()
-        token = self.peek()
-        if token.kind != "EOF":
-            raise ParseError(f"unexpected token {token.text!r}", token.span)
-        return node
-
-    def cond(self) -> Formula:
-        left = self.iff()
-        if self.peek().kind != "COND":
-            return left
-        self.advance()
-        right = self.iff()
-        trailing = self.peek()
-        if trailing.kind == "COND":
-            raise ParseError(
-                "'=>' is non-associative; add parentheses", trailing.span
-            )
-        return Cond(left, right)
-
-    def iff(self) -> Formula:
-        left = self.imp()
-        if self.peek().kind != "IFF":
-            return left
-        self.advance()
-        right = self.imp()
-        trailing = self.peek()
-        if trailing.kind == "IFF":
-            raise ParseError(
-                "'<->' is non-associative; add parentheses", trailing.span
-            )
-        return Iff(left, right)
-
-    def imp(self) -> Formula:
-        left = self.disj()
-        if self.peek().kind != "IMP":
-            return left
-        self.advance()
-        return Imp(left, self.imp())
-
-    def _left_chain(self, next_level, kind: str, node_type) -> Formula:
-        node = next_level()
-        while self.peek().kind == kind:
-            self.advance()
-            node = node_type(node, next_level())
-        return node
-
-    def disj(self) -> Formula:
-        return self._left_chain(self.conj, "OR", Or)
-
-    def conj(self) -> Formula:
-        return self._left_chain(self.oplus, "AND", And)
-
-    def oplus(self) -> Formula:
-        return self._left_chain(self.otimes, "OPLUS", OPlus)
-
-    def otimes(self) -> Formula:
-        return self._left_chain(self.ominus, "OTIMES", OTimes)
-
-    def ominus(self) -> Formula:
-        return self._left_chain(self.unary, "OMINUS", OMinus)
-
-    def unary(self) -> Formula:
-        if self.peek().kind == "NOT":
-            self.advance()
-            return Not(self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        token = self.peek()
-        if token.kind == "IDENT":
-            self.advance()
-            return Var(token.text)
-        if token.kind == "TOP":
-            self.advance()
-            return Top()
-        if token.kind == "BOT":
-            self.advance()
-            return Bot()
-        if token.kind in ("JOP", "IOP"):
-            self.advance()
-            index = self.graded_index()
-            self.expect("LPAREN", "'(' after graded operator index")
-            child = self.cond()
-            self.expect("RPAREN", "')'")
-            return (J if token.kind == "JOP" else I)(index, child)
-        if token.kind == "LPAREN":
-            open_paren = self.advance()
-            child = self.cond()
-            closer = self.peek()
-            if closer.kind != "RPAREN":
-                if closer.kind == "EOF":
-                    raise ParseError("unbalanced parentheses", open_paren.span)
-                raise ParseError(f"unexpected token {closer.text!r}", closer.span)
-            self.advance()
-            return child
-        raise ParseError(f"unexpected token {token.text!r}", token.span)
-
-    def graded_index(self) -> Fraction:
-        self.expect("LBRACE", "'{'")
-        num_token = self.expect("NUMBER", "index numerator")
-        numerator = int(num_token.text)
-        denominator = 1
-        last = num_token
-        if self.peek().kind == "SLASH":
-            self.advance()
-            den_token = self.expect("NUMBER", "index denominator")
-            denominator = int(den_token.text)
-            last = den_token
-        self.expect("RBRACE", "'}'")
-        span = SourceSpan(num_token.span.start, last.span.end)
-        if denominator == 0:
-            raise ParseError("malformed index: zero denominator", span)
-        index = Fraction(numerator, denominator)
-        if index > 1:
-            raise ParseError(f"malformed index: {index} exceeds 1", span)
-        return index
+def _graded_index(tokens: list, i: int) -> tuple[Fraction, int]:
+    """The index written as {n} or {n/d} at tokens[i:], and the position after it."""
+    i = _expect(tokens, i, "{", "'{'")
+    numerator = last = tokens[i]
+    i = _expect(tokens, i, "NUMBER", "index numerator")
+    denominator = 1
+    if tokens[i][0] == "/":
+        last = tokens[i + 1]
+        i = _expect(tokens, i + 1, "NUMBER", "index denominator")
+        denominator = int(last[1])
+    i = _expect(tokens, i, "}", "'}'")
+    span = SourceSpan(numerator[2], last[2] + len(last[1]))
+    if denominator == 0:
+        raise ParseError("malformed index: zero denominator", span)
+    index = Fraction(int(numerator[1]), denominator)
+    if index > 1:
+        raise ParseError(f"malformed index: {index} exceeds 1", span)
+    return index, i
 
 
 def parse(text: str) -> Formula:
-    """Parse a single formula; raises ParseError with a source span."""
-    return _Parser(text).formula()
+    """Parse a single formula; raises ParseError with a source span.
 
-
-_PREC: dict[type, int] = {
-    Cond: 1,
-    Iff: 2,
-    Imp: 3,
-    Or: 4,
-    And: 5,
-    OPlus: 6,
-    OTimes: 7,
-    OMinus: 8,
-}
-
-_OP_TEXT: dict[type, str] = {
-    Cond: "=>",
-    Iff: "<->",
-    Imp: "->",
-    Or: "|",
-    And: "&",
-    OPlus: "(+)",
-    OTimes: "(*)",
-    OMinus: "(-)",
-}
-
-_NOT_PREC = 9
-
-
-def _render(phi: Formula, min_prec: int) -> str:
-    if isinstance(phi, Var):
-        return phi.name
-    if isinstance(phi, Top):
-        return "T"
-    if isinstance(phi, Bot):
-        return "F"
-    if isinstance(phi, Not):
-        body = "~" + _render(phi.child, _NOT_PREC)
-        return f"({body})" if _NOT_PREC < min_prec else body
-    if isinstance(phi, J):
-        return f"J{{{phi.index}}}({_render(phi.child, 0)})"
-    if isinstance(phi, I):
-        return f"I{{{phi.index}}}({_render(phi.child, 0)})"
-    prec = _PREC[type(phi)]
-    if isinstance(phi, (Cond, Iff)):
-        left_min, right_min = prec + 1, prec + 1
-    elif isinstance(phi, Imp):
-        left_min, right_min = prec + 1, prec
-    else:
-        left_min, right_min = prec, prec + 1
-    text = (
-        f"{_render(phi.left, left_min)} "  # type: ignore[attr-defined]
-        f"{_OP_TEXT[type(phi)]} "
-        f"{_render(phi.right, right_min)}"  # type: ignore[attr-defined]
-    )
-    return f"({text})" if prec < min_prec else text
+    An operator-precedence loop over _PREC with explicit stacks, so any
+    depth works. pending holds, innermost last, each operator not yet
+    applied as (precedence, associativity, node type) and each open
+    group as (0, "(", its token) or (0, "J" or "I", the index).
+    """
+    tokens = _tokenize(text)
+    operands: list[Formula] = []
+    pending: list[tuple] = []
+    i = 0
+    while True:
+        kind, token, _ = tokens[i]
+        while kind in ("~", "(", "J", "I"):  # prefixes of the next operand
+            if kind == "~":
+                pending.append((_NOT_PREC, None, Not))
+                i += 1
+            elif kind == "(":
+                pending.append((0, kind, tokens[i]))
+                i += 1
+            else:
+                index, i = _graded_index(tokens, i + 1)
+                i = _expect(tokens, i, "(", "'(' after graded operator index")
+                pending.append((0, kind, index))
+            kind, token, _ = tokens[i]
+        if kind == "IDENT":
+            operands.append(Var(token))
+        elif kind in _ATOMS:
+            operands.append(_ATOMS[kind]())
+        else:
+            raise _error(f"unexpected token {token!r}", tokens[i])
+        i += 1
+        while True:  # infix operators and closing parentheses
+            kind, token, _ = tokens[i]
+            prec, assoc, node_type = _INFIX.get(kind, (0, None, None))
+            while pending and (
+                pending[-1][0] > prec or (pending[-1][0] == prec and assoc == "left")
+            ):
+                node_type_done = pending.pop()[2]
+                if node_type_done is Not:
+                    operands[-1] = Not(operands[-1])
+                else:
+                    right = operands.pop()
+                    operands[-1] = node_type_done(operands[-1], right)
+            if node_type is not None:
+                if pending and pending[-1][0] == prec and assoc == "none":
+                    raise _error(f"{token!r} is non-associative; add parentheses", tokens[i])
+                pending.append((prec, assoc, node_type))
+                i += 1
+                break
+            if not pending:
+                if kind == "EOF":
+                    return operands[0]
+                raise _error(f"unexpected token {token!r}", tokens[i])
+            _, opener, payload = pending.pop()  # the innermost open group
+            if opener == "(":
+                if kind == "EOF":
+                    raise _error("unbalanced parentheses", payload)
+                if kind != ")":
+                    raise _error(f"unexpected token {token!r}", tokens[i])
+            else:
+                if kind != ")":
+                    raise _error("expected ')'", tokens[i])
+                operands[-1] = (J if opener == "J" else I)(payload, operands[-1])
+            i += 1
 
 
 def print_formula(phi: Formula) -> str:
-    """Render with minimal parentheses; parse(print_formula(phi)) == phi."""
-    return _render(phi, 0)
+    """Render with minimal parentheses; parse(print_formula(phi)) == phi.
+
+    Pieces are emitted from an explicit stack, so any depth works; an
+    item on it is a piece of text or a (node, least precedence that may
+    stand there unparenthesized) pair still to render.
+    """
+    out: list[str] = []
+    stack: list = [(phi, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, least = item
+        kind = type(node)
+        if kind is Var:
+            out.append(node.name)
+        elif kind in _OUTFIX:
+            text, prec, left, right = _OUTFIX[kind]
+            if prec < least:
+                stack += (")", (node.right, right), text, (node.left, left), "(")
+            else:
+                stack += ((node.right, right), text, (node.left, left))
+        elif kind is Not:
+            if least > _NOT_PREC:
+                stack += (")", (node.child, _NOT_PREC), "(~")
+            else:
+                stack += ((node.child, _NOT_PREC), "~")
+        elif kind in _CONSTANTS:
+            out.append(_CONSTANTS[kind])
+        else:
+            stack += (")", (node.child, 0), f"{kind.__name__}{{{node.index}}}(")
+    return "".join(out)

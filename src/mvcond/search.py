@@ -2,7 +2,8 @@
 
 is_L_tautology decides truth-table validity on the m-valued chain by
 exhaustive valuation, optionally abstracting conditional subformulas to
-fresh shared atoms first. countermodel_search enumerates finite models
+fresh shared atoms first; the table runs the evaluator's compiled
+program, m assignments at a time. countermodel_search enumerates finite models
 in a canonical order (world count ascending; valuations in ascending
 lexicographic numerator order over sorted variables; relation matrices
 row-major with entries descending from 1), so a given query always
@@ -23,50 +24,20 @@ import random
 from dataclasses import dataclass
 from itertools import product
 from operator import le
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .semantics import (
     Evaluator,
     KripkeModel,
     Matrix,
     Proposition,
+    Values,
     instruction,
     operations,
     proposition_from,
 )
-from .syntax import (
-    And,
-    Bot,
-    Cond,
-    Formula,
-    I,
-    Iff,
-    Imp,
-    J,
-    NodeTable,
-    Not,
-    OMinus,
-    OPlus,
-    OTimes,
-    Or,
-    RESERVED_VAR,
-    Top,
-    Var,
-    free_vars,
-    index_numerator,
-    subformula_closure,
-)
-from .truthvalues import (
-    TruthValue,
-    chain,
-    tv_imp,
-    tv_join,
-    tv_meet,
-    tv_neg,
-    tv_odot,
-    tv_ominus,
-    tv_oplus,
-)
+from .syntax import I, J, Cond, Formula, NodeTable, RESERVED_VAR, Var
+from .truthvalues import ScaleMismatchError, TruthValue
 
 __all__ = [
     "SearchError",
@@ -98,46 +69,88 @@ class SigmaNotClosedError(ValueError):
     """The formula set handed to filtrate is not closed under subformulas."""
 
 
+def _truth_table_slots(phi: Formula, abstract: bool, advice: str):
+    """phi's node table and root slot, its inputs, and its other slots.
+
+    The inputs map each name to the slots it sets: the variables and,
+    with abstract, each maximal conditional, named _c0, _c1, ... in order
+    of first occurrence (structurally equal conditionals share a slot and
+    so a name). The other slots are those reachable from the root
+    without crossing an abstracted conditional, children first.
+    """
+    table = NodeTable()
+    root = table.add(phi)
+    nodes, kids = table.nodes, table.kids
+    inputs: dict[str, list[int]] = {}
+    conditionals = 0
+    order: list[int] = []
+    stack: list[tuple[int, bool]] = [(root, False)]
+    seen: set[int] = set()
+    while stack:
+        slot, built = stack.pop()
+        if built:
+            order.append(slot)
+            continue
+        if slot in seen:
+            continue
+        seen.add(slot)
+        node = nodes[slot]
+        if isinstance(node, Cond):
+            if not abstract:
+                raise ConditionalPresentError(f"formula contains a conditional; {advice}")
+            name = f"_c{conditionals}"
+            conditionals += 1
+        elif isinstance(node, Var):
+            name = node.name
+        else:
+            stack.append((slot, True))
+            stack.extend((kid, False) for kid in reversed(kids[slot]))
+            continue
+        inputs.setdefault(name, []).append(slot)
+    return table, root, inputs, order
+
+
+def _chain_program(
+    phi: Formula, m: int, abstract: bool, advice: str, n: int
+) -> tuple[list[str], Callable[[Mapping[str, Values]], Values]]:
+    """phi compiled for truth tables on the m-element chain, n rows at once:
+    the input names and a function from every input's values to phi's."""
+    if m < 2:
+        raise ValueError(f"m must be at least 2, got {m}")
+    table, root, inputs, order = _truth_table_slots(phi, abstract, advice)
+    ops = operations(m, n, dict().get, None)  # no conditional is compiled
+    values: list = [None] * len(table.nodes)
+    steps = []
+    for slot in order:
+        node, kids = table.nodes[slot], table.kids[slot]
+        if kids:
+            steps.append((instruction(node, ops, m), kids[0], kids[-1], slot))
+        else:
+            values[slot] = ops[type(node)]
+
+    def run(given: Mapping[str, Values]) -> Values:
+        for name, slots in inputs.items():
+            for slot in slots:
+                values[slot] = given[name]
+        for fn, i, j, slot in steps:
+            values[slot] = fn(values[i], values[j])
+        return values[root]
+
+    return list(inputs), run
+
+
 def value_under(phi: Formula, env: Mapping[str, TruthValue], m: int) -> TruthValue:
     """Truth-table value of a conditional-free formula under an assignment."""
-    if isinstance(phi, Var):
-        value = env.get(phi.name)
+    names, run = _chain_program(phi, m, False, "abstract it first", 1)
+    given = {}
+    for name in names:
+        value = env.get(name)
         if value is None:
-            raise ValueError(f"assignment has no value for {phi.name!r}")
-        return value
-    if isinstance(phi, Top):
-        return TruthValue.top(m)
-    if isinstance(phi, Bot):
-        return TruthValue.bottom(m)
-    if isinstance(phi, Not):
-        return tv_neg(value_under(phi.child, env, m))
-    if isinstance(phi, Cond):
-        raise ConditionalPresentError(
-            "formula contains a conditional; abstract it first"
-        )
-    if isinstance(phi, J):
-        hit = value_under(phi.child, env, m).numerator == index_numerator(phi.index, m)
-        return TruthValue.top(m) if hit else TruthValue.bottom(m)
-    if isinstance(phi, I):
-        hit = value_under(phi.child, env, m).numerator >= index_numerator(phi.index, m)
-        return TruthValue.top(m) if hit else TruthValue.bottom(m)
-    left = value_under(phi.left, env, m)  # type: ignore[attr-defined]
-    right = value_under(phi.right, env, m)  # type: ignore[attr-defined]
-    if isinstance(phi, Imp):
-        return tv_imp(left, right)
-    if isinstance(phi, And):
-        return tv_meet(left, right)
-    if isinstance(phi, Or):
-        return tv_join(left, right)
-    if isinstance(phi, OPlus):
-        return tv_oplus(left, right)
-    if isinstance(phi, OTimes):
-        return tv_odot(left, right)
-    if isinstance(phi, OMinus):
-        return tv_ominus(left, right)
-    if isinstance(phi, Iff):
-        return tv_meet(tv_imp(left, right), tv_imp(right, left))
-    raise TypeError(f"not a formula node: {phi!r}")
+            raise ValueError(f"assignment has no value for {name!r}")
+        if value.scale != m:
+            raise ScaleMismatchError(f"{name!r} has a value of scale {value.scale}, not {m}")
+        given[name] = (value.numerator,)
+    return TruthValue(run(given)[0], m)
 
 
 def abstract_conditionals(phi: Formula) -> tuple[Formula, dict[Formula, Var]]:
@@ -147,45 +160,43 @@ def abstract_conditionals(phi: Formula) -> tuple[Formula, dict[Formula, Var]]:
     _c1, ... cannot collide with parseable variables. Returns the
     rewritten formula and the conditional-to-atom mapping.
     """
+    table, root, inputs, order = _truth_table_slots(phi, True, "")
+    nodes, kids = table.nodes, table.kids
     mapping: dict[Formula, Var] = {}
-
-    def walk(node: Formula) -> Formula:
-        if isinstance(node, Cond):
-            var = mapping.get(node)
-            if var is None:
-                var = Var(f"_c{len(mapping)}")
-                mapping[node] = var
-            return var
-        if isinstance(node, (Var, Top, Bot)):
-            return node
-        if isinstance(node, Not):
-            return Not(walk(node.child))
-        if isinstance(node, J):
-            return J(node.index, walk(node.child))
-        if isinstance(node, I):
-            return I(node.index, walk(node.child))
-        return type(node)(walk(node.left), walk(node.right))  # type: ignore[attr-defined]
-
-    return walk(phi), mapping
+    built: dict[int, Formula] = {}
+    for name, slots in inputs.items():
+        for slot in slots:
+            if isinstance(nodes[slot], Cond):
+                built[slot] = mapping[nodes[slot]] = Var(name)
+            else:
+                built[slot] = nodes[slot]
+    for slot in order:
+        node, args = nodes[slot], [built[kid] for kid in kids[slot]]
+        if isinstance(node, (J, I)):
+            args.insert(0, node.index)
+        built[slot] = type(node)(*args) if args else node
+    return built[root], mapping
 
 
 def falsifying_assignment(
     phi: Formula, m: int, abstract: bool = False
 ) -> dict[str, TruthValue] | None:
     """First assignment (ascending lexicographic order over sorted
-    variables) giving a non-designated value, or None."""
-    if abstract:
-        phi, _ = abstract_conditionals(phi)
-    elif any(isinstance(node, Cond) for node in subformula_closure(phi)):
-        raise ConditionalPresentError(
-            "formula contains a conditional; enable abstraction"
-        )
-    names = sorted(free_vars(phi))
-    values = chain(m)
-    for combo in product(values, repeat=len(names)):
-        env = dict(zip(names, combo))
-        if not value_under(phi, env, m).is_designated:
-            return env
+    variables) giving a non-designated value, or None.
+
+    The table is evaluated m rows at a time: the last variable takes
+    every chain value at once and the others are constant across a block.
+    """
+    names, run = _chain_program(phi, m, abstract, "enable abstraction", m)
+    names.sort()
+    constant = [(x,) * m for x in range(m)]
+    last = tuple(range(m))
+    top = m - 1
+    for prefix in product(range(m), repeat=max(len(names) - 1, 0)):
+        result = run(dict(zip(names, [constant[x] for x in prefix] + [last])))
+        for x, value in enumerate(result):
+            if value != top:
+                return {name: TruthValue(e, m) for name, e in zip(names, prefix + (x,))}
     return None
 
 
@@ -242,6 +253,8 @@ def countermodel_search(
     integer matrices keyed by their antecedent's values; a KripkeModel is
     built only for the countermodel returned.
     """
+    if m < 2:
+        raise ValueError(f"m must be at least 2, got {m}")
     if bounds is None:
         bounds = SearchBounds()
     table = NodeTable()

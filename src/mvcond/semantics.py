@@ -13,7 +13,8 @@ The evaluator compiles a formula once into a syntax.NodeTable and runs
 that post-order program at every world at once: a node's value is a tuple
 of integer numerators, one per world, so a conditional costs one relation
 lookup and O(worlds^2) integer steps. TruthValue appears only at the API
-boundary; countermodel_search runs on the same program.
+boundary; countermodel_search and the truth tables run on the same
+program.
 
 Models are treated as immutable once built; mutating one invalidates
 any Evaluator already holding it.

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import reduce
+from typing import Callable, Sequence, TypeVar
 
 __all__ = [
     "Formula",
@@ -49,6 +50,8 @@ __all__ = [
 # Target of Top/Bot expansion. Starts with an underscore, which the
 # tokenizer rejects, so user input can never collide with it.
 RESERVED_VAR = "_t"
+
+T = TypeVar("T")
 
 
 class UnrepresentableIndexError(ValueError):
@@ -172,48 +175,57 @@ def free_vars(phi: Formula) -> frozenset[str]:
     return frozenset(node.name for node in subformula_closure(phi) if isinstance(node, Var))
 
 
+def _fold(phi: Formula, build: Callable[..., T], memo: dict[int, tuple[Formula, T]]) -> T:
+    """build(node, *kid_results) for each node of phi not yet in memo, children
+    first, and phi's result.
+
+    memo maps id(node) to (node, result); it holds each node so that its id
+    is never reused, so a node shared by identity is built once. The walk
+    keeps its own stack, so any depth works.
+    """
+    stack: list = [phi]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:  # (node, its children), all of them built
+            node, kids = node
+            memo[id(node)] = (node, build(node, *[memo[id(kid)][1] for kid in kids]))
+            continue
+        if id(node) in memo:
+            continue
+        if not isinstance(node, Formula):
+            raise TypeError(f"not a formula node: {node!r}")
+        kids = children(node)
+        stack.append((node, kids))
+        stack.extend(reversed(kids))
+    return memo[id(phi)][1]
+
+
 class NodeTable:
     """The distinct subformulas of one or more formulas, children first.
 
     nodes[slot] is a subformula and kids[slot] its children's slots.
-    Nodes are found by identity, and each is held so that its id is never
-    reused; structurally equal subformulas share one slot through their
-    children's slots, so no formula is hashed. add is iterative, so any
-    depth works.
+    Nodes are found by identity; structurally equal subformulas share one
+    slot through their children's slots, so no formula is hashed. add is
+    iterative, so any depth works.
     """
 
     def __init__(self) -> None:
         self.nodes: list[Formula] = []
         self.kids: list[tuple[int, ...]] = []
-        self._slots: dict[int, tuple[int, Formula]] = {}  # id -> (slot, node held)
+        self._slots: dict[int, tuple[Formula, int]] = {}  # id -> (node held, slot)
         self._shapes: dict[tuple, int] = {}  # (type, name or index, kid slots) -> slot
 
     def add(self, phi: Formula) -> int:
         """Add phi's subformulas not yet in the table; return phi's slot."""
-        slots = self._slots
-        stack = [phi]
-        while stack:
-            node = stack[-1]
-            if id(node) in slots:
-                stack.pop()
-                continue
-            if not isinstance(node, Formula):
-                raise TypeError(f"not a formula node: {node!r}")
-            kids = children(node)
-            todo = [kid for kid in kids if id(kid) not in slots]
-            if todo:
-                stack.extend(reversed(todo))
-                continue
-            stack.pop()
-            kid_slots = tuple(slots[id(kid)][0] for kid in kids)
-            param = node.name if isinstance(node, Var) else getattr(node, "index", None)
-            shape = (type(node), param, kid_slots)
-            slot = self._shapes.setdefault(shape, len(self.nodes))
-            if slot == len(self.nodes):
-                self.nodes.append(node)
-                self.kids.append(kid_slots)
-            slots[id(node)] = (slot, node)
-        return slots[id(phi)][0]
+        return _fold(phi, self._slot, self._slots)
+
+    def _slot(self, node: Formula, *kid_slots: int) -> int:
+        param = node.name if isinstance(node, Var) else getattr(node, "index", None)
+        slot = self._shapes.setdefault((type(node), param, kid_slots), len(self.nodes))
+        if slot == len(self.nodes):
+            self.nodes.append(node)
+            self.kids.append(kid_slots)
+        return slot
 
     def alias(self, constant: type, slot: int) -> None:
         """Give every Top (or every Bot) node added from now on the slot."""
@@ -318,19 +330,39 @@ def mk_J(a: Fraction | int, phi: Formula, m: int) -> Formula:
     return mk_J(n * (1 - a), Not(_product_core(phi, n)), m)
 
 
+def _value_tests(a: Fraction | int, phi: Formula, m: int) -> list[Formula]:
+    """The exact-value tests for every chain value >= a, ascending."""
+    k = index_numerator(a, m)
+    return [mk_J(Fraction(i, m - 1), phi, m) for i in range(k, m)]
+
+
 def mk_I(a: Fraction | int, phi: Formula, m: int) -> Formula:
     """Disjunction of the exact-value tests for every chain value >= a.
 
     Left-associated, ascending; the threshold a itself is included, so
     the result has value 1 exactly where phi has value at least a.
     """
-    a = Fraction(a)
-    k = index_numerator(a, m)
-    parts = [mk_J(Fraction(i, m - 1), phi, m) for i in range(k, m)]
-    out = parts[0]
-    for part in parts[1:]:
-        out = Or(out, part)
-    return out
+    return reduce(Or, _value_tests(a, phi, m))
+
+
+# normalize's table: per node type, the core formula for a node (phi) on
+# the m-element chain, given its children already normalized.
+_CORE: dict[type, Callable[..., Formula]] = {
+    Var: lambda phi, m: phi,
+    Top: lambda phi, m: Imp(Var(RESERVED_VAR), Var(RESERVED_VAR)),
+    Bot: lambda phi, m: Not(Imp(Var(RESERVED_VAR), Var(RESERVED_VAR))),
+    Not: lambda phi, m, x: Not(x),
+    Imp: lambda phi, m, x, y: Imp(x, y),
+    Cond: lambda phi, m, x, y: Cond(x, y),
+    Or: lambda phi, m, x, y: _or_core(x, y),
+    And: lambda phi, m, x, y: _and_core(x, y),
+    OPlus: lambda phi, m, x, y: Imp(Not(x), y),
+    OTimes: lambda phi, m, x, y: _odot_core(x, y),
+    OMinus: lambda phi, m, x, y: _odot_core(x, Not(y)),
+    Iff: lambda phi, m, x, y: _iff_core(x, y),
+    J: lambda phi, m, x: mk_J(phi.index, x, m),
+    I: lambda phi, m, x: reduce(_or_core, _value_tests(phi.index, x, m)),
+}
 
 
 def normalize(phi: Formula, m: int) -> Formula:
@@ -342,44 +374,4 @@ def normalize(phi: Formula, m: int) -> Formula:
     once per call, so subtrees shared by mk_J, mk_I, Iff and OMinus stay
     shared in the result instead of being expanded again.
     """
-    memo: dict[int, tuple[Formula, Formula]] = {}  # id -> (node held, result)
-
-    def go(phi: Formula) -> Formula:
-        hit = memo.get(id(phi))
-        if hit is not None:
-            return hit[1]
-        if isinstance(phi, Var):
-            out = phi
-        elif isinstance(phi, Top):
-            out = Imp(Var(RESERVED_VAR), Var(RESERVED_VAR))
-        elif isinstance(phi, Bot):
-            out = Not(Imp(Var(RESERVED_VAR), Var(RESERVED_VAR)))
-        elif isinstance(phi, Not):
-            out = Not(go(phi.child))
-        elif isinstance(phi, Imp):
-            out = Imp(go(phi.left), go(phi.right))
-        elif isinstance(phi, Cond):
-            out = Cond(go(phi.left), go(phi.right))
-        elif isinstance(phi, Or):
-            left, right = go(phi.left), go(phi.right)
-            out = Imp(Imp(left, right), right)
-        elif isinstance(phi, And):
-            out = go(Not(Or(Not(phi.left), Not(phi.right))))
-        elif isinstance(phi, OPlus):
-            out = Imp(Not(go(phi.left)), go(phi.right))
-        elif isinstance(phi, OTimes):
-            out = Not(Imp(go(phi.left), Not(go(phi.right))))
-        elif isinstance(phi, OMinus):
-            out = go(OTimes(phi.left, Not(phi.right)))
-        elif isinstance(phi, Iff):
-            out = go(And(Imp(phi.left, phi.right), Imp(phi.right, phi.left)))
-        elif isinstance(phi, J):
-            out = go(mk_J(phi.index, phi.child, m))
-        elif isinstance(phi, I):
-            out = go(mk_I(phi.index, phi.child, m))
-        else:
-            raise TypeError(f"not a formula node: {phi!r}")
-        memo[id(phi)] = (phi, out)
-        return out
-
-    return go(phi)
+    return _fold(phi, lambda node, *kids: _CORE[type(node)](node, m, *kids), {})

@@ -22,8 +22,6 @@ __all__ = [
     "tv_oplus",
     "tv_odot",
     "tv_ominus",
-    "tv_binary",
-    "n_value",
 ]
 
 
@@ -155,33 +153,3 @@ def tv_odot(a: TruthValue, b: TruthValue) -> TruthValue:
 def tv_ominus(a: TruthValue, b: TruthValue) -> TruthValue:
     m = _same_scale(a, b)
     return TruthValue(max(0, a.numerator - b.numerator), m)
-
-
-_BINARY = {
-    "meet": tv_meet,
-    "join": tv_join,
-    "oplus": tv_oplus,
-    "odot": tv_odot,
-    "ominus": tv_ominus,
-}
-
-
-def tv_binary(kind: str, a: TruthValue, b: TruthValue) -> TruthValue:
-    """Dispatch on kind in {meet, join, oplus, odot, ominus}."""
-    try:
-        op = _BINARY[kind]
-    except KeyError:
-        raise ValueError(f"unknown binary kind {kind!r}") from None
-    return op(a, b)
-
-
-def n_value(a: TruthValue) -> int:
-    """Largest k with k*(1-a) < 1, for 1/2 <= a < 1 on a's chain.
-
-    Written on numerators: largest k with k*gap <= scale-2 where
-    gap = (scale-1) - numerator.
-    """
-    if a.numerator == a.scale - 1 or 2 * a.numerator < a.scale - 1:
-        raise ValueError(f"n_value needs 1/2 <= a < 1, got {a.text()}")
-    gap = (a.scale - 1) - a.numerator
-    return (a.scale - 2) // gap

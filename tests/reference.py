@@ -1,19 +1,31 @@
 """Reference implementations kept as test oracles.
 
 These are the straightforward recursive versions of the evaluator, the
-countermodel search and normalize that the library once shipped. They
-evaluate one (world, formula) pair at a time, build a KripkeModel for
-every candidate and rewrite trees without sharing, so they are slow but
-easy to check by eye. The differential tests compare the library's
-compiled evaluator, incremental search and memoised normalize with them.
+countermodel search, normalize, the truth tables, the parser and the
+printer that the library once shipped. They evaluate one (world,
+formula) pair or one assignment at a time, build a KripkeModel for every
+candidate, rewrite trees without sharing and parse by recursive descent,
+so they are slow and fail on deep input, but are easy to check by eye.
+The differential tests compare the library's compiled evaluator and
+truth tables, incremental search, table-driven normalize, and iterative
+parser and printer with them.
 """
 
 from __future__ import annotations
 
+import re
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from mvcond.search import SearchBounds, SearchError, SearchOutcome
+from mvcond.parser import ParseError, SourceSpan
+from mvcond.search import (
+    ConditionalPresentError,
+    SearchBounds,
+    SearchError,
+    SearchOutcome,
+)
 from mvcond.semantics import (
     KripkeModel,
     MissingRelationError,
@@ -44,9 +56,11 @@ from mvcond.syntax import (
     index_numerator,
     mk_I,
     mk_J,
+    subformula_closure,
 )
 from mvcond.truthvalues import (
     TruthValue,
+    chain,
     tv_imp,
     tv_join,
     tv_meet,
@@ -352,3 +366,367 @@ def _expand_constants(phi: Formula) -> Formula:
 def reference_rule_eq(x: Formula, y: Formula) -> bool:
     """Structural equality after expanding T and F over the reserved variable."""
     return _expand_constants(x) == _expand_constants(y)
+
+
+def reference_value_under(phi: Formula, env: Mapping[str, TruthValue], m: int) -> TruthValue:
+    """Truth-table value of a conditional-free formula under an assignment."""
+    if isinstance(phi, Var):
+        value = env.get(phi.name)
+        if value is None:
+            raise ValueError(f"assignment has no value for {phi.name!r}")
+        return value
+    if isinstance(phi, Top):
+        return TruthValue.top(m)
+    if isinstance(phi, Bot):
+        return TruthValue.bottom(m)
+    if isinstance(phi, Not):
+        return tv_neg(reference_value_under(phi.child, env, m))
+    if isinstance(phi, Cond):
+        raise ConditionalPresentError(
+            "formula contains a conditional; abstract it first"
+        )
+    if isinstance(phi, J):
+        hit = reference_value_under(phi.child, env, m).numerator == index_numerator(phi.index, m)
+        return TruthValue.top(m) if hit else TruthValue.bottom(m)
+    if isinstance(phi, I):
+        hit = reference_value_under(phi.child, env, m).numerator >= index_numerator(phi.index, m)
+        return TruthValue.top(m) if hit else TruthValue.bottom(m)
+    left = reference_value_under(phi.left, env, m)  # type: ignore[attr-defined]
+    right = reference_value_under(phi.right, env, m)  # type: ignore[attr-defined]
+    if isinstance(phi, Imp):
+        return tv_imp(left, right)
+    if isinstance(phi, And):
+        return tv_meet(left, right)
+    if isinstance(phi, Or):
+        return tv_join(left, right)
+    if isinstance(phi, OPlus):
+        return tv_oplus(left, right)
+    if isinstance(phi, OTimes):
+        return tv_odot(left, right)
+    if isinstance(phi, OMinus):
+        return tv_ominus(left, right)
+    if isinstance(phi, Iff):
+        return tv_meet(tv_imp(left, right), tv_imp(right, left))
+    raise TypeError(f"not a formula node: {phi!r}")
+
+
+def reference_abstract_conditionals(phi: Formula) -> tuple[Formula, dict[Formula, Var]]:
+    """Replace each maximal conditional subformula with a fresh shared atom.
+
+    Structurally equal conditionals share one atom; fresh names _c0,
+    _c1, ... cannot collide with parseable variables. Returns the
+    rewritten formula and the conditional-to-atom mapping.
+    """
+    mapping: dict[Formula, Var] = {}
+
+    def walk(node: Formula) -> Formula:
+        if isinstance(node, Cond):
+            var = mapping.get(node)
+            if var is None:
+                var = Var(f"_c{len(mapping)}")
+                mapping[node] = var
+            return var
+        if isinstance(node, (Var, Top, Bot)):
+            return node
+        if isinstance(node, Not):
+            return Not(walk(node.child))
+        if isinstance(node, J):
+            return J(node.index, walk(node.child))
+        if isinstance(node, I):
+            return I(node.index, walk(node.child))
+        return type(node)(walk(node.left), walk(node.right))  # type: ignore[attr-defined]
+
+    return walk(phi), mapping
+
+
+def reference_falsifying_assignment(
+    phi: Formula, m: int, abstract: bool = False
+) -> dict[str, TruthValue] | None:
+    """First assignment (ascending lexicographic order over sorted
+    variables) giving a non-designated value, or None."""
+    if abstract:
+        phi, _ = reference_abstract_conditionals(phi)
+    elif any(isinstance(node, Cond) for node in subformula_closure(phi)):
+        raise ConditionalPresentError(
+            "formula contains a conditional; enable abstraction"
+        )
+    names = sorted(free_vars(phi))
+    values = chain(m)
+    for combo in product(values, repeat=len(names)):
+        env = dict(zip(names, combo))
+        if not reference_value_under(phi, env, m).is_designated:
+            return env
+    return None
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str
+    text: str
+    span: SourceSpan
+
+
+_IDENT = re.compile(r"[a-z][a-zA-Z0-9_]*")
+_NUMBER = re.compile(r"[0-9]+")
+
+# Fixed-text tokens, longest first so e.g. "(+)" wins over "(".
+_SYMBOLS = [
+    ("(+)", "OPLUS"),
+    ("(*)", "OTIMES"),
+    ("(-)", "OMINUS"),
+    ("<->", "IFF"),
+    ("->", "IMP"),
+    ("=>", "COND"),
+    ("~", "NOT"),
+    ("|", "OR"),
+    ("&", "AND"),
+    ("(", "LPAREN"),
+    (")", "RPAREN"),
+    ("{", "LBRACE"),
+    ("}", "RBRACE"),
+    ("/", "SLASH"),
+]
+
+_KEYWORDS = {"T": "TOP", "F": "BOT", "J": "JOP", "I": "IOP"}
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    pos = 0
+    size = len(text)
+    while pos < size:
+        ch = text[pos]
+        if ch.isspace():
+            pos += 1
+            continue
+        match = _IDENT.match(text, pos)
+        if match:
+            tokens.append(
+                _Token("IDENT", match.group(), SourceSpan(pos, match.end()))
+            )
+            pos = match.end()
+            continue
+        match = _NUMBER.match(text, pos)
+        if match:
+            tokens.append(
+                _Token("NUMBER", match.group(), SourceSpan(pos, match.end()))
+            )
+            pos = match.end()
+            continue
+        if ch in _KEYWORDS:
+            tokens.append(_Token(_KEYWORDS[ch], ch, SourceSpan(pos, pos + 1)))
+            pos += 1
+            continue
+        for sym, kind in _SYMBOLS:
+            if text.startswith(sym, pos):
+                tokens.append(_Token(kind, sym, SourceSpan(pos, pos + len(sym))))
+                pos += len(sym)
+                break
+        else:
+            raise ParseError(
+                f"unexpected character {ch!r}", SourceSpan(pos, pos + 1)
+            )
+    tokens.append(_Token("EOF", "", SourceSpan(size, size)))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> _Token:
+        token = self.tokens[self.pos]
+        self.pos += 1
+        return token
+
+    def expect(self, kind: str, what: str) -> _Token:
+        token = self.peek()
+        if token.kind != kind:
+            raise ParseError(f"expected {what}", token.span)
+        return self.advance()
+
+    def formula(self) -> Formula:
+        node = self.cond()
+        token = self.peek()
+        if token.kind != "EOF":
+            raise ParseError(f"unexpected token {token.text!r}", token.span)
+        return node
+
+    def cond(self) -> Formula:
+        left = self.iff()
+        if self.peek().kind != "COND":
+            return left
+        self.advance()
+        right = self.iff()
+        trailing = self.peek()
+        if trailing.kind == "COND":
+            raise ParseError(
+                "'=>' is non-associative; add parentheses", trailing.span
+            )
+        return Cond(left, right)
+
+    def iff(self) -> Formula:
+        left = self.imp()
+        if self.peek().kind != "IFF":
+            return left
+        self.advance()
+        right = self.imp()
+        trailing = self.peek()
+        if trailing.kind == "IFF":
+            raise ParseError(
+                "'<->' is non-associative; add parentheses", trailing.span
+            )
+        return Iff(left, right)
+
+    def imp(self) -> Formula:
+        left = self.disj()
+        if self.peek().kind != "IMP":
+            return left
+        self.advance()
+        return Imp(left, self.imp())
+
+    def _left_chain(self, next_level, kind: str, node_type) -> Formula:
+        node = next_level()
+        while self.peek().kind == kind:
+            self.advance()
+            node = node_type(node, next_level())
+        return node
+
+    def disj(self) -> Formula:
+        return self._left_chain(self.conj, "OR", Or)
+
+    def conj(self) -> Formula:
+        return self._left_chain(self.oplus, "AND", And)
+
+    def oplus(self) -> Formula:
+        return self._left_chain(self.otimes, "OPLUS", OPlus)
+
+    def otimes(self) -> Formula:
+        return self._left_chain(self.ominus, "OTIMES", OTimes)
+
+    def ominus(self) -> Formula:
+        return self._left_chain(self.unary, "OMINUS", OMinus)
+
+    def unary(self) -> Formula:
+        if self.peek().kind == "NOT":
+            self.advance()
+            return Not(self.unary())
+        return self.atom()
+
+    def atom(self) -> Formula:
+        token = self.peek()
+        if token.kind == "IDENT":
+            self.advance()
+            return Var(token.text)
+        if token.kind == "TOP":
+            self.advance()
+            return Top()
+        if token.kind == "BOT":
+            self.advance()
+            return Bot()
+        if token.kind in ("JOP", "IOP"):
+            self.advance()
+            index = self.graded_index()
+            self.expect("LPAREN", "'(' after graded operator index")
+            child = self.cond()
+            self.expect("RPAREN", "')'")
+            return (J if token.kind == "JOP" else I)(index, child)
+        if token.kind == "LPAREN":
+            open_paren = self.advance()
+            child = self.cond()
+            closer = self.peek()
+            if closer.kind != "RPAREN":
+                if closer.kind == "EOF":
+                    raise ParseError("unbalanced parentheses", open_paren.span)
+                raise ParseError(f"unexpected token {closer.text!r}", closer.span)
+            self.advance()
+            return child
+        raise ParseError(f"unexpected token {token.text!r}", token.span)
+
+    def graded_index(self) -> Fraction:
+        self.expect("LBRACE", "'{'")
+        num_token = self.expect("NUMBER", "index numerator")
+        numerator = int(num_token.text)
+        denominator = 1
+        last = num_token
+        if self.peek().kind == "SLASH":
+            self.advance()
+            den_token = self.expect("NUMBER", "index denominator")
+            denominator = int(den_token.text)
+            last = den_token
+        self.expect("RBRACE", "'}'")
+        span = SourceSpan(num_token.span.start, last.span.end)
+        if denominator == 0:
+            raise ParseError("malformed index: zero denominator", span)
+        index = Fraction(numerator, denominator)
+        if index > 1:
+            raise ParseError(f"malformed index: {index} exceeds 1", span)
+        return index
+
+
+def reference_parse(text: str) -> Formula:
+    """Parse a single formula; raises ParseError with a source span."""
+    return _Parser(text).formula()
+
+
+_PREC: dict[type, int] = {
+    Cond: 1,
+    Iff: 2,
+    Imp: 3,
+    Or: 4,
+    And: 5,
+    OPlus: 6,
+    OTimes: 7,
+    OMinus: 8,
+}
+
+_OP_TEXT: dict[type, str] = {
+    Cond: "=>",
+    Iff: "<->",
+    Imp: "->",
+    Or: "|",
+    And: "&",
+    OPlus: "(+)",
+    OTimes: "(*)",
+    OMinus: "(-)",
+}
+
+_NOT_PREC = 9
+
+
+def _render(phi: Formula, min_prec: int) -> str:
+    if isinstance(phi, Var):
+        return phi.name
+    if isinstance(phi, Top):
+        return "T"
+    if isinstance(phi, Bot):
+        return "F"
+    if isinstance(phi, Not):
+        body = "~" + _render(phi.child, _NOT_PREC)
+        return f"({body})" if _NOT_PREC < min_prec else body
+    if isinstance(phi, J):
+        return f"J{{{phi.index}}}({_render(phi.child, 0)})"
+    if isinstance(phi, I):
+        return f"I{{{phi.index}}}({_render(phi.child, 0)})"
+    prec = _PREC[type(phi)]
+    if isinstance(phi, (Cond, Iff)):
+        left_min, right_min = prec + 1, prec + 1
+    elif isinstance(phi, Imp):
+        left_min, right_min = prec + 1, prec
+    else:
+        left_min, right_min = prec, prec + 1
+    text = (
+        f"{_render(phi.left, left_min)} "  # type: ignore[attr-defined]
+        f"{_OP_TEXT[type(phi)]} "
+        f"{_render(phi.right, right_min)}"  # type: ignore[attr-defined]
+    )
+    return f"({text})" if prec < min_prec else text
+
+
+def reference_print(phi: Formula) -> str:
+    """Render with minimal parentheses."""
+    return _render(phi, 0)

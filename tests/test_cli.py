@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, JSON payloads, determinism."""
 
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -431,3 +433,55 @@ def test_filtrate_bound_switches_to_a_power_at_4300_digits():
     assert _power(10, 4298) == 10**4298  # 4299 digits
     assert _power(10, 4299) == "10^4299"  # 4300 digits
     assert _power(3, 3) == 27
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("taut", "--m", "0", "--formula", "p -> p"),
+        ("taut", "--m", "1", "--formula", "p -> p"),
+        ("search", "--m", "0", "--formula", "p => p"),
+        ("search", "--m", "1", "--formula", "p => p"),
+    ],
+)
+def test_chain_size_below_2_exits_3(capsys, argv):
+    code, payload, _ = run(capsys, *argv)
+    assert (code, payload["status"]) == (3, "error")
+    assert "m must be at least 2" in payload["error"]
+
+
+def test_input_too_deep_to_print_as_json_exits_3(capsys):
+    code, payload, err = run(capsys, "parse", "--formula", "~" * 1100 + "p")
+    assert (code, payload["status"]) == (3, "error")
+    assert "nested too deeply" in payload["error"]
+    assert "Traceback" not in err
+
+
+def test_internal_error_exits_5_with_json(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("mvcond.cli._cmd_parse", broken)
+    code = main(["parse", "--formula", "p"])
+    captured = capsys.readouterr()
+    assert code == 5
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "status": "error",
+        "error": "internal error: RuntimeError: boom",
+    }
+    assert "Traceback" in captured.err and "RuntimeError: boom" in captured.err
+
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def test_readme_taut_examples_are_exact(capsys):
+    text = README.read_text(encoding="utf-8")
+    examples = re.findall(r"^\$ mvcond (taut .*)\n(.*)$", text, re.MULTILINE)
+    assert len(examples) == 2
+    for command, expected in examples:
+        code = main(shlex.split(command))
+        assert capsys.readouterr().out == expected + "\n"
+        assert code == (0 if '"holds"' in expected else 1)

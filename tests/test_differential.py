@@ -1,13 +1,24 @@
-"""The compiled evaluator and the incremental search against the reference
-implementations in reference.py."""
+"""The compiled evaluator and truth tables, the incremental search, normalize,
+and the parser and printer against the reference implementations in
+reference.py."""
 
 from dataclasses import replace
+from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mvcond.parser import parse
-from mvcond.search import SearchBounds, countermodel_search, random_model
+from mvcond.parser import ParseError, parse, print_formula
+from mvcond.search import (
+    SearchBounds,
+    abstract_conditionals,
+    countermodel_search,
+    falsifying_assignment,
+    random_model,
+    value_under,
+)
 from mvcond.semantics import (
     Evaluator,
     KripkeModel,
@@ -15,11 +26,31 @@ from mvcond.semantics import (
     UndeclaredVariableError,
     model_to_json,
 )
-from mvcond.syntax import And, Cond, Imp, Not, Or, Var
+from mvcond.syntax import (
+    RESERVED_VAR,
+    And,
+    Cond,
+    Imp,
+    J,
+    Not,
+    Or,
+    UnrepresentableIndexError,
+    Var,
+    normalize,
+)
 from mvcond.truthvalues import TruthValue
 
-from formula_gen import chain_formula
-from reference import ReferenceEvaluator, reference_search
+from formula_gen import chain_formula, random_formula
+from reference import (
+    ReferenceEvaluator,
+    reference_abstract_conditionals,
+    reference_falsifying_assignment,
+    reference_normalize,
+    reference_parse,
+    reference_print,
+    reference_search,
+    reference_value_under,
+)
 
 NAMES = ("p", "q", "r")
 
@@ -174,3 +205,136 @@ def test_search_matches_reference_on_formulas_with_shared_subformulas(seed):
         for m in (2, 3):
             new = countermodel_search(phi, m, bounds)
             assert _fields(new) == _fields(reference_search(phi, m, bounds))
+
+
+def _result(fn, *args, **kwargs):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+# _c0 is the name abstraction gives the first conditional, _t the reserved
+# variable; indices off every chain below 9 values as well as on them
+TABLE_NAMES = ("p", "q", "_c0", RESERVED_VAR)
+TABLE_INDICES = tuple(sorted({Fraction(a, b) for b in (1, 2, 3, 4, 5) for a in range(b + 1)}))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_truth_tables_match_reference(seed):
+    rng = Random(seed)
+    for _ in range(150):
+        phi = random_formula(rng, rng.randrange(1, 5), TABLE_NAMES, True, TABLE_INDICES)
+        m = rng.choice((2, 3, 4, 5, 9))
+        for abstract in (False, True):
+            assert _result(falsifying_assignment, phi, m, abstract) == _result(
+                reference_falsifying_assignment, phi, m, abstract
+            )
+        new, ref = _result(abstract_conditionals, phi), reference_abstract_conditionals(phi)
+        assert new == ref and list(new[1].items()) == list(ref[1].items())
+
+
+def test_truth_tables_skip_what_lies_inside_an_abstracted_conditional():
+    off_chain = J(Fraction(1, 2), Var("p"))  # not on the 4-element chain
+    inside = Imp(Cond(off_chain, Var("q")), Cond(Var("_c0"), off_chain))
+    assert falsifying_assignment(inside, 4, abstract=True) == {
+        "_c0": TruthValue(1, 4),
+        "_c1": TruthValue(0, 4),
+    }
+    outside = Imp(Cond(Var("p"), Var("q")), off_chain)
+    with pytest.raises(UnrepresentableIndexError):
+        falsifying_assignment(outside, 4, abstract=True)
+    with pytest.raises(UnrepresentableIndexError):
+        reference_falsifying_assignment(outside, 4, abstract=True)
+    # J{1/5}(p) occurs first inside the conditional, so the table meets
+    # J{1/7}(p) first, as the reference does
+    fifth, seventh = J(Fraction(1, 5), Var("p")), J(Fraction(1, 7), Var("p"))
+    shared = Imp(Imp(Cond(fifth, Var("q")), seventh), fifth)
+    assert _result(falsifying_assignment, shared, 3, True) == _result(
+        reference_falsifying_assignment, shared, 3, True
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_value_under_matches_reference(seed):
+    """Equal values; and equal errors when only one kind of error can arise
+    (every variable has a value and no conditional occurs)."""
+    rng = Random(seed)
+    for _ in range(150):
+        m = rng.choice((2, 3, 5))
+        allow_cond = rng.random() < 0.3
+        phi = random_formula(rng, rng.randrange(1, 5), TABLE_NAMES, allow_cond, TABLE_INDICES)
+        env = {v: TruthValue(rng.randrange(m), m) for v in TABLE_NAMES if rng.random() < 0.9}
+        new = _result(value_under, phi, env, m)
+        ref = _result(reference_value_under, phi, env, m)
+        if isinstance(ref, TruthValue) or (len(env) == len(TABLE_NAMES) and not allow_cond):
+            assert new == ref
+        else:
+            assert issubclass(new[0], ValueError)
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_normalize_matches_reference_on_random_formulas(m):
+    rng = Random(m)  # the reference re-expands shared subtrees: keep m and depth small
+    for _ in range(60):
+        phi = chain_formula(rng, 4, m, allow_cond=True)
+        assert normalize(phi, m) == reference_normalize(phi, m)
+
+
+def test_printer_and_parser_match_reference_on_random_formulas():
+    rng = Random(17)
+    for _ in range(400):
+        phi = random_formula(rng, 5)
+        text = print_formula(phi)
+        assert text == reference_print(phi)
+        assert parse(text) == reference_parse(text) == phi
+
+
+# every token, pieces of tokens, and characters that are no token at all
+TOKEN_TEXTS = (
+    "p", "q", "r1", "T", "F", "J", "I", "{", "}", "/", "0", "1", "3", "(", ")", "~",
+    "->", "=>", "<->", "|", "&", "(+)", "(*)", "(-)", "A", "-", "<", "+", "=", "_x", "é",
+)
+
+
+def _parse_result(parser, text):
+    try:
+        return parser(text)
+    except ParseError as exc:
+        return exc.message, exc.span
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from(TOKEN_TEXTS), st.sampled_from(("", " ", "\t"))), max_size=16))
+def test_parser_matches_reference_on_random_token_strings(pieces):
+    text = "".join(token + space for token, space in pieces)
+    assert _parse_result(parse, text) == _parse_result(reference_parse, text)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(
+        st.tuples(st.floats(0, 1), st.sampled_from(TOKEN_TEXTS + ("",)), st.booleans()),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_parser_matches_reference_on_damaged_formulas(seed, edits):
+    """A printed random formula with characters replaced by, or tokens
+    inserted before them; an empty replacement deletes the character."""
+    text = print_formula(random_formula(Random(seed), 4))
+    for where, token, replace in edits:
+        k = int(where * len(text))
+        text = text[:k] + token + text[k + replace :]
+    assert _parse_result(parse, text) == _parse_result(reference_parse, text)
+
+
+def test_parser_matches_reference_with_any_one_character_deleted():
+    rng = Random(23)
+    for _ in range(60):
+        text = print_formula(random_formula(rng, 4))
+        for k in range(len(text)):
+            damaged = text[:k] + text[k + 1 :]
+            assert _parse_result(parse, damaged) == _parse_result(reference_parse, damaged)

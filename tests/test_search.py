@@ -26,7 +26,7 @@ from mvcond.semantics import (
     validate_model,
 )
 from mvcond.syntax import Cond, Imp, Not, Or, Var, free_vars, subformula_closure
-from mvcond.truthvalues import TruthValue, chain
+from mvcond.truthvalues import ScaleMismatchError, TruthValue, chain
 
 from formula_gen import chain_formula
 
@@ -362,3 +362,18 @@ def test_value_under_covers_every_connective():
         assert value_under(parse(text), env, 4) == TruthValue(want, 4)
     with pytest.raises(ValueError):
         value_under(Var("zz"), env, 4)
+
+
+@pytest.mark.parametrize("m", [1, 0, -1])
+def test_chain_size_below_2_is_rejected_first(m):
+    with pytest.raises(ValueError, match="m must be at least 2"):
+        falsifying_assignment(parse("p -> p"), m)
+    with pytest.raises(ValueError, match="m must be at least 2"):
+        is_L_tautology(parse("p => p"), m)  # before the conditional is seen
+    with pytest.raises(ValueError, match="m must be at least 2"):
+        countermodel_search(parse("p => p"), m, SearchBounds(max_candidates=0))
+
+
+def test_value_under_rejects_values_from_another_chain():
+    with pytest.raises(ScaleMismatchError):
+        value_under(parse("~p"), {"p": TruthValue(3, 5)}, 3)

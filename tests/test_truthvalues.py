@@ -9,8 +9,6 @@ from mvcond.truthvalues import (
     ScaleMismatchError,
     TruthValue,
     chain,
-    n_value,
-    tv_binary,
     tv_imp,
     tv_join,
     tv_meet,
@@ -35,47 +33,11 @@ def test_implication_table():
     assert tv_imp(TruthValue(1, 5), TruthValue(3, 5)) == TruthValue(4, 5)
 
 
-def test_binary_dispatch_table():
-    assert tv_binary("odot", TruthValue(1, 3), TruthValue(1, 3)) == TruthValue(0, 3)
-    assert tv_binary("oplus", TruthValue(3, 5), TruthValue(2, 5)) == TruthValue(4, 5)
-    assert tv_binary("ominus", TruthValue(3, 5), TruthValue(1, 5)) == TruthValue(2, 5)
-    with pytest.raises(ValueError):
-        tv_binary("xor", TruthValue(0, 3), TruthValue(0, 3))
-
-
 def test_meet_join_are_min_max():
     for m in SCALES:
         for a, b in product(chain(m), repeat=2):
             assert tv_meet(a, b).numerator == min(a.numerator, b.numerator)
             assert tv_join(a, b).numerator == max(a.numerator, b.numerator)
-
-
-def test_n_value_examples():
-    assert n_value(TruthValue(3, 5)) == 3
-    assert n_value(TruthValue(1, 3)) == 1
-    assert n_value(TruthValue(2, 4)) == 2
-
-
-def test_n_value_rejects_out_of_range_inputs():
-    with pytest.raises(ValueError):
-        n_value(TruthValue(2, 3))  # a = 1
-    with pytest.raises(ValueError):
-        n_value(TruthValue(0, 3))  # a < 1/2
-    with pytest.raises(ValueError):
-        n_value(TruthValue(1, 5))
-
-
-def test_n_value_definition_holds_on_every_chain():
-    """n(a) is the largest k with k*(1-a) < 1, and 1-n(a)*(1-a) <= 1-a."""
-    for m in SCALES:
-        for a in chain(m):
-            if a.numerator == m - 1 or 2 * a.numerator < m - 1:
-                continue
-            k = n_value(a)
-            gap = Fraction(1) - a.as_fraction()
-            assert k * gap < 1
-            assert (k + 1) * gap >= 1
-            assert Fraction(1) - k * gap <= gap
 
 
 def test_mv_algebra_laws_exhaustive():
@@ -118,7 +80,7 @@ def test_scale_mismatch_is_an_error():
     with pytest.raises(ScaleMismatchError):
         tv_imp(a, b)
     with pytest.raises(ScaleMismatchError):
-        tv_binary("meet", a, b)
+        tv_meet(a, b)
     with pytest.raises(ScaleMismatchError):
         a < b
 
