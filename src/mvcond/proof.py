@@ -8,9 +8,13 @@ the graded rules Ra/RaGen are, by default, restricted to lines that do
 not depend on premises, since they preserve theoremhood rather than
 consequence; pass rules_on_premises=True to lift the restriction.
 
-Rule and axiom matching is structural. rule_eq treats T as p -> p over
-the reserved variable (and F as its negation), so constant spelling
-never blocks a match; nothing else is normalized.
+Formulas are compared, the goal check included, modulo the spelling of
+T and F: one node table per derivation, in which T and F share the slots
+of p -> p and ~(p -> p) over the reserved variable; nothing else is
+normalized. The axioms and RCEA/RCEC are schema texts matched by
+first-order matching: a schema variable is a metavariable, a repeated
+one must bind equal formulas, and any other node must be matched by a
+node of its type. No check recurses on formula structure.
 """
 
 from __future__ import annotations
@@ -18,12 +22,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .parser import ParseError, parse, print_formula
 from .search import falsifying_assignment
 from .syntax import (
-    And,
     Bot,
     Cond,
     Formula,
@@ -36,9 +39,10 @@ from .syntax import (
     Var,
     RESERVED_VAR,
     UnrepresentableIndexError,
+    children,
     imp_chain,
+    index_numerator,
 )
-from .truthvalues import TruthValue, tv_odot
 
 __all__ = [
     "Premise",
@@ -160,122 +164,90 @@ class Verdict:
 _RESERVED = Var(RESERVED_VAR)
 
 
-def rule_eq(x: Formula, y: Formula) -> bool:
-    """Structural equality modulo the spelling of T and F.
-
-    Both formulas go into one node table in which T and F share the
-    slots of their expansions p -> p and ~(p -> p) over the reserved
-    variable, so equal slots mean equal trees once constants are expanded.
-    """
+def _same() -> Callable[[Formula, Formula], bool]:
+    """Structural equality modulo the spelling of T and F: equal slots in one
+    node table where T and F share the slots of p -> p and ~(p -> p) over
+    the reserved variable. A formula compared again is not added again."""
     table = NodeTable()
     truth = Imp(_RESERVED, _RESERVED)
     table.alias(Top, table.add(truth))
     table.alias(Bot, table.add(Not(truth)))
-    return table.add(x) == table.add(y)
+    return lambda x, y: table.add(x) == table.add(y)
 
 
-def _match_a1(phi: Formula) -> bool:
-    # (a => (b & c)) -> ((a => b) & (a => c))
-    if not isinstance(phi, Imp):
-        return False
-    left, right = phi.left, phi.right
-    if not (isinstance(left, Cond) and isinstance(left.right, And)):
-        return False
-    if not (
-        isinstance(right, And)
-        and isinstance(right.left, Cond)
-        and isinstance(right.right, Cond)
-    ):
-        return False
-    a, b, c = left.left, left.right.left, left.right.right
-    return (
-        right.left.left == a
-        and right.left.right == b
-        and right.right.left == a
-        and right.right.right == c
-    )
+def rule_eq(x: Formula, y: Formula) -> bool:
+    """Structural equality modulo the spelling of T and F."""
+    return _same()(x, y)
 
 
-def _match_a2(phi: Formula) -> bool:
-    # ((a => b) & (a => c)) -> (a => (b & c))
-    if not isinstance(phi, Imp):
-        return False
-    left, right = phi.left, phi.right
-    if not (
-        isinstance(left, And)
-        and isinstance(left.left, Cond)
-        and isinstance(left.right, Cond)
-    ):
-        return False
-    if not (isinstance(right, Cond) and isinstance(right.right, And)):
-        return False
-    a, b, c = left.left.left, left.left.right, left.right.right
-    return (
-        left.right.left == a
-        and right.left == a
-        and right.right.left == b
-        and right.right.right == c
-    )
+# The schemas: a Var is a metavariable, any other node must be matched by
+# a node of its type, so A3 wants the constant T itself. (No schema has a
+# J or I, whose index _instantiates would not compare.)
+_AXIOMS = {
+    "A1": parse("(a => (b & c)) -> ((a => b) & (a => c))"),
+    "A2": parse("((a => b) & (a => c)) -> (a => (b & c))"),
+    "A3": parse("a => T"),
+    "LID": parse("a => a"),
+}
+# a and b are bound beforehand to the sides of the cited equivalence
+_CONGRUENCES = {
+    "RCEA": parse("(a => c) <-> (b => c)"),
+    "RCEC": parse("(c => a) <-> (c => b)"),
+}
 
 
-def _match_a3(phi: Formula) -> bool:
-    # a => T, with T the constant node
-    return isinstance(phi, Cond) and isinstance(phi.right, Top)
+def _instantiates(
+    schema: Formula,
+    phi: Formula,
+    same: Callable[[Formula, Formula], bool],
+    bound: dict[str, Formula],
+) -> bool:
+    """Whether phi is schema with a formula put for each metavariable.
 
-
-def _match_lid(phi: Formula) -> bool:
-    # a => a
-    return isinstance(phi, Cond) and phi.left == phi.right
-
-
-_MATCHERS = {"A1": _match_a1, "A2": _match_a2, "A3": _match_a3, "LID": _match_lid}
+    bound maps the metavariables bound so far to their formulas and gains
+    the rest; a metavariable met again must bind a formula same to the
+    first. Only the schema is walked, with an explicit stack.
+    """
+    stack = [(schema, phi)]
+    while stack:
+        pattern, node = stack.pop()
+        if isinstance(pattern, Var):
+            if pattern.name not in bound:
+                bound[pattern.name] = node
+            elif not same(bound[pattern.name], node):
+                return False
+        elif type(pattern) is not type(node):
+            return False
+        else:
+            stack.extend(zip(children(pattern), children(node)))
+    return True
 
 
 def match_axiom(phi: Formula, allow_lid: bool = False) -> str | None:
     """Name of the first axiom schema phi instantiates, if any."""
-    for name, matcher in _MATCHERS.items():
-        if (allow_lid or name != "LID") and matcher(phi):
+    same = _same()
+    for name, schema in _AXIOMS.items():
+        if (allow_lid or name != "LID") and _instantiates(schema, phi, same, {}):
             return name
     return None
 
 
-def _odot_fraction(a: Fraction, b: Fraction, m: int) -> Fraction:
-    left = TruthValue.from_fraction(a, m)
-    right = TruthValue.from_fraction(b, m)
-    return tv_odot(left, right).as_fraction()
-
-
-def _chain_fractions_desc(m: int) -> list[Fraction]:
-    return [Fraction(m - 1 - t, m - 1) for t in range(m)]
-
-
-def _graded_premise(
-    m: int,
+def _graded(
     a: Fraction,
-    b: Fraction,
     thresholds: Sequence[Fraction],
     parts: Sequence[Formula],
     target: Formula,
+    b: Fraction = Fraction(1),
+    phi: Formula | None = None,
 ) -> Formula:
-    antecedents = [
-        I(_odot_fraction(threshold, b, m), part)
-        for threshold, part in zip(thresholds, parts)
-    ]
-    return imp_chain(antecedents, I(_odot_fraction(a, b, m), target))
+    """I{a (.) b}(phi => target) under the antecedents I{t (.) b}(phi => part),
+    one per threshold and part, the last outermost; without phi, the parts
+    and target themselves. On the chain, x (.) b is max(0, x + b - 1)."""
 
+    def test(x: Fraction, psi: Formula) -> Formula:
+        return I(max(Fraction(0), x + b - 1), psi if phi is None else Cond(phi, psi))
 
-def _graded_conclusion(
-    a: Fraction,
-    phi: Formula,
-    thresholds: Sequence[Fraction],
-    parts: Sequence[Formula],
-    target: Formula,
-) -> Formula:
-    antecedents = [
-        I(threshold, Cond(phi, part))
-        for threshold, part in zip(thresholds, parts)
-    ]
-    return imp_chain(antecedents, I(a, Cond(phi, target)))
+    return imp_chain([test(t, part) for t, part in zip(thresholds, parts)], test(a, target))
 
 
 def _cited_lines(rule: Justification) -> tuple[int, ...]:
@@ -312,13 +284,11 @@ def _premise_dependence(derivation: Derivation) -> list[bool]:
     return dependent
 
 
-def _check_thresholds_on_chain(
-    values: Sequence[Fraction], m: int
-) -> str | None:
+def _off_chain(values: Sequence[Fraction], m: int) -> str | None:
     for value in values:
         try:
-            TruthValue.from_fraction(value, m)
-        except ValueError:
+            index_numerator(value, m)
+        except UnrepresentableIndexError:
             return f"threshold {value} is not on the {m}-element chain"
     return None
 
@@ -327,7 +297,7 @@ def check_line(
     derivation: Derivation, index: int, rules_on_premises: bool = False
 ) -> LineError | None:
     """Check the 1-based line index; None means the line is in order."""
-    return _check_line(derivation, index, rules_on_premises, None)
+    return _check_line(derivation, index, rules_on_premises, None, _same())
 
 
 def _check_line(
@@ -335,9 +305,10 @@ def _check_line(
     index: int,
     rules_on_premises: bool,
     dependent: list[bool] | None,
+    same: Callable[[Formula, Formula], bool],
 ) -> LineError | None:
     """check_line, given _premise_dependence(derivation) or None to
-    compute it when the line needs it."""
+    compute it when the line needs it, comparing formulas with same."""
     if not 1 <= index <= len(derivation.lines):
         raise IndexError(f"no line {index}")
     line = derivation.lines[index - 1]
@@ -368,7 +339,7 @@ def _check_line(
         if not 1 <= rule.index <= len(derivation.premises):
             return err(f"no premise {rule.index}")
         expected = derivation.premises[rule.index - 1]
-        if not rule_eq(line.formula, expected):
+        if not same(line.formula, expected):
             return err(
                 f"expected {print_formula(expected)}, "
                 f"found {print_formula(line.formula)}"
@@ -388,10 +359,10 @@ def _check_line(
         return None
 
     if isinstance(rule, Ax):
-        matcher = _MATCHERS.get(rule.name)
-        if matcher is None:
+        schema = _AXIOMS.get(rule.name)
+        if schema is None:
             return err(f"unknown axiom {rule.name!r}")
-        if not matcher(line.formula):
+        if not _instantiates(schema, line.formula, same, {}):
             return err(
                 f"{print_formula(line.formula)} does not instantiate {rule.name}"
             )
@@ -401,7 +372,7 @@ def _check_line(
         minor = derivation.lines[rule.i - 1].formula
         major = derivation.lines[rule.j - 1].formula
         expected = Imp(minor, line.formula)
-        if not rule_eq(major, expected):
+        if not same(major, expected):
             return err(
                 f"line {rule.j} is {print_formula(major)}, "
                 f"expected {print_formula(expected)}"
@@ -423,20 +394,8 @@ def _check_line(
                 f"{print_formula(line.formula)} is not an equivalence "
                 "of conditionals"
             )
-        first, second = line.formula.left, line.formula.right
-        if isinstance(rule, RCEA):
-            pattern_ok = (
-                rule_eq(first.left, cited.left)
-                and rule_eq(second.left, cited.right)
-                and rule_eq(first.right, second.right)
-            )
-        else:
-            pattern_ok = (
-                rule_eq(first.right, cited.left)
-                and rule_eq(second.right, cited.right)
-                and rule_eq(first.left, second.left)
-            )
-        if not pattern_ok:
+        bound = {"a": cited.left, "b": cited.right}
+        if not _instantiates(_CONGRUENCES[name], line.formula, same, bound):
             return err(
                 f"{print_formula(line.formula)} does not follow from "
                 f"{print_formula(cited)} by {name}"
@@ -445,32 +404,32 @@ def _check_line(
 
     if isinstance(rule, (Ra, RaGen)):
         if isinstance(rule, Ra):
-            thresholds = [Fraction(m - i, m - 1) for i in range(1, m + 1)]
             parts, target, indices = rule.gammas, rule.gamma, [rule.a]
             if len(parts) != m:
                 return err(f"needs exactly {m} indexed formulas, got {len(parts)}")
         else:
-            thresholds, parts, target = rule.a_list, rule.chis, rule.chi
-            indices = [rule.a, *rule.a_list]
-            if len(thresholds) != len(parts):
-                return err(f"{len(thresholds)} thresholds for {len(parts)} formulas")
+            parts, target, indices = rule.chis, rule.chi, [rule.a, *rule.a_list]
+            if len(rule.a_list) != len(parts):
+                return err(f"{len(rule.a_list)} thresholds for {len(parts)} formulas")
         if len(rule.premise_lines) != m:
             return err(
                 f"needs exactly {m} premise lines, got {len(rule.premise_lines)}"
             )
-        problem = _check_thresholds_on_chain(indices, m)
+        problem = _off_chain(indices, m)
         if problem:
             return err(problem)
-        for t, b in enumerate(_chain_fractions_desc(m)):
-            cited = derivation.lines[rule.premise_lines[t] - 1].formula
-            expected = _graded_premise(m, rule.a, b, thresholds, parts, target)
-            if not rule_eq(cited, expected):
+        chain = [Fraction(m - 1 - t, m - 1) for t in range(m)]  # descending
+        thresholds = chain if isinstance(rule, Ra) else rule.a_list
+        for cited, b in zip(rule.premise_lines, chain):
+            formula = derivation.lines[cited - 1].formula
+            expected = _graded(rule.a, thresholds, parts, target, b)
+            if not same(formula, expected):
                 return err(
-                    f"premise for b={b} (line {rule.premise_lines[t]}) is "
-                    f"{print_formula(cited)}, expected {print_formula(expected)}"
+                    f"premise for b={b} (line {cited}) is "
+                    f"{print_formula(formula)}, expected {print_formula(expected)}"
                 )
-        expected = _graded_conclusion(rule.a, rule.phi, thresholds, parts, target)
-        if not rule_eq(line.formula, expected):
+        expected = _graded(rule.a, thresholds, parts, target, phi=rule.phi)
+        if not same(line.formula, expected):
             return err(
                 f"conclusion is {print_formula(line.formula)}, "
                 f"expected {print_formula(expected)}"
@@ -483,16 +442,18 @@ def _check_line(
 def check_derivation(
     derivation: Derivation, goal: Formula, rules_on_premises: bool = False
 ) -> Verdict:
-    """Accept when every line checks and the last line equals the goal."""
+    """Accept when every line checks and the last line equals the goal
+    modulo the spelling of T and F."""
     if not derivation.lines:
         return Verdict(False, None, "derivation has no lines")
     dependent = _premise_dependence(derivation)
+    same = _same()
     for index in range(1, len(derivation.lines) + 1):
-        problem = _check_line(derivation, index, rules_on_premises, dependent)
+        problem = _check_line(derivation, index, rules_on_premises, dependent, same)
         if problem is not None:
             return Verdict(False, problem.line, str(problem))
     last = derivation.lines[-1].formula
-    if last != goal:
+    if not same(last, goal):
         return Verdict(
             False,
             len(derivation.lines),

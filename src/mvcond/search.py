@@ -189,11 +189,10 @@ def falsifying_assignment(
     """
     names, run = _chain_program(phi, m, abstract, "enable abstraction", m)
     names.sort()
-    constant = [(x,) * m for x in range(m)]
     last = tuple(range(m))
     top = m - 1
     for prefix in product(range(m), repeat=max(len(names) - 1, 0)):
-        result = run(dict(zip(names, [constant[x] for x in prefix] + [last])))
+        result = run(dict(zip(names, [(x,) * m for x in prefix] + [last])))
         for x, value in enumerate(result):
             if value != top:
                 return {name: TruthValue(e, m) for name, e in zip(names, prefix + (x,))}

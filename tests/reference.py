@@ -1,14 +1,16 @@
 """Reference implementations kept as test oracles.
 
 These are the straightforward recursive versions of the evaluator, the
-countermodel search, normalize, the truth tables, the parser and the
-printer that the library once shipped. They evaluate one (world,
-formula) pair or one assignment at a time, build a KripkeModel for every
-candidate, rewrite trees without sharing and parse by recursive descent,
-so they are slow and fail on deep input, but are easy to check by eye.
-The differential tests compare the library's compiled evaluator and
-truth tables, incremental search, table-driven normalize, and iterative
-parser and printer with them.
+countermodel search, normalize, the truth tables, the parser, the
+printer and the proof checker's axiom matchers and line checker that the
+library once shipped. They evaluate one (world, formula) pair or one
+assignment at a time, build a KripkeModel for every candidate, rewrite
+trees without sharing, parse by recursive descent and compare formulas
+with the recursive dataclass ==, so they are slow and fail on deep input,
+but are easy to check by eye. The differential tests compare the
+library's compiled evaluator and truth tables, incremental search,
+table-driven normalize, iterative parser and printer, and schema-driven
+proof checker with them.
 """
 
 from __future__ import annotations
@@ -19,12 +21,29 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from mvcond.parser import ParseError, SourceSpan
+from mvcond.parser import ParseError, SourceSpan, print_formula
+from mvcond.proof import (
+    MP,
+    RCEA,
+    RCEC,
+    Ax,
+    Derivation,
+    LineError,
+    LTaut,
+    Premise,
+    Ra,
+    RaGen,
+    Verdict,
+    _cited_lines,
+    _premise_dependence,
+    _rule_name,
+)
 from mvcond.search import (
     ConditionalPresentError,
     SearchBounds,
     SearchError,
     SearchOutcome,
+    falsifying_assignment,
 )
 from mvcond.semantics import (
     KripkeModel,
@@ -50,9 +69,11 @@ from mvcond.syntax import (
     Or,
     RESERVED_VAR,
     Top,
+    UnrepresentableIndexError,
     Var,
     children,
     free_vars,
+    imp_chain,
     index_numerator,
     mk_I,
     mk_J,
@@ -366,6 +387,287 @@ def _expand_constants(phi: Formula) -> Formula:
 def reference_rule_eq(x: Formula, y: Formula) -> bool:
     """Structural equality after expanding T and F over the reserved variable."""
     return _expand_constants(x) == _expand_constants(y)
+
+
+def _match_a1(phi: Formula) -> bool:
+    # (a => (b & c)) -> ((a => b) & (a => c))
+    if not isinstance(phi, Imp):
+        return False
+    left, right = phi.left, phi.right
+    if not (isinstance(left, Cond) and isinstance(left.right, And)):
+        return False
+    if not (
+        isinstance(right, And)
+        and isinstance(right.left, Cond)
+        and isinstance(right.right, Cond)
+    ):
+        return False
+    a, b, c = left.left, left.right.left, left.right.right
+    return (
+        right.left.left == a
+        and right.left.right == b
+        and right.right.left == a
+        and right.right.right == c
+    )
+
+
+def _match_a2(phi: Formula) -> bool:
+    # ((a => b) & (a => c)) -> (a => (b & c))
+    if not isinstance(phi, Imp):
+        return False
+    left, right = phi.left, phi.right
+    if not (
+        isinstance(left, And)
+        and isinstance(left.left, Cond)
+        and isinstance(left.right, Cond)
+    ):
+        return False
+    if not (isinstance(right, Cond) and isinstance(right.right, And)):
+        return False
+    a, b, c = left.left.left, left.left.right, left.right.right
+    return (
+        left.right.left == a
+        and right.left == a
+        and right.right.left == b
+        and right.right.right == c
+    )
+
+
+def _match_a3(phi: Formula) -> bool:
+    # a => T, with T the constant node
+    return isinstance(phi, Cond) and isinstance(phi.right, Top)
+
+
+def _match_lid(phi: Formula) -> bool:
+    # a => a
+    return isinstance(phi, Cond) and phi.left == phi.right
+
+
+_MATCHERS = {"A1": _match_a1, "A2": _match_a2, "A3": _match_a3, "LID": _match_lid}
+
+
+def reference_match_axiom(phi: Formula, allow_lid: bool = False) -> str | None:
+    """Name of the first axiom schema phi instantiates, if any."""
+    for name, matcher in _MATCHERS.items():
+        if (allow_lid or name != "LID") and matcher(phi):
+            return name
+    return None
+
+
+def _odot_fraction(a: Fraction, b: Fraction, m: int) -> Fraction:
+    left = TruthValue.from_fraction(a, m)
+    right = TruthValue.from_fraction(b, m)
+    return tv_odot(left, right).as_fraction()
+
+
+def _chain_fractions_desc(m: int) -> list[Fraction]:
+    return [Fraction(m - 1 - t, m - 1) for t in range(m)]
+
+
+def _graded_premise(
+    m: int,
+    a: Fraction,
+    b: Fraction,
+    thresholds: Sequence[Fraction],
+    parts: Sequence[Formula],
+    target: Formula,
+) -> Formula:
+    antecedents = [
+        I(_odot_fraction(threshold, b, m), part)
+        for threshold, part in zip(thresholds, parts)
+    ]
+    return imp_chain(antecedents, I(_odot_fraction(a, b, m), target))
+
+
+def _graded_conclusion(
+    a: Fraction,
+    phi: Formula,
+    thresholds: Sequence[Fraction],
+    parts: Sequence[Formula],
+    target: Formula,
+) -> Formula:
+    antecedents = [
+        I(threshold, Cond(phi, part))
+        for threshold, part in zip(thresholds, parts)
+    ]
+    return imp_chain(antecedents, I(a, Cond(phi, target)))
+
+
+def _check_thresholds_on_chain(
+    values: Sequence[Fraction], m: int
+) -> str | None:
+    for value in values:
+        try:
+            TruthValue.from_fraction(value, m)
+        except ValueError:
+            return f"threshold {value} is not on the {m}-element chain"
+    return None
+
+
+def reference_check_line(
+    derivation: Derivation, index: int, rules_on_premises: bool = False
+) -> LineError | None:
+    """Check the 1-based line index; None means the line is in order."""
+    if not 1 <= index <= len(derivation.lines):
+        raise IndexError(f"no line {index}")
+    line = derivation.lines[index - 1]
+    rule = line.rule
+    name = _rule_name(rule)
+    m = derivation.m
+
+    def err(message: str) -> LineError:
+        return LineError(index, name, message)
+
+    for cited in _cited_lines(rule):
+        if not 1 <= cited < index:
+            return err(
+                f"cites line {cited}, which does not precede line {index}"
+            )
+
+    if not rules_on_premises and isinstance(rule, (RCEA, RCEC, Ra, RaGen)):
+        dependent = _premise_dependence(derivation)
+        for cited in _cited_lines(rule):
+            if dependent[cited - 1]:
+                return err(
+                    f"applies only to premise-independent lines, but line "
+                    f"{cited} depends on a premise"
+                )
+
+    if isinstance(rule, Premise):
+        if not 1 <= rule.index <= len(derivation.premises):
+            return err(f"no premise {rule.index}")
+        expected = derivation.premises[rule.index - 1]
+        if not reference_rule_eq(line.formula, expected):
+            return err(
+                f"expected {print_formula(expected)}, "
+                f"found {print_formula(line.formula)}"
+            )
+        return None
+
+    if isinstance(rule, LTaut):
+        try:
+            witness = falsifying_assignment(line.formula, m, abstract=True)
+        except UnrepresentableIndexError as exc:
+            return err(str(exc))
+        if witness is not None:
+            shown = ", ".join(
+                f"{v}={witness[v].text()}" for v in sorted(witness)
+            )
+            return err(f"not a chain tautology; falsified by {shown}")
+        return None
+
+    if isinstance(rule, Ax):
+        matcher = _MATCHERS.get(rule.name)
+        if matcher is None:
+            return err(f"unknown axiom {rule.name!r}")
+        if not matcher(line.formula):
+            return err(
+                f"{print_formula(line.formula)} does not instantiate {rule.name}"
+            )
+        return None
+
+    if isinstance(rule, MP):
+        minor = derivation.lines[rule.i - 1].formula
+        major = derivation.lines[rule.j - 1].formula
+        expected = Imp(minor, line.formula)
+        if not reference_rule_eq(major, expected):
+            return err(
+                f"line {rule.j} is {print_formula(major)}, "
+                f"expected {print_formula(expected)}"
+            )
+        return None
+
+    if isinstance(rule, (RCEA, RCEC)):
+        cited = derivation.lines[rule.i - 1].formula
+        if not isinstance(cited, Iff):
+            return err(
+                f"line {rule.i} is {print_formula(cited)}, "
+                "expected an equivalence"
+            )
+        if not isinstance(line.formula, Iff) or not (
+            isinstance(line.formula.left, Cond)
+            and isinstance(line.formula.right, Cond)
+        ):
+            return err(
+                f"{print_formula(line.formula)} is not an equivalence "
+                "of conditionals"
+            )
+        first, second = line.formula.left, line.formula.right
+        if isinstance(rule, RCEA):
+            pattern_ok = (
+                reference_rule_eq(first.left, cited.left)
+                and reference_rule_eq(second.left, cited.right)
+                and reference_rule_eq(first.right, second.right)
+            )
+        else:
+            pattern_ok = (
+                reference_rule_eq(first.right, cited.left)
+                and reference_rule_eq(second.right, cited.right)
+                and reference_rule_eq(first.left, second.left)
+            )
+        if not pattern_ok:
+            return err(
+                f"{print_formula(line.formula)} does not follow from "
+                f"{print_formula(cited)} by {name}"
+            )
+        return None
+
+    if isinstance(rule, (Ra, RaGen)):
+        if isinstance(rule, Ra):
+            thresholds = [Fraction(m - i, m - 1) for i in range(1, m + 1)]
+            parts, target, indices = rule.gammas, rule.gamma, [rule.a]
+            if len(parts) != m:
+                return err(f"needs exactly {m} indexed formulas, got {len(parts)}")
+        else:
+            thresholds, parts, target = rule.a_list, rule.chis, rule.chi
+            indices = [rule.a, *rule.a_list]
+            if len(thresholds) != len(parts):
+                return err(f"{len(thresholds)} thresholds for {len(parts)} formulas")
+        if len(rule.premise_lines) != m:
+            return err(
+                f"needs exactly {m} premise lines, got {len(rule.premise_lines)}"
+            )
+        problem = _check_thresholds_on_chain(indices, m)
+        if problem:
+            return err(problem)
+        for t, b in enumerate(_chain_fractions_desc(m)):
+            cited = derivation.lines[rule.premise_lines[t] - 1].formula
+            expected = _graded_premise(m, rule.a, b, thresholds, parts, target)
+            if not reference_rule_eq(cited, expected):
+                return err(
+                    f"premise for b={b} (line {rule.premise_lines[t]}) is "
+                    f"{print_formula(cited)}, expected {print_formula(expected)}"
+                )
+        expected = _graded_conclusion(rule.a, rule.phi, thresholds, parts, target)
+        if not reference_rule_eq(line.formula, expected):
+            return err(
+                f"conclusion is {print_formula(line.formula)}, "
+                f"expected {print_formula(expected)}"
+            )
+        return None
+
+    return err(f"unknown rule {rule!r}")
+
+
+def reference_check_derivation(
+    derivation: Derivation, goal: Formula, rules_on_premises: bool = False
+) -> Verdict:
+    """Accept when every line checks and the last line equals the goal."""
+    if not derivation.lines:
+        return Verdict(False, None, "derivation has no lines")
+    for index in range(1, len(derivation.lines) + 1):
+        problem = reference_check_line(derivation, index, rules_on_premises)
+        if problem is not None:
+            return Verdict(False, problem.line, str(problem))
+    last = derivation.lines[-1].formula
+    if last != goal:
+        return Verdict(
+            False,
+            len(derivation.lines),
+            f"final line is {print_formula(last)}, which is not the goal "
+            f"{print_formula(goal)}",
+        )
+    return Verdict(True)
 
 
 def reference_value_under(phi: Formula, env: Mapping[str, TruthValue], m: int) -> TruthValue:

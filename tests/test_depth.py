@@ -1,17 +1,21 @@
 """Formulas 10,000 deep under the default recursion limit: every walk over a
 formula keeps its own stack, so each of these parses, prints, normalizes,
-evaluates and gets a truth table. The results are compared without
-recursion: structurally equal formulas share a NodeTable slot."""
+evaluates, gets a truth table and is proof checked. The results are
+compared without recursion: structurally equal formulas share a NodeTable
+slot."""
 
+import json
 import sys
 import time
 
 import pytest
 
+from mvcond import cli
 from mvcond.parser import parse, print_formula
+from mvcond.proof import MP, Derivation, Line, Premise, check_derivation, match_axiom
 from mvcond.search import falsifying_assignment, is_L_tautology, random_model
 from mvcond.semantics import Evaluator
-from mvcond.syntax import Imp, NodeTable, Var, normalize
+from mvcond.syntax import And, Cond, Imp, NodeTable, Var, normalize
 from mvcond.truthvalues import TruthValue
 
 DEPTH = 10_000
@@ -57,3 +61,39 @@ def test_deep_formula_under_the_default_recursion_limit(name):
     if name == "conjunctions":
         assert tautology
         assert falsifying_assignment(phi, 3) == {v: TruthValue(0, 3) for v in NAMES}
+
+
+def test_proofcheck_of_a_deep_tautology_line(tmp_path, capsys):
+    assert sys.getrecursionlimit() <= 1000
+    text = " -> ".join(LEAVES[:-1] + [LEAVES[-2]])  # ends in r -> r
+    path = tmp_path / "deep.json"
+    line = {"formula": text, "rule": "LTaut", "args": {}}
+    path.write_text(json.dumps({"m": 3, "premises": [], "lines": [line]}))
+    start = time.perf_counter()
+    code = cli.main(["proofcheck", "--file", str(path), "--goal", text])
+    assert time.perf_counter() - start < 2
+    assert (code, capsys.readouterr().out) == (0, '{"status":"accepted","lines":1}\n')
+
+
+def test_deep_modus_ponens_derivation_is_accepted():
+    """p and p -> p -> ... -> p give every tail of the chain by MP."""
+    assert sys.getrecursionlimit() <= 1000
+    chain = parse(" -> ".join(["p"] * DEPTH))
+    lines = [Line(Var("p"), Premise(1)), Line(chain, Premise(2))]
+    while isinstance(lines[-1].formula, Imp):
+        lines.append(Line(lines[-1].formula.right, MP(1, len(lines))))
+    assert len(lines) == DEPTH + 1
+    start = time.perf_counter()
+    verdict = check_derivation(Derivation(3, (Var("p"), chain), tuple(lines)), Var("p"))
+    assert time.perf_counter() - start < 2
+    assert verdict.ok, verdict.message
+
+
+def test_axiom_instance_with_deep_metavariables_matches():
+    assert sys.getrecursionlimit() <= 1000
+    texts = {"a": " -> ".join(LEAVES), "b": " & ".join(LEAVES), "c": "~" * DEPTH + "q"}
+    start = time.perf_counter()
+    a1, a2, a3, b1, b2, c1, c2 = (parse(texts[v]) for v in "aaabbcc")
+    assert match_axiom(Imp(Cond(a1, And(b1, c1)), And(Cond(a2, b2), Cond(a3, c2)))) == "A1"
+    assert match_axiom(Imp(Cond(a1, And(b1, c1)), And(Cond(a2, c2), Cond(a3, b2)))) is None
+    assert time.perf_counter() - start < 2

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -32,7 +33,7 @@ from mvcond.proof import (
     match_axiom,
     rule_eq,
 )
-from mvcond.syntax import Bot, Cond, I, Imp, Not, Top, Var, children, imp_chain
+from mvcond.syntax import And, Bot, Cond, I, Imp, Not, Top, Var, children, imp_chain
 
 from formula_gen import random_formula
 from reference import reference_rule_eq
@@ -503,3 +504,30 @@ def test_reimporting_the_package_releases_the_old_modules():
         timeout=60,
     )
     assert done.stdout.strip() == "True", done.stderr
+
+
+def test_ra_line_lengths_are_tested_before_the_chain_is_built():
+    """A huge m with one gamma is rejected without building m thresholds."""
+    conclusion = parse("I{1}(p => q) -> I{1}(p => q)")
+    rule = Ra(Fraction(1), P, (Q,), Q, (1,))
+    derivation = Derivation(
+        1_000_000, (), (Line(parse("q -> q"), LTaut()), Line(conclusion, rule))
+    )
+    started = time.perf_counter()
+    problem = check_line(derivation, 2)
+    assert time.perf_counter() - started < 0.1
+    assert problem == LineError(2, "Ra", "needs exactly 1000000 indexed formulas, got 1")
+
+
+def test_goal_and_repeated_metavariables_compare_modulo_constant_spelling():
+    """Only library-built formulas can spell T as _t -> _t; the goal check
+    and a repeated metavariable treat both spellings alike, and A3 still
+    wants the constant T itself."""
+    truth = Imp(Var("_t"), Var("_t"))
+    lid = Cond(Top(), Top())
+    assert check_derivation(Derivation(3, (), (Line(lid, Ax("LID")),)), Cond(truth, Top())).ok
+    assert match_axiom(Cond(Top(), truth), allow_lid=True) == "LID"
+    assert match_axiom(Cond(P, truth)) is None
+    a1 = parse("(T => (q & r)) -> ((T => q) & (T => r))")
+    respelled = Imp(a1.left, And(Cond(truth, Q), a1.right.right))
+    assert match_axiom(respelled) == "A1"

@@ -1,5 +1,6 @@
 """Tautology tables, bounded countermodel search, filtration, generators."""
 
+import tracemalloc
 from random import Random
 
 import pytest
@@ -377,3 +378,15 @@ def test_chain_size_below_2_is_rejected_first(m):
 def test_value_under_rejects_values_from_another_chain():
     with pytest.raises(ScaleMismatchError):
         value_under(parse("~p"), {"p": TruthValue(3, 5)}, 3)
+
+
+def test_truth_table_memory_does_not_grow_with_m_squared():
+    """Each block holds O(m) values per input, not a tuple per chain value."""
+    phi = parse("p -> p")
+    tracemalloc.start()
+    try:
+        assert falsifying_assignment(phi, 3000) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
