@@ -26,13 +26,14 @@ from itertools import product
 from operator import le
 from typing import Callable, Mapping, Sequence
 
+from .parser import print_formula
 from .semantics import (
     Evaluator,
     KripkeModel,
-    Matrix,
-    Proposition,
+    UnknownWorldError,
     Values,
     instruction,
+    model_of,
     operations,
     proposition_from,
 )
@@ -306,10 +307,11 @@ def countermodel_search(
         var_at = [
             (var_slot[v], vi * n) for vi, v in enumerate(names) if v != RESERVED_VAR
         ]
+        # |values|^(n^2) of them, so only built when some relation is needed
         matrices = [
             tuple(entries[x * n : (x + 1) * n] for x in range(n))
             for entries in product(values_desc, repeat=n * n)
-        ]
+        ] if antecedents else []
         column_max = {id(rows): tuple(map(max, zip(*rows))) for rows in matrices}
 
         def cells(key: tuple[int, ...]):
@@ -358,18 +360,8 @@ def countermodel_search(
                 return SearchOutcome(None, None, True, count)
             if hit is not None:
                 worlds = tuple(f"w{i}" for i in range(n))
-                valuation = {
-                    v: {w: TruthValue(e, m) for w, e in zip(worlds, assignment[vi * n :])}
-                    for vi, v in enumerate(names)
-                }
-                relations = {
-                    proposition_from(key, worlds, m): tuple(
-                        tuple(TruthValue(e, m) for e in row) for row in rows
-                    )
-                    for key, rows in rel.items()
-                }
-                bottom = TruthValue.bottom(m)
-                model = KripkeModel(m, worlds, names, valuation, relations, bottom)
+                columns = [assignment[vi * n : (vi + 1) * n] for vi in range(len(names))]
+                model = model_of(m, worlds, names, columns, rel, 0)
                 value = TruthValue(values[root][hit], m)
                 return SearchOutcome((model, worlds[hit]), value, False, count)
     return SearchOutcome(None, None, False, count)
@@ -406,66 +398,39 @@ def filtrate(
         if any(kid not in member_at for kid in table.kids[slot]):
             raise SigmaNotClosedError(
                 "sigma is not closed under subformulas: "
-                f"missing a direct subformula of {phi!r}"
+                f"missing a direct subformula of {print_formula(phi)}"
             )
     ordered = list(member_at.values())
 
     ev = Evaluator(model)
     columns = [ev.numerators(phi) for phi in ordered]
-    class_of: dict[tuple[int, ...], str] = {}
-    members: dict[str, list[str]] = {}
-    class_ids: list[str] = []
-    class_map: dict[str, str] = {}
-    for i, w in enumerate(model.worlds):
-        sig = tuple(column[i] for column in columns)
-        cid = class_of.get(sig)
-        if cid is None:
-            cid = f"c{i}"
-            class_of[sig] = cid
-            class_ids.append(cid)
-            members[cid] = []
-        members[cid].append(w)
-        class_map[w] = cid
-    reps = {cid: members[cid][0] for cid in class_ids}
-
-    names = sorted({phi.name for phi in ordered if isinstance(phi, Var)})
-    valuation = {
-        v: {cid: ev.value(reps[cid], Var(v)) for cid in class_ids} for v in names
-    }
-
-    index = model.world_index()
-    relations: dict[Proposition, Matrix] = {}
-    handled: set[Proposition] = set()
-    antecedents = [phi.left for phi in ordered if isinstance(phi, Cond)]
-    for alpha in antecedents:
-        prop = ev.proposition(alpha)
-        if prop in handled:
-            continue
-        handled.add(prop)
-        matrix = model.relations.get(prop)
-        if matrix is None:
-            continue  # default policy covers it in the quotient too
+    first: dict[Values, int] = {}  # signature -> its first world
+    members: dict[int, list[int]] = {}  # a class's first world -> its worlds
+    for x, sig in enumerate(zip(*columns)):
+        members.setdefault(first.setdefault(sig, x), []).append(x)
+    reps = list(members)
+    column_of = {phi.name: col for phi, col in zip(ordered, columns) if isinstance(phi, Var)}
+    names = sorted(column_of)
+    relations: dict[Values, list[list[int]]] = {}
+    for alpha in (phi.left for phi in ordered if isinstance(phi, Cond)):
         values = ev.numerators(alpha)
-        quotient_prop = proposition_from(
-            [values[index[reps[cid]]] for cid in class_ids], class_ids, model.m
-        )
-        relations[quotient_prop] = tuple(
-            tuple(
-                max(matrix[index[x]][index[y]] for x in members[xc] for y in members[yc])
-                for yc in class_ids
-            )
-            for xc in class_ids
-        )
-
-    quotient = KripkeModel(
-        m=model.m,
-        worlds=tuple(class_ids),
-        vars=tuple(names),
-        valuation=valuation,
-        relations=relations,
-        default_policy=model.default_policy,
+        key = tuple(values[r] for r in reps)
+        matrix = model.relations.get(proposition_from(values, model.worlds, model.m))
+        if matrix is not None and key not in relations:
+            relations[key] = [
+                [max(matrix[x][y].numerator for x in xs for y in ys) for ys in members.values()]
+                for xs in members.values()
+            ]
+    policy = model.default_policy
+    quotient = model_of(
+        model.m,
+        tuple(f"c{r}" for r in reps),
+        names,
+        [[column_of[v][r] for r in reps] for v in names],
+        relations,
+        None if policy is None else policy.numerator,
     )
-    return quotient, class_map
+    return quotient, {w: f"c{first[sig]}" for w, sig in zip(model.worlds, zip(*columns))}
 
 
 def check_preservation(
@@ -475,15 +440,19 @@ def check_preservation(
     sigma: Sequence[Formula],
 ) -> list[Discrepancy]:
     """Every sigma formula must take the same value at a world and its class."""
-    ev_model = Evaluator(model)
-    ev_quotient = Evaluator(quotient)
+    ev_model, ev_quotient = Evaluator(model), Evaluator(quotient)
+    index = quotient.world_index()
     out: list[Discrepancy] = []
     for phi in sigma:
-        for w in model.worlds:
-            original = ev_model.value(w, phi)
-            mapped = ev_quotient.value(class_map[w], phi)
-            if original.numerator != mapped.numerator:
-                out.append(Discrepancy(phi, w, original, mapped))
+        original, mapped = ev_model.numerators(phi), None
+        for x, w in enumerate(model.worlds):
+            y = index.get(class_map[w])
+            if y is None:
+                raise UnknownWorldError(f"unknown world {class_map[w]!r}")
+            mapped = mapped or ev_quotient.numerators(phi)  # after the world checks
+            if original[x] != mapped[y]:
+                was, now = TruthValue(original[x], model.m), TruthValue(mapped[y], quotient.m)
+                out.append(Discrepancy(phi, w, was, now))
     return out
 
 
@@ -503,27 +472,14 @@ def random_model(
     rng = random.Random(seed)
     worlds = tuple(f"w{i}" for i in range(n_worlds))
     names = tuple(var_names)
-    valuation = {
-        v: {w: TruthValue(rng.randrange(m), m) for w in worlds} for v in names
-    }
+    columns = [tuple(rng.randrange(m) for _ in worlds) for _ in names]
 
-    def matrix() -> Matrix:
-        return tuple(
-            tuple(TruthValue(rng.randrange(m), m) for _ in worlds) for _ in worlds
-        )
+    def matrix() -> list[list[int]]:
+        return [[rng.randrange(m) for _ in worlds] for _ in worlds]
 
-    relations: dict[Proposition, Matrix] = {}
-    for v in names:
-        values = [valuation[v][w].numerator for w in worlds]
-        relations[proposition_from(values, worlds, m)] = matrix()
+    column_of = dict(zip(names, columns))  # a repeated name keeps its last column
+    relations = {column_of[v]: matrix() for v in names}
     for _ in range(n_extra_relations):
-        prop = proposition_from([rng.randrange(m) for _ in worlds], worlds, m)
-        relations[prop] = matrix()
-    return KripkeModel(
-        m=m,
-        worlds=worlds,
-        vars=names,
-        valuation=valuation,
-        relations=relations,
-        default_policy=TruthValue.bottom(m),
-    )
+        key = tuple(rng.randrange(m) for _ in worlds)
+        relations[key] = matrix()
+    return model_of(m, worlds, names, columns, relations, 0)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from operator import sub
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .syntax import (
     And,
@@ -47,7 +47,7 @@ from .syntax import (
     Var,
     index_numerator,
 )
-from .truthvalues import TruthValue
+from .truthvalues import TruthValue, chain
 
 __all__ = [
     "Proposition",
@@ -197,6 +197,31 @@ def proposition_from(values: Values, worlds: tuple[str, ...], m: int) -> Proposi
     for w, v in zip(worlds, values):
         cells[v].append(w)
     return Proposition(tuple(tuple(cell) for cell in cells))
+
+
+def model_of(
+    m: int,
+    worlds: tuple[str, ...],
+    names: Sequence[str],
+    columns: Iterable[Sequence[int]],
+    relations: Mapping[Values, Sequence[Sequence[int]]],
+    default: int | None,
+) -> KripkeModel:
+    """The model with these numerators: one column per name in world order
+    (a repeated name keeps its last column), integer rows keyed by their
+    antecedent's values, and the default numerator, None for "error".
+    Entries share the chain's TruthValue objects, which are immutable."""
+    value = chain(m)
+    valuation = {
+        v: {w: value[e] for w, e in zip(worlds, column)}
+        for v, column in zip(names, columns)
+    }
+    keyed = {
+        proposition_from(key, worlds, m): tuple(tuple([value[e] for e in row]) for row in rows)
+        for key, rows in relations.items()
+    }
+    policy = None if default is None else value[default]
+    return KripkeModel(m, worlds, tuple(names), valuation, keyed, policy)
 
 
 class Evaluator:

@@ -4,9 +4,9 @@ The core connectives are ~, ->, and the conditional =>; everything else
 (&, |, (+), (*), (-), <->, T, F, and the graded operators J/I) is
 definable from the core and can be expanded away by normalize(). The
 graded operator J{a} is the exact-value test "the argument has value a";
-I{a} is the threshold test "the argument has value at least a". mk_J and
-mk_I build core-level formulas realising those tests on a given chain,
-so the operators add no expressive power, only convenience.
+I{a} is the threshold test "the argument has value at least a". mk_J
+builds a core formula for the exact test on a given chain and mk_I an Or
+of such tests, so the operators add no expressive power, only convenience.
 """
 
 from __future__ import annotations

@@ -2,19 +2,22 @@
 
 These are the straightforward recursive versions of the evaluator, the
 countermodel search, normalize, the truth tables, the parser, the
-printer and the proof checker's axiom matchers and line checker that the
-library once shipped. They evaluate one (world, formula) pair or one
-assignment at a time, build a KripkeModel for every candidate, rewrite
-trees without sharing, parse by recursive descent and compare formulas
-with the recursive dataclass ==, so they are slow and fail on deep input,
-but are easy to check by eye. The differential tests compare the
-library's compiled evaluator and truth tables, incremental search,
-table-driven normalize, iterative parser and printer, and schema-driven
-proof checker with them.
+printer, the proof checker's axiom matchers and line checker, and
+filtration, its preservation check and random models as the library once
+shipped them. They evaluate one (world, formula) pair or one assignment
+at a time, build a KripkeModel for every candidate, rewrite trees without
+sharing, parse by recursive descent, compare formulas with the recursive
+dataclass == and build models from TruthValue entries world by world, so
+they are slow and fail on deep input, but are easy to check by eye. The
+differential tests compare the library's compiled evaluator and truth
+tables, incremental search, table-driven normalize, iterative parser and
+printer, schema-driven proof checker and the model builders that work on
+numerators with them.
 """
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,18 +43,23 @@ from mvcond.proof import (
 )
 from mvcond.search import (
     ConditionalPresentError,
+    Discrepancy,
     SearchBounds,
     SearchError,
     SearchOutcome,
+    SigmaNotClosedError,
     falsifying_assignment,
 )
 from mvcond.semantics import (
+    Evaluator,
     KripkeModel,
+    Matrix,
     MissingRelationError,
     Proposition,
     UndeclaredVariableError,
     UnknownWorldError,
     check_fid,
+    proposition_from,
 )
 from mvcond.syntax import (
     And,
@@ -62,6 +70,7 @@ from mvcond.syntax import (
     Iff,
     Imp,
     J,
+    NodeTable,
     Not,
     OMinus,
     OPlus,
@@ -1032,3 +1041,147 @@ def _render(phi: Formula, min_prec: int) -> str:
 def reference_print(phi: Formula) -> str:
     """Render with minimal parentheses."""
     return _render(phi, 0)
+
+
+def reference_filtrate(
+    model: KripkeModel, sigma: Sequence[Formula]
+) -> tuple[KripkeModel, dict[str, str]]:
+    """Quotient the model by agreement on a subformula-closed set.
+
+    Worlds agreeing on every member of sigma collapse to one class
+    (id "c<k>" where k is the index of the class's first world in the
+    model's order); quotient relation entries are the supremum across
+    class members; the quotient keeps the model's default policy.
+    Returns the quotient and the world-to-class map.
+    """
+    table = NodeTable()
+    member_at: dict[int, Formula] = {}  # slot -> first member of sigma with it
+    for phi in sigma:
+        member_at.setdefault(table.add(phi), phi)
+    if not member_at:
+        raise SigmaNotClosedError("sigma must be non-empty")
+    for slot, phi in member_at.items():
+        if any(kid not in member_at for kid in table.kids[slot]):
+            raise SigmaNotClosedError(
+                "sigma is not closed under subformulas: "
+                f"missing a direct subformula of {phi!r}"
+            )
+    ordered = list(member_at.values())
+
+    ev = Evaluator(model)
+    columns = [ev.numerators(phi) for phi in ordered]
+    class_of: dict[tuple[int, ...], str] = {}
+    members: dict[str, list[str]] = {}
+    class_ids: list[str] = []
+    class_map: dict[str, str] = {}
+    for i, w in enumerate(model.worlds):
+        sig = tuple(column[i] for column in columns)
+        cid = class_of.get(sig)
+        if cid is None:
+            cid = f"c{i}"
+            class_of[sig] = cid
+            class_ids.append(cid)
+            members[cid] = []
+        members[cid].append(w)
+        class_map[w] = cid
+    reps = {cid: members[cid][0] for cid in class_ids}
+
+    names = sorted({phi.name for phi in ordered if isinstance(phi, Var)})
+    valuation = {
+        v: {cid: ev.value(reps[cid], Var(v)) for cid in class_ids} for v in names
+    }
+
+    index = model.world_index()
+    relations: dict[Proposition, Matrix] = {}
+    handled: set[Proposition] = set()
+    antecedents = [phi.left for phi in ordered if isinstance(phi, Cond)]
+    for alpha in antecedents:
+        prop = ev.proposition(alpha)
+        if prop in handled:
+            continue
+        handled.add(prop)
+        matrix = model.relations.get(prop)
+        if matrix is None:
+            continue  # default policy covers it in the quotient too
+        values = ev.numerators(alpha)
+        quotient_prop = proposition_from(
+            [values[index[reps[cid]]] for cid in class_ids], class_ids, model.m
+        )
+        relations[quotient_prop] = tuple(
+            tuple(
+                max(matrix[index[x]][index[y]] for x in members[xc] for y in members[yc])
+                for yc in class_ids
+            )
+            for xc in class_ids
+        )
+
+    quotient = KripkeModel(
+        m=model.m,
+        worlds=tuple(class_ids),
+        vars=tuple(names),
+        valuation=valuation,
+        relations=relations,
+        default_policy=model.default_policy,
+    )
+    return quotient, class_map
+
+
+def reference_check_preservation(
+    model: KripkeModel,
+    quotient: KripkeModel,
+    class_map: Mapping[str, str],
+    sigma: Sequence[Formula],
+) -> list[Discrepancy]:
+    """Every sigma formula must take the same value at a world and its class."""
+    ev_model = Evaluator(model)
+    ev_quotient = Evaluator(quotient)
+    out: list[Discrepancy] = []
+    for phi in sigma:
+        for w in model.worlds:
+            original = ev_model.value(w, phi)
+            mapped = ev_quotient.value(class_map[w], phi)
+            if original.numerator != mapped.numerator:
+                out.append(Discrepancy(phi, w, original, mapped))
+    return out
+
+
+def reference_random_model(
+    seed: int,
+    m: int,
+    n_worlds: int,
+    var_names: Sequence[str],
+    n_extra_relations: int = 0,
+) -> KripkeModel:
+    """Seeded random model; equal arguments give an identical model.
+
+    Relations are stored for each variable's proposition plus
+    n_extra_relations random partitions (a repeated partition replaces
+    the earlier matrix); the default policy is the constant 0.
+    """
+    rng = random.Random(seed)
+    worlds = tuple(f"w{i}" for i in range(n_worlds))
+    names = tuple(var_names)
+    valuation = {
+        v: {w: TruthValue(rng.randrange(m), m) for w in worlds} for v in names
+    }
+
+    def matrix() -> Matrix:
+        return tuple(
+            tuple(TruthValue(rng.randrange(m), m) for _ in worlds) for _ in worlds
+        )
+
+    relations: dict[Proposition, Matrix] = {}
+    for v in names:
+        values = [valuation[v][w].numerator for w in worlds]
+        relations[proposition_from(values, worlds, m)] = matrix()
+    for _ in range(n_extra_relations):
+        prop = proposition_from([rng.randrange(m) for _ in worlds], worlds, m)
+        relations[prop] = matrix()
+    return KripkeModel(
+        m=m,
+        worlds=worlds,
+        vars=names,
+        valuation=valuation,
+        relations=relations,
+        default_policy=TruthValue.bottom(m),
+    )

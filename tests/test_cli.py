@@ -341,6 +341,15 @@ def test_gen_is_deterministic_and_loadable(capsys, tmp_path):
     assert model_from_json(json.loads(out1.read_text())).m == 4
 
 
+def test_gen_rejects_duplicate_vars(capsys, tmp_path):
+    out = tmp_path / "x.json"
+    code, payload, _ = run(
+        capsys, "gen", "--seed", "1", "--m", "3", "--worlds", "2", "--vars", "p,p", "--out", str(out)
+    )
+    assert (code, payload) == (3, {"status": "error", "error": "duplicate variable names"})
+    assert not out.exists()
+
+
 def test_gen_rejects_empty_vars(capsys, tmp_path):
     code, payload, _ = run(
         capsys,
@@ -485,3 +494,23 @@ def test_readme_taut_examples_are_exact(capsys):
         code = main(shlex.split(command))
         assert capsys.readouterr().out == expected + "\n"
         assert code == (0 if '"holds"' in expected else 1)
+
+
+def test_readme_model_and_filtration_examples_are_exact(capsys, tmp_path, monkeypatch):
+    """Run in order, with premises.txt holding p and p => q as the README
+    says; the fid-check line is printed only up to its "..."."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "premises.txt").write_text("p\np => q\n")
+    text = README.read_text(encoding="utf-8")
+    commands = "gen|eval|valid|entails|fid-check|filtrate"
+    examples = re.findall(rf"^\$ mvcond ((?:{commands}) .*)\n(.*)$", text, re.MULTILINE)
+    assert [command.split()[0] for command, _ in examples] == commands.split("|")
+    for command, expected in examples:
+        code = main(shlex.split(command))
+        out = capsys.readouterr().out
+        assert code == (1 if command.startswith("fid-check") else 0)
+        if "..." in expected:
+            head, tail = expected.split("...")
+            assert out.startswith(head) and out.endswith(tail + "\n")
+        else:
+            assert out == expected + "\n"

@@ -2,18 +2,26 @@
 formula keeps its own stack, so each of these parses, prints, normalizes,
 evaluates, gets a truth table and is proof checked. The results are
 compared without recursion: structurally equal formulas share a NodeTable
-slot."""
+slot. A static check keeps any new self-calling function out of src/."""
 
+import ast
 import json
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from mvcond import cli
 from mvcond.parser import parse, print_formula
 from mvcond.proof import MP, Derivation, Line, Premise, check_derivation, match_axiom
-from mvcond.search import falsifying_assignment, is_L_tautology, random_model
+from mvcond.search import (
+    SigmaNotClosedError,
+    falsifying_assignment,
+    filtrate,
+    is_L_tautology,
+    random_model,
+)
 from mvcond.semantics import Evaluator
 from mvcond.syntax import And, Cond, Imp, NodeTable, Var, normalize
 from mvcond.truthvalues import TruthValue
@@ -97,3 +105,55 @@ def test_axiom_instance_with_deep_metavariables_matches():
     assert match_axiom(Imp(Cond(a1, And(b1, c1)), And(Cond(a2, b2), Cond(a3, c2)))) == "A1"
     assert match_axiom(Imp(Cond(a1, And(b1, c1)), And(Cond(a2, c2), Cond(a3, b2)))) is None
     assert time.perf_counter() - start < 2
+
+
+def test_unclosed_sigma_with_a_deep_member_is_named_in_the_error():
+    assert sys.getrecursionlimit() <= 1000
+    text = "~" * DEPTH + "p"
+    with pytest.raises(SigmaNotClosedError) as caught:
+        filtrate(random_model(5, 3, 3, NAMES), [parse(text)])
+    assert str(caught.value) == (
+        f"sigma is not closed under subformulas: missing a direct subformula of {text}"
+    )
+
+
+# The only functions in src/ that call themselves, and why their depth is bounded.
+RECURSIVE = {
+    "cli._ast": "json.dumps, which prints its tree, has its own depth limit; both exit 3",
+    "syntax.mk_J": "it recurses on the index, at most m deep",
+    "search.countermodel_search.visit": "one call per relation round, at most 4 deep",
+}
+
+
+def _self_calls(tree, module):
+    """module.qualname of every function whose body calls its own name
+    (or self.<name>, for a method), nested functions included."""
+    found = set()
+    stack = [(tree, module)]
+    while stack:
+        node, prefix = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            name = prefix
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for call in ast.walk(child):
+                    if not isinstance(call, ast.Call):
+                        continue
+                    func = call.func
+                    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                        callee = func.attr if func.value.id == "self" else None
+                    else:
+                        callee = getattr(func, "id", None)
+                    if callee == child.name:
+                        found.add(name)
+            stack.append((child, name))
+    return found
+
+
+def test_no_function_in_src_calls_itself_beyond_the_allowlist():
+    src = Path(__file__).parent.parent / "src" / "mvcond"
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        found |= _self_calls(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert found == set(RECURSIVE)

@@ -1,7 +1,8 @@
 """The compiled evaluator and truth tables, the incremental search, normalize,
-and the parser and printer against the reference implementations in
-reference.py."""
+the parser and printer, and filtration, its preservation check and random
+models against the reference implementations in reference.py."""
 
+import json
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
@@ -14,8 +15,10 @@ from mvcond.parser import ParseError, parse, print_formula
 from mvcond.search import (
     SearchBounds,
     abstract_conditionals,
+    check_preservation,
     countermodel_search,
     falsifying_assignment,
+    filtrate,
     random_model,
     value_under,
 )
@@ -23,7 +26,9 @@ from mvcond.semantics import (
     Evaluator,
     KripkeModel,
     MissingRelationError,
+    ModelError,
     UndeclaredVariableError,
+    UnknownWorldError,
     model_to_json,
 )
 from mvcond.syntax import (
@@ -37,6 +42,7 @@ from mvcond.syntax import (
     UnrepresentableIndexError,
     Var,
     normalize,
+    subformula_closure,
 )
 from mvcond.truthvalues import TruthValue
 
@@ -44,10 +50,13 @@ from formula_gen import chain_formula, random_formula
 from reference import (
     ReferenceEvaluator,
     reference_abstract_conditionals,
+    reference_check_preservation,
     reference_falsifying_assignment,
+    reference_filtrate,
     reference_normalize,
     reference_parse,
     reference_print,
+    reference_random_model,
     reference_search,
     reference_value_under,
 )
@@ -211,7 +220,7 @@ def _result(fn, *args, **kwargs):
     """fn's result, or the type and message of what it raised."""
     try:
         return fn(*args, **kwargs)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, KeyError) as exc:
         return type(exc), str(exc)
 
 
@@ -338,3 +347,111 @@ def test_parser_matches_reference_with_any_one_character_deleted():
         for k in range(len(text)):
             damaged = text[:k] + text[k + 1 :]
             assert _parse_result(parse, damaged) == _parse_result(reference_parse, damaged)
+
+
+def _dump(model):
+    return json.dumps(model_to_json(model), indent=2)
+
+
+# (names, n_extra_relations): a repeated name, and more extra relations than
+# a few small worlds have partitions, so some partition is drawn twice
+MODEL_SHAPES = [(("p", "q", "r"), 0), (("p", "q"), 3), (("q", "p", "q"), 1), (("p",), 6)]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_random_model_matches_reference(m):
+    repeated = 0
+    for n in range(1, 7):
+        for seed, (names, extra) in enumerate(MODEL_SHAPES):
+            args = (1000 * m + 10 * n + seed, m, n, names, extra)
+            new, ref = random_model(*args), reference_random_model(*args)
+            assert new == ref
+            assert _dump(new) == _dump(ref)
+            repeated += len(ref.relations) < len(set(names)) + extra
+    assert repeated
+
+
+# sigma texts: repeated antecedent propositions (p, p & p, p | p, and q and
+# ~~q share theirs), antecedents that no model stores a relation for, and
+# nested conditionals
+SIGMAS = [
+    "p => q",
+    "(p => q) & ((p & p) => r) & ((p | p) => q)",
+    "(q => p) -> (~~q => p)",
+    "((p -> q) => r) | (p => (q => r))",
+    "((p => q) => r) & ((q => p) => (p => q))",
+]
+
+
+def _filtration_cases(m):
+    """Seeded models with m 2-5, 1-6 worlds and every default policy,
+    each with the subformula closures of SIGMAS and two random formulas."""
+    rng = Random(m)
+    for n in range(1, 7):
+        base = random_model(50 * m + n, m, n, NAMES, n % 3)
+        formulas = [parse(text) for text in SIGMAS]
+        formulas += [chain_formula(rng, 3, m, names=NAMES, allow_cond=True) for _ in range(2)]
+        for policy in _policies(m):
+            model = replace(base, default_policy=policy)
+            for phi in formulas:
+                yield model, subformula_closure(phi)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_filtrate_and_preservation_match_reference(m):
+    merged = 0
+    for model, sigma in _filtration_cases(m):
+        new, ref = _result(filtrate, model, sigma), _result(reference_filtrate, model, sigma)
+        if isinstance(ref[0], type):
+            assert new == ref
+            continue
+        (quotient, class_map), (ref_quotient, ref_class_map) = new, ref
+        assert quotient == ref_quotient
+        assert _dump(quotient) == _dump(ref_quotient)
+        assert class_map == ref_class_map
+        assert check_preservation(model, quotient, class_map, sigma) == []
+        assert reference_check_preservation(model, quotient, class_map, sigma) == []
+        merged += len(quotient.worlds) < len(model.worlds)
+    assert merged
+
+
+def _tampered(quotient, class_map, rng):
+    """The quotient and class map, each changed in one way that can break
+    preservation."""
+    m, worlds = quotient.m, quotient.worlds
+    v = rng.choice(sorted(quotient.valuation))
+    w = rng.choice(worlds)
+    valuation = {u: dict(per) for u, per in quotient.valuation.items()}
+    valuation[v][w] = TruthValue((valuation[v][w].numerator + 1) % m, m)
+    yield replace(quotient, valuation=valuation), class_map
+    for prop, matrix in quotient.relations.items():
+        rows = [list(row) for row in matrix]
+        rows[0][-1] = TruthValue(m - 1 - rows[0][-1].numerator, m)
+        relations = dict(quotient.relations)
+        relations[prop] = tuple(map(tuple, rows))
+        yield replace(quotient, relations=relations), class_map
+    if quotient.relations:
+        yield replace(quotient, relations={}), class_map  # missing relations
+    for x in sorted(class_map):
+        yield quotient, {**class_map, x: rng.choice(worlds)}
+        yield quotient, {**class_map, x: "elsewhere"}  # UnknownWorldError
+        yield quotient, {y: c for y, c in class_map.items() if y != x}  # KeyError
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_preservation_on_tampered_quotients_matches_reference(m):
+    rng = Random(m)
+    seen = set()
+    for model, sigma in _filtration_cases(m):
+        try:
+            quotient, class_map = reference_filtrate(model, sigma)
+        except ModelError:
+            continue
+        if not quotient.valuation:
+            continue
+        for bad, bad_map in _tampered(quotient, class_map, rng):
+            args = (model, bad, bad_map, sigma)
+            want = _result(reference_check_preservation, *args)
+            assert _result(check_preservation, *args) == want
+            seen.add(want[0] if isinstance(want, tuple) else bool(want))
+    assert {True, False, UnknownWorldError, KeyError, MissingRelationError} <= seen

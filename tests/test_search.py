@@ -334,6 +334,12 @@ def test_random_model_is_deterministic_and_well_formed():
     assert len(one.relations) >= 2
 
 
+def test_random_model_keeps_duplicate_names_for_validation_to_report():
+    model = random_model(1, 3, 2, ("p", "p"))
+    assert model.vars == ("p", "p")
+    assert "duplicate variable names" in validate_model(model)
+
+
 def test_random_model_distinct_seeds_differ():
     docs = {
         seed: model_to_json(random_model(seed, 3, 3, ("p", "q"), 1))
@@ -390,3 +396,16 @@ def test_truth_table_memory_does_not_grow_with_m_squared():
     finally:
         tracemalloc.stop()
     assert peak < 5_000_000
+
+
+def test_search_without_conditionals_builds_no_relation_matrices():
+    """The 3^9 matrices of 3 worlds are needed only for some antecedent."""
+    phi = parse("p -> p")
+    tracemalloc.start()
+    try:
+        outcome = countermodel_search(phi, 3, SearchBounds(max_worlds=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (outcome.found, outcome.candidates) == (None, 39)
+    assert peak < 1_000_000
