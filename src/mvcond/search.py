@@ -9,9 +9,13 @@ lexicographic numerator order over sorted variables; relation matrices
 row-major with entries descending from 1), so a given query always
 returns the same countermodel. A "none" outcome certifies only that no
 model within the given bounds refutes the formula. The search runs the
-evaluator's compiled program incrementally: conditional-free
-subformulas once per valuation, the nodes above a conditional once per
-relation candidate, all on integers.
+evaluator's compiled program on integers, its conditional-free
+subformulas once per valuation. Without a conditional nested inside
+another, a formula's value at world x reads only row x of each
+relation, so each tuple of rows is evaluated once per valuation and the
+first countermodel, and the count of candidates before it, follow in
+closed form. With nesting, the nodes above a conditional run once per
+relation candidate.
 
 filtrate quotients a model by agreement on a subformula-closed set,
 taking the pointwise supremum of relation entries across classes, and
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from operator import le
 from typing import Callable, Mapping, Sequence
 
@@ -252,6 +256,13 @@ def countermodel_search(
     are skipped (they still count against the budget). Relations are
     integer matrices keyed by their antecedent's values; a KripkeModel is
     built only for the countermodel returned.
+
+    Without a conditional inside another, a formula's value at x reads
+    only row x of each relation, so each valuation evaluates every row
+    once per conditional and every tuple of rows once (one row per
+    antecedent proposition), and derives the first refuting candidate
+    and the count before it in closed form. Nested conditionals are
+    enumerated candidate by candidate.
     """
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")
@@ -265,6 +276,7 @@ def countermodel_search(
         depth.append(max((depth[k] for k in kids), default=0) + isinstance(node, Cond))
     if depth[root] > 3:
         raise SearchError("conditional nesting deeper than 3 is not supported")
+    nested = depth[root] > 1
     if bounds.relation_values is None:
         values_desc = list(range(m - 1, -1, -1))
     else:
@@ -279,8 +291,10 @@ def countermodel_search(
     # a node with depth[s] > 0 has a conditional at or below it, so its
     # value depends on the relations; one inside an antecedent (inner) can
     # change which propositions need relations. Depth-0 (base) nodes are
-    # evaluated once per valuation; visit evaluates inner ones on every
-    # call and the others (outer) once a candidate's relations are complete.
+    # evaluated once per valuation. With nested conditionals, visit
+    # evaluates inner ones on every call and the others (outer) once a
+    # candidate's relations are complete; without, there are no inner
+    # nodes and by_rows evaluates the outer ones on rows.
     in_antecedent = [False] * len(code)
     for s in reversed(range(len(code))):
         node, kids = code[s]
@@ -294,7 +308,7 @@ def countermodel_search(
     budget = bounds.max_candidates
     count = 0
     for n in range(1, bounds.max_worlds + 1):
-        rel: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+        rel: dict[tuple[int, ...], Sequence[tuple[int, ...]]] = {}
         ops = operations(m, n, rel.get, 0)
         values: list = [None] * len(code)
         base, inner, outer = [], [], []
@@ -307,19 +321,27 @@ def countermodel_search(
         var_at = [
             (var_slot[v], vi * n) for vi, v in enumerate(names) if v != RESERVED_VAR
         ]
-        # |values|^(n^2) of them, so only built when some relation is needed
-        matrices = [
-            tuple(entries[x * n : (x + 1) * n] for x in range(n))
-            for entries in product(values_desc, repeat=n * n)
-        ] if antecedents else []
-        column_max = {id(rows): tuple(map(max, zip(*rows))) for rows in matrices}
 
         def cells(key: tuple[int, ...]):
             return tuple(tuple(y for y in range(n) if key[y] == c) for c in range(m))
 
+        if nested:  # |values|^(n^2) of them
+            matrices = [
+                tuple(entries[x * n : (x + 1) * n] for x in range(n))
+                for entries in product(values_desc, repeat=n * n)
+            ]
+            column_max = {id(rows): tuple(map(max, zip(*rows))) for rows in matrices}
+        else:
+            rows = list(product(values_desc, repeat=n))
+            row_index = {row: j for j, row in enumerate(rows)}
+            conds = [step for step in outer if isinstance(code[step[3]][0], Cond)]
+            above = [step for step in outer if not isinstance(code[step[3]][0], Cond)]
+            tiled = {k for _, i, j, _ in above for k in (i, j) if not depth[k]}
+            points: list = [None] * len(code)  # values at (world, row of the last key)
+
         def visit(rounds_left: int):
-            """The first refuting world (an index) or True for an exhausted
-            budget, over every completion of the relations fixed in rel."""
+            """The first refuting world and its value, or True for an
+            exhausted budget, over every completion of the relations in rel."""
             nonlocal count
             for fn, i, j, s in inner:
                 values[s] = fn(values[i], values[j])
@@ -336,7 +358,7 @@ def countermodel_search(
                     values[s] = fn(values[i], values[j])
                 for x, v in enumerate(values[root]):
                     if v != top:
-                        return x
+                        return x, v
                 return None
             if rounds_left == 0:
                 raise SearchError("relation assignment did not stabilize")
@@ -350,20 +372,94 @@ def countermodel_search(
                 del rel[key]
             return None
 
+        def by_rows():
+            """What visit returns, for a formula without nested conditionals.
+
+            rel holds each key's rows in enumeration order (those within
+            the key under require_fid). For each world x, the first
+            refuting candidate with x's rows fixed sets every other row to
+            its key's first; the earliest of these n is the first refuting
+            candidate, and its rank in the enumeration is the count
+            before it. The last key's rows vary across one points vector,
+            the other keys' stay constant across it.
+            """
+            nonlocal count
+            if budget is not None and count >= budget:
+                return True  # every valuation has a candidate
+            keys = sorted({values[a] for a in antecedents}, key=cells)
+            rel.clear()
+            for key in keys:
+                rel[key] = [r for r in rows if all(map(le, r, key))] if require_fid else rows
+            for fn, i, j, s in conds:  # one value per row of the key
+                values[s] = fn(values[i], values[j])
+            found: dict[int, tuple[tuple, int]] = {}  # world -> (its rows, value)
+            if not keys:
+                found = {x: ((), v) for x, v in enumerate(values[root]) if v != top}
+            elif all(rel.values()):
+                *fixed_keys, last = keys
+                size = len(rel[last])
+                for s in tiled:  # point x * size + j is world x with the last key's row j
+                    points[s] = tuple(chain.from_iterable((v,) * size for v in values[s]))
+                fixed = []
+                for _, a, _, s in conds:
+                    if values[a] == last:
+                        points[s] = values[s] * n
+                    else:
+                        fixed.append((s, keys.index(values[a])))
+                all_top = (top,) * size
+                for at in product(*[range(len(rel[key])) for key in fixed_keys]):
+                    for s, k in fixed:
+                        points[s] = (values[s][at[k]],) * (size * n)
+                    for fn, i, j, s in above:
+                        points[s] = fn(points[i], points[j])
+                    for x in range(n):
+                        at_x = points[root][x * size : (x + 1) * size]
+                        if x in found or at_x == all_top:
+                            continue
+                        j, v = next((j, v) for j, v in enumerate(at_x) if v != top)
+                        found[x] = (tuple(rel[key][w] for key, w in zip(keys, at + (j,))), v)
+                    if len(found) == n:
+                        break
+            spent = len(rows) ** (n * len(keys))
+            if found:
+                firsts = [rel[key][0] for key in keys]
+
+                def rank(x: int) -> int:
+                    """x's candidate's index, its row indices read as digits
+                    in enumeration order (key by key, world by world)."""
+                    t, index = found[x][0], 0
+                    for k, first in enumerate(firsts):
+                        for y in range(n):
+                            index = index * len(rows) + row_index[t[k] if y == x else first]
+                    return index
+
+                x = min(sorted(found), key=rank)
+                spent = rank(x) + 1
+            if budget is not None and count + spent > budget:
+                count = budget
+                return True
+            count += spent
+            if not found:
+                return None
+            t, v = found[x]
+            for k, key in enumerate(keys):
+                rel[key] = tuple(t[k] if y == x else firsts[k] for y in range(n))
+            return x, v
+
         for assignment in product(range(m), repeat=n * len(names)):
             for s, start in var_at:
                 values[s] = assignment[start : start + n]
             for fn, i, j, s in base:
                 values[s] = fn(values[i], values[j])
-            hit = visit(6)
+            hit = visit(6) if nested else by_rows()
             if hit is True:
                 return SearchOutcome(None, None, True, count)
             if hit is not None:
+                x, v = hit
                 worlds = tuple(f"w{i}" for i in range(n))
                 columns = [assignment[vi * n : (vi + 1) * n] for vi in range(len(names))]
                 model = model_of(m, worlds, names, columns, rel, 0)
-                value = TruthValue(values[root][hit], m)
-                return SearchOutcome((model, worlds[hit]), value, False, count)
+                return SearchOutcome((model, worlds[x]), TruthValue(v, m), False, count)
     return SearchOutcome(None, None, False, count)
 
 

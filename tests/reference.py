@@ -10,9 +10,13 @@ sharing, parse by recursive descent, compare formulas with the recursive
 dataclass == and build models from TruthValue entries world by world, so
 they are slow and fail on deep input, but are easy to check by eye. The
 differential tests compare the library's compiled evaluator and truth
-tables, incremental search, table-driven normalize, iterative parser and
-printer, schema-driven proof checker and the model builders that work on
+tables, search, table-driven normalize, iterative parser and printer,
+schema-driven proof checker and the model builders that work on
 numerators with them.
+
+enumerated_search is the search as it was before rows were separated:
+it runs the compiled program on every candidate, so it is fast enough
+for the 3-world and m=4 cases that reference_search cannot reach.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import le
 from typing import Iterable, Mapping, Sequence
 
 from mvcond.parser import ParseError, SourceSpan, print_formula
@@ -59,6 +64,9 @@ from mvcond.semantics import (
     UndeclaredVariableError,
     UnknownWorldError,
     check_fid,
+    instruction,
+    model_of,
+    operations,
     proposition_from,
 )
 from mvcond.syntax import (
@@ -332,6 +340,131 @@ def reference_search(
                 hit = ReferenceEvaluator(candidate).failing_world(phi)
                 if hit is not None:
                     return SearchOutcome((candidate, hit[0]), hit[1], False, count)
+    return SearchOutcome(None, None, False, count)
+
+
+def enumerated_search(
+    phi: Formula,
+    m: int,
+    bounds: SearchBounds | None = None,
+    require_fid: bool = False,
+) -> SearchOutcome:
+    """countermodel_search as it was before rows were separated: every
+    candidate is enumerated and evaluated on the compiled program, the
+    conditional-free nodes once per valuation and the nodes above a
+    conditional once per candidate. It is fast enough for 3-world cases
+    at m=2, unlike reference_search."""
+    if m < 2:
+        raise ValueError(f"m must be at least 2, got {m}")
+    if bounds is None:
+        bounds = SearchBounds()
+    table = NodeTable()
+    root = table.add(phi)
+    code = list(zip(table.nodes, table.kids))
+    depth: list[int] = []
+    for node, kids in code:
+        depth.append(max((depth[k] for k in kids), default=0) + isinstance(node, Cond))
+    if depth[root] > 3:
+        raise SearchError("conditional nesting deeper than 3 is not supported")
+    if bounds.relation_values is None:
+        values_desc = list(range(m - 1, -1, -1))
+    else:
+        values_desc = sorted(set(bounds.relation_values), reverse=True)
+        for numerator in values_desc:
+            if not 0 <= numerator <= m - 1:
+                raise ValueError(
+                    f"relation value numerator {numerator} not in [0, {m - 1}]"
+                )
+    var_slot = {node.name: s for s, (node, _) in enumerate(code) if isinstance(node, Var)}
+    names = tuple(sorted(var_slot))
+    # a node with depth[s] > 0 has a conditional at or below it, so its
+    # value depends on the relations; one inside an antecedent (inner) can
+    # change which propositions need relations. Depth-0 (base) nodes are
+    # evaluated once per valuation; visit evaluates inner ones on every
+    # call and the others (outer) once a candidate's relations are complete.
+    in_antecedent = [False] * len(code)
+    for s in reversed(range(len(code))):
+        node, kids = code[s]
+        if isinstance(node, Cond):
+            in_antecedent[kids[0]] = True
+        if in_antecedent[s]:
+            for k in kids:
+                in_antecedent[k] = True
+    antecedents = sorted({kids[0] for node, kids in code if isinstance(node, Cond)})
+    top = m - 1
+    budget = bounds.max_candidates
+    count = 0
+    for n in range(1, bounds.max_worlds + 1):
+        rel: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+        ops = operations(m, n, rel.get, 0)
+        values: list = [None] * len(code)
+        base, inner, outer = [], [], []
+        for s, (node, kids) in enumerate(code):
+            if not kids:
+                values[s] = ops[type(node)]
+                continue
+            step = (instruction(node, ops, m), kids[0], kids[-1], s)
+            (base if not depth[s] else inner if in_antecedent[s] else outer).append(step)
+        var_at = [
+            (var_slot[v], vi * n) for vi, v in enumerate(names) if v != RESERVED_VAR
+        ]
+        # |values|^(n^2) of them, so only built when some relation is needed
+        matrices = [
+            tuple(entries[x * n : (x + 1) * n] for x in range(n))
+            for entries in product(values_desc, repeat=n * n)
+        ] if antecedents else []
+        column_max = {id(rows): tuple(map(max, zip(*rows))) for rows in matrices}
+
+        def cells(key: tuple[int, ...]):
+            return tuple(tuple(y for y in range(n) if key[y] == c) for c in range(m))
+
+        def visit(rounds_left: int):
+            """The first refuting world (an index) or True for an exhausted
+            budget, over every completion of the relations fixed in rel."""
+            nonlocal count
+            for fn, i, j, s in inner:
+                values[s] = fn(values[i], values[j])
+            fresh = {values[a] for a in antecedents}.difference(rel)
+            if not fresh:
+                if budget is not None and count >= budget:
+                    return True
+                count += 1
+                if require_fid and not all(
+                    all(map(le, column_max[id(rows)], key)) for key, rows in rel.items()
+                ):
+                    return None
+                for fn, i, j, s in outer:
+                    values[s] = fn(values[i], values[j])
+                for x, v in enumerate(values[root]):
+                    if v != top:
+                        return x
+                return None
+            if rounds_left == 0:
+                raise SearchError("relation assignment did not stabilize")
+            keys = sorted(fresh, key=cells)
+            for combo in product(matrices, repeat=len(keys)):
+                rel.update(zip(keys, combo))
+                hit = visit(rounds_left - 1)
+                if hit is not None:
+                    return hit
+            for key in keys:
+                del rel[key]
+            return None
+
+        for assignment in product(range(m), repeat=n * len(names)):
+            for s, start in var_at:
+                values[s] = assignment[start : start + n]
+            for fn, i, j, s in base:
+                values[s] = fn(values[i], values[j])
+            hit = visit(6)
+            if hit is True:
+                return SearchOutcome(None, None, True, count)
+            if hit is not None:
+                worlds = tuple(f"w{i}" for i in range(n))
+                columns = [assignment[vi * n : (vi + 1) * n] for vi in range(len(names))]
+                model = model_of(m, worlds, names, columns, rel, 0)
+                value = TruthValue(values[root][hit], m)
+                return SearchOutcome((model, worlds[hit]), value, False, count)
     return SearchOutcome(None, None, False, count)
 
 

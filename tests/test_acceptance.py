@@ -203,6 +203,22 @@ def test_criterion_3_axiom_soundness_on_random_models():
     assert elapsed < 60
 
 
+def test_criterion_3_axiom_soundness_by_exhaustive_search():
+    """No model of up to 2 worlds at m=3 that meets the identity frame
+    condition refutes an axiom instance or p => p; the candidates of every
+    search are counted, to the last one."""
+    started = time.monotonic()
+    instances = axiom_instances() + [Cond(P, P)]
+    total = 0
+    for phi in instances:
+        outcome = countermodel_search(phi, 3, SearchBounds(max_worlds=2), require_fid=True)
+        assert outcome.found is None and not outcome.exhausted, print_formula(phi)
+        total += outcome.candidates
+    assert total == 954_108
+    elapsed = report(3, "axiom soundness by search", started, f"{len(instances)} formulas")
+    assert elapsed < 30
+
+
 # --- criterion 4: CK fails end to end -----------------------------------------
 
 

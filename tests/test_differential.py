@@ -1,4 +1,4 @@
-"""The compiled evaluator and truth tables, the incremental search, normalize,
+"""The compiled evaluator and truth tables, the search, normalize,
 the parser and printer, and filtration, its preservation check and random
 models against the reference implementations in reference.py."""
 
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from mvcond.parser import ParseError, parse, print_formula
 from mvcond.search import (
     SearchBounds,
+    SearchError,
     abstract_conditionals,
     check_preservation,
     countermodel_search,
@@ -35,6 +36,7 @@ from mvcond.syntax import (
     RESERVED_VAR,
     And,
     Cond,
+    Iff,
     Imp,
     J,
     Not,
@@ -49,6 +51,8 @@ from mvcond.truthvalues import TruthValue
 from formula_gen import chain_formula, random_formula
 from reference import (
     ReferenceEvaluator,
+    _cond_depth,
+    enumerated_search,
     reference_abstract_conditionals,
     reference_check_preservation,
     reference_falsifying_assignment,
@@ -214,6 +218,143 @@ def test_search_matches_reference_on_formulas_with_shared_subformulas(seed):
         for m in (2, 3):
             new = countermodel_search(phi, m, bounds)
             assert _fields(new) == _fields(reference_search(phi, m, bounds))
+
+
+def _search_fields(search, phi, m, bounds, fid):
+    try:
+        return _fields(search(phi, m, bounds, require_fid=fid))
+    except SearchError as exc:
+        return SearchError, str(exc)
+
+
+def _same_search(phi, m, bounds, fid=False):
+    """The search's fields (or error), asserted equal to the enumerating
+    search's."""
+    got = _search_fields(countermodel_search, phi, m, bounds, fid)
+    assert got == _search_fields(enumerated_search, phi, m, bounds, fid), print_formula(phi)
+    return got
+
+
+SEARCH_NAMES = ("p", "q", RESERVED_VAR)
+
+
+def _unnested_formula(rng, m):
+    """Up to three conditionals, none inside another, joined by other
+    connectives; two antecedents are drawn for them, so some repeat."""
+    antecedents = [chain_formula(rng, 1, m, SEARCH_NAMES) for _ in range(2)]
+    conds = [
+        Cond(rng.choice(antecedents), chain_formula(rng, 2, m, SEARCH_NAMES))
+        for _ in range(rng.randint(1, 3))
+    ]
+    phi = conds.pop()
+    while conds:
+        phi = rng.choice((Imp, Imp, And, Or, Iff))(conds.pop(), phi)
+    return phi
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_search_matches_enumeration_on_seeded_formulas(m):
+    """Formulas over p, q and the reserved variable with J/I on the chain:
+    random trees, which may nest conditionals, and formulas without nested
+    conditionals, half of them drawn until one world cannot refute them."""
+    rng = Random(800 + m)
+    seen = set()
+    for i in range(60):
+        fid = rng.random() < 0.3
+        if i % 3 == 0:
+            phi = chain_formula(rng, 4, m, names=SEARCH_NAMES, allow_cond=True)
+        else:
+            phi = _unnested_formula(rng, m)
+            while i % 3 == 1 and enumerated_search(phi, m, SearchBounds(1), fid).found:
+                phi = _unnested_formula(rng, m)
+        bounds = SearchBounds(
+            rng.choice((1, 2, 3) if m == 2 else (1, 2)),
+            rng.choice((None, None, (m - 1,), (0, m - 1), tuple(range(1, m)))),
+            rng.choice((0, 5, 50, 500, 2000)),
+        )
+        got = _same_search(phi, m, bounds, fid)
+        if got[0] is not SearchError:
+            depth = "nested" if _cond_depth(phi) > 1 else "unnested"
+            seen.add((depth, "found" if got[2] else "exhausted" if got[1] else "none"))
+    assert {("unnested", "found"), ("unnested", "exhausted"), ("unnested", "none")} <= seen
+    assert {("nested", "found"), ("nested", "exhausted")} & seen
+
+
+@pytest.mark.parametrize(
+    "text,m,fid,witness",
+    [
+        ("(I{0}(T) => q) -> (p => q)", 2, True, "w1"),
+        ("(J{1}(F) => I{1/2}(q) & q (+) q) -> (p (*) q => I{1/2}(q) & q (+) q)", 3, False, "w1"),
+        ("(q -> q => J{1/2}(q) (-) (q & q)) -> (~q => J{1/2}(q) (-) (q & q))", 3, True, "w1"),
+        # refuted at both worlds, each with its first rows: the witness is w0
+        ("(q (*) T => I{1}(p) | ~q) | (T (+) q => q (*) T)", 2, True, "w0"),
+    ],
+)
+def test_search_matches_enumeration_on_late_two_world_countermodels(text, m, fid, witness):
+    """First countermodels hundreds of candidates in, with two worlds."""
+    phi = parse(text)
+    got = _same_search(phi, m, SearchBounds(2), fid)
+    assert got[2] == witness and got[0] > 200
+    for budget in (got[0] - 1, got[0]):
+        _same_search(phi, m, SearchBounds(2, None, budget), fid)
+
+
+@pytest.mark.parametrize(
+    "text,m,fid",
+    [
+        # 264 candidates, none a countermodel
+        ("(p => (q & q)) -> ((p => q) & (p => q))", 2, False),
+        ("p => p", 2, True),
+        # the first countermodel is candidate 274, at w1 of a 2-world model
+        ("(J{1}(q) => ~(q (+) q)) -> (I{0}(q) => ~(q (+) q))", 2, True),
+    ],
+)
+def test_search_matches_enumeration_under_every_budget(text, m, fid):
+    """Budgets from 0 to one past the count without a budget bind inside a
+    valuation, at every valuation boundary, and at the exact total, which
+    does not exhaust the search."""
+    phi = parse(text)
+    total = countermodel_search(phi, m, SearchBounds(max_worlds=2), require_fid=fid).candidates
+    for budget in range(total + 2):
+        got = _same_search(phi, m, SearchBounds(2, None, budget), fid)
+        assert got[:2] == (min(budget, total), budget < total)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(p => q) -> ((p & p) => q)",
+        "((p & p) => q) -> (p => (q | r))",
+        # p and q share one relation in a valuation that gives them equal values
+        "(p => r) -> (q => r)",
+        "((p => q) & (q => p)) -> (p <-> q)",
+    ],
+)
+@pytest.mark.parametrize("fid", [False, True])
+def test_search_matches_enumeration_on_repeated_antecedent_propositions(text, fid):
+    phi = parse(text)
+    for m, bounds in [(2, SearchBounds(2)), (3, SearchBounds(2, None, 3000)),
+                      (2, SearchBounds(3, None, 3000))]:
+        _same_search(phi, m, bounds, fid)
+
+
+@pytest.mark.parametrize(
+    "text,m,values,candidates,witness",
+    [
+        # 3 * 2 + 9 * 2^4: p => p holds wherever a row lies within |p|
+        ("p => p", 3, (1, 2), 150, None),
+        ("(p => q) -> (p -> q)", 3, (2,), 90, None),
+        ("(p => q) -> (q => p)", 4, (1, 3), 26, "w0"),
+        ("((p => q) & (q => r)) -> (p => r)", 2, (1,), 72, None),
+    ],
+)
+def test_search_matches_enumeration_when_fid_admits_no_row(
+    text, m, values, candidates, witness
+):
+    """Without 0 among the relation values, a key with a 0 entry has no row
+    within it under FID, so its valuation has no countermodel."""
+    got = _same_search(parse(text), m, SearchBounds(2, values, 5000), True)
+    assert got[:3] == (candidates, False, witness)
 
 
 def _result(fn, *args, **kwargs):

@@ -1,6 +1,10 @@
 """Tautology tables, bounded countermodel search, filtration, generators."""
 
+import hashlib
+import json
+import time
 import tracemalloc
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -409,3 +413,64 @@ def test_search_without_conditionals_builds_no_relation_matrices():
         tracemalloc.stop()
     assert (outcome.found, outcome.candidates) == (None, 39)
     assert peak < 1_000_000
+
+
+GOLDEN = Path(__file__).parent / "data" / "search_golden.json"
+
+
+def test_search_workload_outcomes_match_the_recorded_ones():
+    """The 114 queries of the benchmark's search workload on seeds 1, 2, 3
+    and 101, with the outcomes the candidate-by-candidate search gave."""
+    records = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert len(records) == 4 * 114
+    for record in records:
+        bounds = SearchBounds(
+            max_worlds=record["max_worlds"], max_candidates=record["max_candidates"]
+        )
+        outcome = countermodel_search(
+            parse(record["formula"]), record["m"], bounds, require_fid=record["fid"]
+        )
+        found = outcome.found
+        digest = None
+        if found is not None:
+            document = json.dumps(model_to_json(found[0]), sort_keys=True)
+            digest = hashlib.sha256(document.encode()).hexdigest()
+        got = {
+            "candidates": outcome.candidates,
+            "exhausted": outcome.exhausted,
+            "witness": None if found is None else found[1],
+            "value": None if outcome.value is None else outcome.value.numerator,
+            "model_sha256": digest,
+        }
+        assert got == {key: record[key] for key in got}, record["formula"]
+
+
+def test_three_world_search_of_a1_is_exhaustive_in_seconds():
+    """m^(3n) valuations of p, q, r, each with 3^(n^2) matrices for |p|."""
+    phi = parse("(p => (q & r)) -> ((p => q) & (p => r))")
+    started = time.monotonic()
+    outcome = countermodel_search(phi, 3, SearchBounds(max_worlds=3))
+    elapsed = time.monotonic() - started
+    total = sum(3 ** (3 * n) * 3 ** (n * n) for n in (1, 2, 3))
+    assert total == 387_479_619
+    assert (outcome.found, outcome.exhausted, outcome.candidates) == (None, False, total)
+    assert elapsed < 10
+
+
+def test_identity_under_fid_at_m4_and_three_worlds_builds_no_matrices():
+    """The 4^9 three-world matrices are never built; rows are enough."""
+    started = time.monotonic()
+    tracemalloc.start()
+    try:
+        outcome = countermodel_search(
+            Cond(P, P), 4, SearchBounds(max_worlds=3), require_fid=True
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    elapsed = time.monotonic() - started
+    total = sum(4**n * 4 ** (n * n) for n in (1, 2, 3))
+    assert total == 16_781_328
+    assert (outcome.found, outcome.exhausted, outcome.candidates) == (None, False, total)
+    assert peak < 1_000_000
+    assert elapsed < 5
