@@ -15,7 +15,7 @@ another, a formula's value at world x reads only row x of each
 relation, so each tuple of rows is evaluated once per valuation and the
 first countermodel, and the count of candidates before it, follow in
 closed form. With nesting, the nodes above a conditional run once per
-relation candidate.
+relation candidate; each candidate matrix is a tuple of the same rows.
 
 filtrate quotients a model by agreement on a subformula-closed set,
 taking the pointwise supremum of relation entries across classes, and
@@ -262,7 +262,7 @@ def countermodel_search(
     once per conditional and every tuple of rows once (one row per
     antecedent proposition), and derives the first refuting candidate
     and the count before it in closed form. Nested conditionals are
-    enumerated candidate by candidate.
+    enumerated candidate by candidate, each matrix a tuple of shared rows.
     """
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")
@@ -293,8 +293,8 @@ def countermodel_search(
     # change which propositions need relations. Depth-0 (base) nodes are
     # evaluated once per valuation. With nested conditionals, visit
     # evaluates inner ones on every call and the others (outer) once a
-    # candidate's relations are complete; without, there are no inner
-    # nodes and by_rows evaluates the outer ones on rows.
+    # candidate's relations (tuples of rows) are complete; without, there
+    # are no inner nodes and by_rows evaluates the outer ones on rows.
     in_antecedent = [False] * len(code)
     for s in reversed(range(len(code))):
         node, kids = code[s]
@@ -325,23 +325,22 @@ def countermodel_search(
         def cells(key: tuple[int, ...]):
             return tuple(tuple(y for y in range(n) if key[y] == c) for c in range(m))
 
-        if nested:  # |values|^(n^2) of them
-            matrices = [
-                tuple(entries[x * n : (x + 1) * n] for x in range(n))
-                for entries in product(values_desc, repeat=n * n)
-            ]
-            column_max = {id(rows): tuple(map(max, zip(*rows))) for rows in matrices}
+        rows = list(product(values_desc, repeat=n))
+        if nested:  # |rows|^n matrices, each a tuple of the shared rows
+            matrices = list(product(rows, repeat=n))
+            column_max = {id(matrix): tuple(map(max, zip(*matrix))) for matrix in matrices}
         else:
-            rows = list(product(values_desc, repeat=n))
             row_index = {row: j for j, row in enumerate(rows)}
             conds = [step for step in outer if isinstance(code[step[3]][0], Cond)]
             above = [step for step in outer if not isinstance(code[step[3]][0], Cond)]
             tiled = {k for _, i, j, _ in above for k in (i, j) if not depth[k]}
             points: list = [None] * len(code)  # values at (world, row of the last key)
 
-        def visit(rounds_left: int):
+        def visit():
             """The first refuting world and its value, or True for an
-            exhausted budget, over every completion of the relations in rel."""
+            exhausted budget, over every completion of the relations in rel.
+            At most 4 deep: after r calls each antecedent of depth < r has
+            its final value, already a key, and none is deeper than 2."""
             nonlocal count
             for fn, i, j, s in inner:
                 values[s] = fn(values[i], values[j])
@@ -351,7 +350,7 @@ def countermodel_search(
                     return True
                 count += 1
                 if require_fid and not all(
-                    all(map(le, column_max[id(rows)], key)) for key, rows in rel.items()
+                    all(map(le, column_max[id(matrix)], key)) for key, matrix in rel.items()
                 ):
                     return None
                 for fn, i, j, s in outer:
@@ -360,12 +359,10 @@ def countermodel_search(
                     if v != top:
                         return x, v
                 return None
-            if rounds_left == 0:
-                raise SearchError("relation assignment did not stabilize")
             keys = sorted(fresh, key=cells)
             for combo in product(matrices, repeat=len(keys)):
                 rel.update(zip(keys, combo))
-                hit = visit(rounds_left - 1)
+                hit = visit()
                 if hit is not None:
                     return hit
             for key in keys:
@@ -384,8 +381,6 @@ def countermodel_search(
             the other keys' stay constant across it.
             """
             nonlocal count
-            if budget is not None and count >= budget:
-                return True  # every valuation has a candidate
             keys = sorted({values[a] for a in antecedents}, key=cells)
             rel.clear()
             for key in keys:
@@ -451,7 +446,7 @@ def countermodel_search(
                 values[s] = assignment[start : start + n]
             for fn, i, j, s in base:
                 values[s] = fn(values[i], values[j])
-            hit = visit(6) if nested else by_rows()
+            hit = visit() if nested else by_rows()
             if hit is True:
                 return SearchOutcome(None, None, True, count)
             if hit is not None:
@@ -565,6 +560,8 @@ def random_model(
     n_extra_relations random partitions (a repeated partition replaces
     the earlier matrix); the default policy is the constant 0.
     """
+    if n_extra_relations < 0:
+        raise ValueError(f"n_extra_relations must be non-negative, got {n_extra_relations}")
     rng = random.Random(seed)
     worlds = tuple(f"w{i}" for i in range(n_worlds))
     names = tuple(var_names)

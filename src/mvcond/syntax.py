@@ -84,91 +84,81 @@ class Not(Formula):
     child: Formula
 
 
+# Subclasses are decorated too: a frozen dataclass's __setattr__ refuses
+# attributes that are not fields only on instances of its own class.
 @dataclass(frozen=True)
-class Imp(Formula):
+class _Binary(Formula):
     left: Formula
     right: Formula
 
 
 @dataclass(frozen=True)
-class Cond(Formula):
+class Imp(_Binary):
+    pass
+
+
+@dataclass(frozen=True)
+class Cond(_Binary):
     """The conditional; left is the antecedent, right the consequent."""
 
-    left: Formula
-    right: Formula
+
+@dataclass(frozen=True)
+class And(_Binary):
+    pass
 
 
 @dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    pass
 
 
 @dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class OPlus(_Binary):
+    pass
 
 
 @dataclass(frozen=True)
-class OPlus(Formula):
-    left: Formula
-    right: Formula
+class OTimes(_Binary):
+    pass
 
 
 @dataclass(frozen=True)
-class OTimes(Formula):
-    left: Formula
-    right: Formula
+class OMinus(_Binary):
+    pass
 
 
 @dataclass(frozen=True)
-class OMinus(Formula):
-    left: Formula
-    right: Formula
+class Iff(_Binary):
+    pass
 
 
 @dataclass(frozen=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class _Graded(Formula):
+    index: Fraction
+    child: Formula
 
-
-def _check_index(index: Fraction) -> None:
-    if not 0 <= index <= 1:
-        raise ValueError(f"graded operator index {index} outside [0, 1]")
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "index", Fraction(self.index))
+        if not 0 <= self.index <= 1:
+            raise ValueError(f"graded operator index {self.index} outside [0, 1]")
 
 
 @dataclass(frozen=True)
-class J(Formula):
+class J(_Graded):
     """Exact-value test: value 1 where the child has value index, else 0."""
 
-    index: Fraction
-    child: Formula
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "index", Fraction(self.index))
-        _check_index(self.index)
-
 
 @dataclass(frozen=True)
-class I(Formula):
+class I(_Graded):
     """Threshold test: value 1 where the child has value >= index, else 0."""
-
-    index: Fraction
-    child: Formula
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "index", Fraction(self.index))
-        _check_index(self.index)
 
 
 def children(phi: Formula) -> tuple[Formula, ...]:
-    if isinstance(phi, (Var, Top, Bot)):
-        return ()
-    if isinstance(phi, (Not, J, I)):
+    if isinstance(phi, _Binary):
+        return (phi.left, phi.right)
+    if isinstance(phi, (Not, _Graded)):
         return (phi.child,)
-    return (phi.left, phi.right)  # type: ignore[attr-defined]
+    return ()
 
 
 def free_vars(phi: Formula) -> frozenset[str]:

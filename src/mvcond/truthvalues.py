@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 
 __all__ = [
     "TruthValue",
@@ -29,6 +30,7 @@ class ScaleMismatchError(ValueError):
     """Two values from chains of different length were combined."""
 
 
+@total_ordering
 @dataclass(frozen=True)
 class TruthValue:
     """The value numerator/(scale-1) on the scale-element chain.
@@ -93,18 +95,6 @@ class TruthValue:
     def __lt__(self, other: "TruthValue") -> bool:
         a, b = self._cmp_key(other)
         return a < b
-
-    def __le__(self, other: "TruthValue") -> bool:
-        a, b = self._cmp_key(other)
-        return a <= b
-
-    def __gt__(self, other: "TruthValue") -> bool:
-        a, b = self._cmp_key(other)
-        return a > b
-
-    def __ge__(self, other: "TruthValue") -> bool:
-        a, b = self._cmp_key(other)
-        return a >= b
 
     def __str__(self) -> str:
         return self.text()

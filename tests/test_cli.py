@@ -350,6 +350,17 @@ def test_gen_rejects_duplicate_vars(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_gen_rejects_a_negative_relation_count(capsys, tmp_path):
+    out = tmp_path / "x.json"
+    code, payload, _ = run(
+        capsys, "gen", "--seed", "1", "--m", "3", "--worlds", "2", "--vars", "p",
+        "--extra-relations", "-1", "--out", str(out),
+    )
+    assert (code, payload["status"]) == (3, "error")
+    assert payload["error"] == "n_extra_relations must be non-negative, got -1"
+    assert not out.exists()
+
+
 def test_gen_rejects_empty_vars(capsys, tmp_path):
     code, payload, _ = run(
         capsys,

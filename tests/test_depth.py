@@ -121,7 +121,11 @@ def test_unclosed_sigma_with_a_deep_member_is_named_in_the_error():
 RECURSIVE = {
     "cli._ast": "json.dumps, which prints its tree, has its own depth limit; both exit 3",
     "syntax.mk_J": "it recurses on the index, at most m deep",
-    "search.countermodel_search.visit": "one call per relation round, at most 4 deep",
+    "search.countermodel_search.visit": (
+        "one call per relation round, at most 4 deep: antecedents nest at most 2"
+        " conditionals deep, and one of depth d has its final value, already a"
+        " key, after round d + 1"
+    ),
 }
 
 

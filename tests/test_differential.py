@@ -3,6 +3,7 @@ the parser and printer, and filtration, its preservation check and random
 models against the reference implementations in reference.py."""
 
 import json
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
@@ -355,6 +356,48 @@ def test_search_matches_enumeration_when_fid_admits_no_row(
     within it under FID, so its valuation has no countermodel."""
     got = _same_search(parse(text), m, SearchBounds(2, values, 5000), True)
     assert got[:3] == (candidates, False, witness)
+
+
+def _deepest_visit(search, *args, **kwargs):
+    """search's outcome fields and the deepest nesting of visit calls."""
+    depth = deepest = 0
+
+    def profile(frame, event, arg):
+        nonlocal depth, deepest
+        if frame.f_code.co_name == "visit":
+            if event == "call":
+                depth += 1
+                deepest = max(deepest, depth)
+            elif event == "return":
+                depth -= 1
+
+    sys.setprofile(profile)
+    try:
+        fields = _fields(search(*args, **kwargs))
+    finally:
+        sys.setprofile(None)
+    return fields, deepest
+
+
+@pytest.mark.parametrize(
+    "text,m,bounds,fid,deepest",
+    [
+        ("((p => q) => r) => (s -> s)", 2, SearchBounds(2, None, 20000), False, 4),
+        ("((p => q) => r) => (s -> s)", 3, SearchBounds(2, None, 5000), True, 4),
+        ("(((p => q) => p) => q) | p", 2, SearchBounds(2), True, 4),
+        ("(((p => q) => p) => q) | p", 2, SearchBounds(2), False, 2),  # the first candidate
+        ("(((p => q) => p) => q) | p", 3, SearchBounds(2, None, 20000), True, 3),
+    ],
+)
+def test_search_matches_enumeration_with_a_relation_round_at_every_level(
+    text, m, bounds, fid, deepest
+):
+    """Antecedents 0, 1 and 2 conditionals deep: each gets its final value,
+    and so its relation, one round after the one below it."""
+    phi = parse(text)
+    got, reached = _deepest_visit(countermodel_search, phi, m, bounds, require_fid=fid)
+    assert got == _fields(enumerated_search(phi, m, bounds, require_fid=fid))
+    assert reached == deepest
 
 
 def _result(fn, *args, **kwargs):

@@ -344,6 +344,12 @@ def test_random_model_keeps_duplicate_names_for_validation_to_report():
     assert "duplicate variable names" in validate_model(model)
 
 
+def test_random_model_rejects_a_negative_relation_count():
+    with pytest.raises(ValueError, match="n_extra_relations must be non-negative, got -1"):
+        random_model(1, 3, 2, ("p",), -1)
+    assert random_model(1, 3, 2, ("p",), 0) == random_model(1, 3, 2, ("p",))
+
+
 def test_random_model_distinct_seeds_differ():
     docs = {
         seed: model_to_json(random_model(seed, 3, 3, ("p", "q"), 1))
@@ -413,6 +419,23 @@ def test_search_without_conditionals_builds_no_relation_matrices():
         tracemalloc.stop()
     assert (outcome.found, outcome.candidates) == (None, 39)
     assert peak < 1_000_000
+
+
+def test_nested_search_set_up_shares_the_rows():
+    """A nested search to 3 worlds at m=3 builds its 3^9 matrices as
+    triples of the 27 shared rows, not as slices of 3^9 nine-entry tuples."""
+    phi = parse("p => (p => (p -> p))")
+    assert countermodel_search(phi, 3, SearchBounds(2)).candidates == 738  # 3 worlds reached
+    tracemalloc.start()
+    try:
+        outcome = countermodel_search(phi, 3, SearchBounds(3, None, 2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (outcome.found, outcome.value, outcome.exhausted, outcome.candidates) == (
+        None, None, True, 2000
+    )
+    assert peak < 5 * 2**20  # 3.9 MiB; 7.5 MiB when sliced from one n*n-entry product
 
 
 GOLDEN = Path(__file__).parent / "data" / "search_golden.json"

@@ -1,6 +1,8 @@
 """Formula trees, derived-connective expansion, graded-test constructions."""
 
+import pickle
 import time
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from random import Random
 
@@ -212,6 +214,39 @@ def test_structural_equality_is_exact():
     assert Imp(P, Q) != Imp(Q, P)
     assert J(Fraction(1, 2), P) != J(Fraction(1), P)
     assert J(Fraction(1, 2), P) != I(Fraction(1, 2), P)
+
+
+BINARY = [Imp, Cond, And, Or, OPlus, OTimes, OMinus, Iff]
+
+
+def test_node_classes_keep_their_own_identity():
+    for op in BINARY:
+        assert repr(op(P, Q)) == f"{op.__name__}(left=Var(name='p'), right=Var(name='q'))"
+        for other in BINARY:
+            assert (op(P, Q) == other(P, Q)) == (op is other)
+    assert repr(J(1, P)) == "J(index=Fraction(1, 1), child=Var(name='p'))"
+    assert repr(I(Fraction(1, 2), Not(P))) == (
+        "I(index=Fraction(1, 2), child=Not(child=Var(name='p')))"
+    )
+    assert Imp(P, Q) != And(P, Q)
+    assert J(1, P) == J(Fraction(1), P) and hash(J(1, P)) == hash(J(Fraction(1), P))
+    assert J(1, P) != I(1, P)
+    phi = Cond(And(P, J(Fraction(1, 3), Q)), Iff(Top(), OMinus(R, Bot())))
+    same = Cond(And(Var("p"), J(Fraction(2, 6), Var("q"))), Iff(Top(), OMinus(R, Bot())))
+    assert phi == same and hash(phi) == hash(same)
+    assert pickle.loads(pickle.dumps(phi)) == phi
+    with pytest.raises(ValueError, match=r"graded operator index 3/2 outside \[0, 1\]"):
+        I(Fraction(3, 2), P)
+
+
+@pytest.mark.parametrize(
+    "node, name",
+    [(Imp(P, Q), "left"), (Cond(P, Q), "right"), (Iff(P, Q), "extra"), (J(1, P), "index"),
+     (I(0, P), "child"), (I(0, P), "extra"), (Not(P), "child"), (Var("p"), "extra")],
+)
+def test_node_attributes_cannot_be_set(node, name):
+    with pytest.raises(FrozenInstanceError):
+        setattr(node, name, Q)
 
 
 def _nested(op, depth, m):

@@ -85,6 +85,28 @@ def test_scale_mismatch_is_an_error():
         a < b
 
 
+COMPARISONS = {
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+}
+
+
+@pytest.mark.parametrize("op", COMPARISONS)
+def test_every_comparison_checks_its_operands(op):
+    compare = COMPARISONS[op]
+    a, b = TruthValue(1, 3), TruthValue(2, 3)
+    assert compare(a, b) == {"<": True, "<=": True, ">": False, ">=": False}[op]
+    assert compare(a, a) == (op in ("<=", ">="))
+    with pytest.raises(ScaleMismatchError, match="scales differ: 3 vs 4"):
+        compare(a, TruthValue(1, 4))
+    with pytest.raises(TypeError, match="cannot compare TruthValue with int"):
+        compare(a, 1)
+    with pytest.raises(TypeError, match="cannot compare TruthValue with int"):
+        compare(1, a)
+
+
 def test_constructor_validation():
     with pytest.raises(ValueError):
         TruthValue(3, 3)
