@@ -17,6 +17,8 @@ import json
 import sys
 import traceback
 from fractions import Fraction
+from itertools import groupby
+from operator import attrgetter
 
 from .parser import ParseError, parse, print_formula
 from .proof import (
@@ -193,20 +195,20 @@ def _cmd_fid_check(args) -> tuple[int, dict]:
     violations = check_fid(model)
     if not violations:
         return 0, {"status": "holds"}
-    return 1, {
-        "status": "violations",
-        "count": len(violations),
-        "violations": [
+    listed = []
+    for prop, group in groupby(violations, key=attrgetter("prop")):
+        cells = [list(cell) for cell in prop.cells]  # one listing per relation
+        listed += [
             {
                 "source": v.source,
                 "target": v.target,
                 "degree": v.degree.numerator,
                 "target_cell": v.target_cell,
-                "prop": [list(cell) for cell in v.prop.cells],
+                "prop": cells,
             }
-            for v in violations
-        ],
-    }
+            for v in group
+        ]
+    return 1, {"status": "violations", "count": len(violations), "violations": listed}
 
 
 def _cmd_proofcheck(args) -> tuple[int, dict]:

@@ -328,7 +328,8 @@ def countermodel_search(
         rows = list(product(values_desc, repeat=n))
         if nested:  # |rows|^n matrices, each a tuple of the shared rows
             matrices = list(product(rows, repeat=n))
-            column_max = {id(matrix): tuple(map(max, zip(*matrix))) for matrix in matrices}
+            if require_fid:
+                column_max = {id(matrix): tuple(map(max, zip(*matrix))) for matrix in matrices}
         else:
             row_index = {row: j for j, row in enumerate(rows)}
             conds = [step for step in outer if isinstance(code[step[3]][0], Cond)]

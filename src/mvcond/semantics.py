@@ -14,7 +14,9 @@ that post-order program at every world at once: a node's value is a tuple
 of integer numerators, one per world, so a conditional costs one relation
 lookup and O(worlds^2) integer steps. TruthValue appears only at the API
 boundary; countermodel_search and the truth tables run on the same
-program.
+program. A model built here, whether loaded by model_from_json or made
+from numerators by model_of, shares one TruthValue per numerator it
+uses, built on first use rather than for the whole chain.
 
 Models are treated as immutable once built; mutating one invalidates
 any Evaluator already holding it.
@@ -47,7 +49,7 @@ from .syntax import (
     Var,
     index_numerator,
 )
-from .truthvalues import TruthValue, chain
+from .truthvalues import TruthValue
 
 __all__ = [
     "Proposition",
@@ -199,6 +201,20 @@ def proposition_from(values: Values, worlds: tuple[str, ...], m: int) -> Proposi
     return Proposition(tuple(tuple(cell) for cell in cells))
 
 
+class _SharedValues(dict):
+    """Numerator -> TruthValue on the m-element chain, built on first use
+    and then shared: every entry of one model equal to k is one object,
+    and only the numerators a model uses are built, however large m is."""
+
+    def __init__(self, m: int):
+        super().__init__()
+        self.m = m
+
+    def __missing__(self, numerator: int) -> TruthValue:
+        value = self[numerator] = TruthValue(numerator, self.m)
+        return value
+
+
 def model_of(
     m: int,
     worlds: tuple[str, ...],
@@ -210,8 +226,8 @@ def model_of(
     """The model with these numerators: one column per name in world order
     (a repeated name keeps its last column), integer rows keyed by their
     antecedent's values, and the default numerator, None for "error".
-    Entries share the chain's TruthValue objects, which are immutable."""
-    value = chain(m)
+    Entries share one TruthValue per numerator; TruthValue is immutable."""
+    value = _SharedValues(m)
     valuation = {
         v: {w: value[e] for w, e in zip(worlds, column)}
         for v, column in zip(names, columns)
@@ -503,22 +519,34 @@ def model_from_json(data: object) -> KripkeModel:
     if not isinstance(relations, list):
         raise _format_error("'relations' must be a list")
 
+    value = _SharedValues(m)
+
     def to_tv(raw: object, where: str) -> TruthValue:
         if not isinstance(raw, int) or isinstance(raw, bool):
             raise _format_error(f"{where}: numerator must be an integer")
         try:
-            return TruthValue(raw, m)
+            return value[raw]
         except ValueError as exc:
             raise _format_error(f"{where}: {exc}") from None
+
+    def shared(raws: list) -> list[TruthValue] | None:
+        """The values of raws if every one is a plain int on the chain,
+        else None; the caller then checks entry by entry, for the error."""
+        if set(map(type, raws)) <= {int} and 0 <= min(raws, default=0) <= max(raws, default=0) < m:
+            return [value[raw] for raw in raws]
+        return None
 
     val: dict[str, dict[str, TruthValue]] = {}
     for v, per_world in valuation.items():
         if not isinstance(per_world, dict):
             raise _format_error(f"valuation of {v!r} must be an object")
-        val[v] = {
-            w: to_tv(raw, f"valuation of {v!r} at {w!r}")
-            for w, raw in per_world.items()
-        }
+        column = shared(list(per_world.values()))
+        if column is None:
+            column = [
+                to_tv(raw, f"valuation of {v!r} at {w!r}")
+                for w, raw in per_world.items()
+            ]
+        val[v] = dict(zip(per_world, column))
 
     rels: dict[Proposition, Matrix] = {}
     for k, entry in enumerate(relations):
@@ -539,13 +567,15 @@ def model_from_json(data: object) -> KripkeModel:
             row_raw = matrix_raw.get(x)
             if not isinstance(row_raw, dict):
                 raise _format_error(f"relation {k}: matrix row for {x!r} missing")
-            row = []
-            for y in worlds:
-                if y not in row_raw:
-                    raise _format_error(
-                        f"relation {k}: matrix entry {x!r} -> {y!r} missing"
-                    )
-                row.append(to_tv(row_raw[y], f"relation {k} entry {x!r} -> {y!r}"))
+            row = shared(list(map(row_raw.get, worlds)))  # None marks a missing entry
+            if row is None:
+                row = []
+                for y in worlds:
+                    if y not in row_raw:
+                        raise _format_error(
+                            f"relation {k}: matrix entry {x!r} -> {y!r} missing"
+                        )
+                    row.append(to_tv(row_raw[y], f"relation {k} entry {x!r} -> {y!r}"))
             rows.append(tuple(row))
         rels[prop] = tuple(rows)
 

@@ -2,17 +2,18 @@
 
 These are the straightforward recursive versions of the evaluator, the
 countermodel search, normalize, the truth tables, the parser, the
-printer, the proof checker's axiom matchers and line checker, and
-filtration, its preservation check and random models as the library once
-shipped them. They evaluate one (world, formula) pair or one assignment
-at a time, build a KripkeModel for every candidate, rewrite trees without
-sharing, parse by recursive descent, compare formulas with the recursive
-dataclass == and build models from TruthValue entries world by world, so
-they are slow and fail on deep input, but are easy to check by eye. The
-differential tests compare the library's compiled evaluator and truth
-tables, search, table-driven normalize, iterative parser and printer,
-schema-driven proof checker and the model builders that work on
-numerators with them.
+printer, the proof checker's axiom matchers and line checker,
+filtration, its preservation check, random models and the model document
+loader as the library once shipped them. They evaluate one (world,
+formula) pair or one assignment at a time, build a KripkeModel for every
+candidate, rewrite trees without sharing, parse by recursive descent,
+compare formulas with the recursive dataclass == and build models from
+TruthValue entries world by world, so they are slow and fail on deep
+input, but are easy to check by eye. The differential tests compare the
+library's compiled evaluator and truth tables, search, table-driven
+normalize, iterative parser and printer, schema-driven proof checker,
+the model builders that work on numerators and the loader that reads
+rows as lists with them.
 
 enumerated_search is the search as it was before rows were separated:
 it runs the compiled program on every candidate, so it is fast enough
@@ -60,6 +61,7 @@ from mvcond.semantics import (
     KripkeModel,
     Matrix,
     MissingRelationError,
+    ModelFormatError,
     Proposition,
     UndeclaredVariableError,
     UnknownWorldError,
@@ -1317,4 +1319,94 @@ def reference_random_model(
         valuation=valuation,
         relations=relations,
         default_policy=TruthValue.bottom(m),
+    )
+
+
+def _bad_document(message: str) -> ModelFormatError:
+    return ModelFormatError(f"bad model document: {message}")
+
+
+def entrywise_model_from_json(data: object) -> KripkeModel:
+    """model_from_json as it was before rows were read as lists: every
+    entry is checked, and built as its own TruthValue, one at a time."""
+    if not isinstance(data, dict):
+        raise _bad_document("top level must be an object")
+    try:
+        m = data["m"]
+        worlds = data["worlds"]
+        vars_ = data["vars"]
+        valuation = data["valuation"]
+        relations = data["relations"]
+    except KeyError as missing:
+        raise _bad_document(f"missing key {missing.args[0]!r}") from None
+    if not isinstance(m, int) or isinstance(m, bool) or m < 2:
+        raise _bad_document("'m' must be an integer >= 2")
+    if not isinstance(worlds, list) or not all(isinstance(w, str) for w in worlds):
+        raise _bad_document("'worlds' must be a list of strings")
+    if not isinstance(vars_, list) or not all(isinstance(v, str) for v in vars_):
+        raise _bad_document("'vars' must be a list of strings")
+    if not isinstance(valuation, dict):
+        raise _bad_document("'valuation' must be an object")
+    if not isinstance(relations, list):
+        raise _bad_document("'relations' must be a list")
+
+    def to_tv(raw: object, where: str) -> TruthValue:
+        if not isinstance(raw, int) or isinstance(raw, bool):
+            raise _bad_document(f"{where}: numerator must be an integer")
+        try:
+            return TruthValue(raw, m)
+        except ValueError as exc:
+            raise _bad_document(f"{where}: {exc}") from None
+
+    val: dict[str, dict[str, TruthValue]] = {}
+    for v, per_world in valuation.items():
+        if not isinstance(per_world, dict):
+            raise _bad_document(f"valuation of {v!r} must be an object")
+        val[v] = {
+            w: to_tv(raw, f"valuation of {v!r} at {w!r}")
+            for w, raw in per_world.items()
+        }
+
+    rels: dict[Proposition, Matrix] = {}
+    for k, entry in enumerate(relations):
+        if not isinstance(entry, dict) or "prop" not in entry or "matrix" not in entry:
+            raise _bad_document(f"relation {k} must have 'prop' and 'matrix'")
+        cells_raw = entry["prop"]
+        if not isinstance(cells_raw, list) or not all(
+            isinstance(cell, list) and all(isinstance(w, str) for w in cell)
+            for cell in cells_raw
+        ):
+            raise _bad_document(f"relation {k}: 'prop' must be a list of world lists")
+        prop = Proposition(tuple(tuple(cell) for cell in cells_raw))
+        matrix_raw = entry["matrix"]
+        if not isinstance(matrix_raw, dict):
+            raise _bad_document(f"relation {k}: 'matrix' must be an object")
+        rows = []
+        for x in worlds:
+            row_raw = matrix_raw.get(x)
+            if not isinstance(row_raw, dict):
+                raise _bad_document(f"relation {k}: matrix row for {x!r} missing")
+            row = []
+            for y in worlds:
+                if y not in row_raw:
+                    raise _bad_document(
+                        f"relation {k}: matrix entry {x!r} -> {y!r} missing"
+                    )
+                row.append(to_tv(row_raw[y], f"relation {k} entry {x!r} -> {y!r}"))
+            rows.append(tuple(row))
+        rels[prop] = tuple(rows)
+
+    policy_raw = data.get("default_relation", "error")
+    if policy_raw == "error":
+        policy = None
+    else:
+        policy = to_tv(policy_raw, "default_relation")
+
+    return KripkeModel(
+        m=m,
+        worlds=tuple(worlds),
+        vars=tuple(vars_),
+        valuation=val,
+        relations=rels,
+        default_policy=policy,
     )

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from mvcond.cli import _power, main
-from mvcond.semantics import model_from_json, save_model
+from mvcond.semantics import check_fid, model_from_json, save_model
 from mvcond.search import random_model
 from mvcond.truthvalues import TruthValue
 
@@ -288,6 +288,33 @@ def test_fid_check_flags_violations(capsys, tmp_path):
     save_model(good, str(good_path))
     code, payload, _ = run(capsys, "fid-check", "--model", str(good_path))
     assert (code, payload["status"]) == (0, "holds")
+
+
+def test_fid_check_output_on_a_seeded_model(capsys, tmp_path):
+    """Every violation of a 16-world model, each with its relation's cells,
+    printed exactly as the document built from check_fid."""
+    model = random_model(11, 4, 16, ("p", "q", "r"), 3)
+    path = tmp_path / "model.json"
+    save_model(model, str(path))
+    violations = check_fid(model)
+    expected = {
+        "status": "violations",
+        "count": len(violations),
+        "violations": [
+            {
+                "source": v.source,
+                "target": v.target,
+                "degree": v.degree.numerator,
+                "target_cell": v.target_cell,
+                "prop": [list(cell) for cell in v.prop.cells],
+            }
+            for v in violations
+        ],
+    }
+    assert len({v.prop for v in violations}) > 1
+    for argv, layout in ((), {"separators": (",", ":")}), (("--pretty",), {"indent": 2}):
+        assert main(["fid-check", "--model", str(path), *argv]) == 1
+        assert capsys.readouterr().out == json.dumps(expected, **layout) + "\n"
 
 
 def test_proofcheck_subcommand(capsys):

@@ -1,8 +1,10 @@
 """The compiled evaluator and truth tables, the search, normalize,
-the parser and printer, and filtration, its preservation check and random
-models against the reference implementations in reference.py."""
+the parser and printer, filtration, its preservation check, random models
+and the model document loader against the reference implementations in
+reference.py."""
 
 import json
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -29,8 +31,10 @@ from mvcond.semantics import (
     KripkeModel,
     MissingRelationError,
     ModelError,
+    ModelFormatError,
     UndeclaredVariableError,
     UnknownWorldError,
+    model_from_json,
     model_to_json,
 )
 from mvcond.syntax import (
@@ -53,6 +57,7 @@ from formula_gen import chain_formula, random_formula
 from reference import (
     ReferenceEvaluator,
     _cond_depth,
+    entrywise_model_from_json,
     enumerated_search,
     reference_abstract_conditionals,
     reference_check_preservation,
@@ -553,6 +558,69 @@ def test_random_model_matches_reference(m):
             assert _dump(new) == _dump(ref)
             repeated += len(ref.relations) < len(set(names)) + extra
     assert repeated
+
+
+def _documents():
+    """Seeded model documents, m 2-9 and 1-16 worlds, each with the default
+    relation given as "error" and as a numerator."""
+    for m in range(2, 10):
+        for n in range(1, 17):
+            doc = model_to_json(random_model(100 * m + n, m, n, NAMES, n % 3))
+            yield {**doc, "default_relation": "error"}
+            yield {**doc, "default_relation": n % m}
+
+
+def _without(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+def _damaged(doc, rng):
+    """Copies of doc, each with one valuation or matrix entry or row
+    deleted or set to a value that is not a numerator on the chain."""
+    worlds = doc["worlds"]
+    v, w, x, y = rng.choice(NAMES), rng.choice(worlds), rng.choice(worlds), rng.choice(worlds)
+    k = rng.randrange(len(doc["relations"]))
+    column, rows = doc["valuation"][v], doc["relations"][k]["matrix"]
+
+    def with_column(per_world):
+        return {**doc, "valuation": {**doc["valuation"], v: per_world}}
+
+    def with_rows(matrix):
+        relations = list(doc["relations"])
+        relations[k] = {**relations[k], "matrix": matrix}
+        return {**doc, "relations": relations}
+
+    yield {**doc, "valuation": _without(doc["valuation"], v)}
+    yield with_column(_without(column, w))
+    yield with_rows(_without(rows, x))
+    yield with_rows({**rows, x: _without(rows[x], y)})
+    for bad in (True, 1.0, "2", -1, doc["m"]):
+        yield with_column({**column, w: bad})
+        yield with_rows({**rows, x: {**rows[x], y: bad}})
+        yield {**doc, "default_relation": bad}
+
+
+def test_model_from_json_matches_the_entrywise_loader():
+    rng = Random(9)
+    messages = set()
+    for doc in _documents():
+        model = model_from_json(doc)
+        assert model == entrywise_model_from_json(doc)
+        assert model_to_json(model) == doc
+        for bad in _damaged(doc, rng):
+            new = _result(model_from_json, bad)
+            assert new == _result(entrywise_model_from_json, bad)
+            if isinstance(new, tuple):
+                assert new[0] is ModelFormatError
+                messages.add(re.sub(r"'\w+'|-?\d+", "_", new[1]))
+    assert messages == {
+        f"bad model document: {where}: {problem}"
+        for where in ("valuation of _ at _", "relation _ entry _ -> _", "default_relation")
+        for problem in ("numerator must be an integer", "numerator _ not in [_, _]")
+    } | {
+        "bad model document: relation _: matrix row for _ missing",
+        "bad model document: relation _: matrix entry _ -> _ missing",
+    }
 
 
 # sigma texts: repeated antecedent propositions (p, p & p, p | p, and q and

@@ -310,3 +310,46 @@ def test_golden_seeded_model_document():
     model = random_model(1, 3, 2, ("p",), 0)
     assert model_to_json(model) == golden
     assert model_from_json(golden) == model
+
+
+def _entries(model):
+    """Every TruthValue a model holds: valuation, matrix entries, default."""
+    yield from (tv for per_world in model.valuation.values() for tv in per_world.values())
+    yield from (tv for matrix in model.relations.values() for row in matrix for tv in row)
+    if model.default_policy is not None:
+        yield model.default_policy
+
+
+def test_models_share_one_value_per_numerator(monkeypatch):
+    """Loading or generating a model at m = 10**6 builds one TruthValue per
+    numerator it uses, not one per entry and not the whole chain."""
+    built = []
+    check = TruthValue.__post_init__
+
+    def counted(self):
+        built.append(self.numerator)
+        check(self)
+
+    monkeypatch.setattr(TruthValue, "__post_init__", counted)
+    m, worlds = 10**6, ["w0", "w1"]
+    rng = Random(3)
+    used = (0, 7, m // 2, m - 1)  # entries repeat, so one object per entry is too many
+    prop = [[]] * m
+    prop[7], prop[m - 1] = ["w0"], ["w1"]
+    doc = {
+        "m": m,
+        "worlds": worlds,
+        "vars": ["p", "q"],
+        "valuation": {v: {w: rng.choice(used) for w in worlds} for v in ("p", "q")},
+        "relations": [
+            {"prop": prop, "matrix": {x: {y: rng.choice(used) for y in worlds} for x in worlds}}
+        ],
+        "default_relation": 7,
+    }
+    for make in (lambda: model_from_json(doc), lambda: random_model(5, m, 2, ("p",), 0)):
+        built.clear()
+        model = make()
+        shared: dict[int, TruthValue] = {}
+        for tv in _entries(model):
+            assert shared.setdefault(tv.numerator, tv) is tv
+        assert len(built) <= len(shared)
