@@ -521,32 +521,24 @@ def model_from_json(data: object) -> KripkeModel:
 
     value = _SharedValues(m)
 
-    def to_tv(raw: object, where: str) -> TruthValue:
+    def to_tv(raw: object, where: str, *args: object) -> TruthValue:
+        """The shared value of raw; where, formatted with args, names the
+        entry in an error and is built only then."""
         if not isinstance(raw, int) or isinstance(raw, bool):
-            raise _format_error(f"{where}: numerator must be an integer")
+            raise _format_error(f"{where.format(*args)}: numerator must be an integer")
         try:
             return value[raw]
         except ValueError as exc:
-            raise _format_error(f"{where}: {exc}") from None
-
-    def shared(raws: list) -> list[TruthValue] | None:
-        """The values of raws if every one is a plain int on the chain,
-        else None; the caller then checks entry by entry, for the error."""
-        if set(map(type, raws)) <= {int} and 0 <= min(raws, default=0) <= max(raws, default=0) < m:
-            return [value[raw] for raw in raws]
-        return None
+            raise _format_error(f"{where.format(*args)}: {exc}") from None
 
     val: dict[str, dict[str, TruthValue]] = {}
     for v, per_world in valuation.items():
         if not isinstance(per_world, dict):
             raise _format_error(f"valuation of {v!r} must be an object")
-        column = shared(list(per_world.values()))
-        if column is None:
-            column = [
-                to_tv(raw, f"valuation of {v!r} at {w!r}")
-                for w, raw in per_world.items()
-            ]
-        val[v] = dict(zip(per_world, column))
+        val[v] = {
+            w: to_tv(raw, "valuation of {!r} at {!r}", v, w)
+            for w, raw in per_world.items()
+        }
 
     rels: dict[Proposition, Matrix] = {}
     for k, entry in enumerate(relations):
@@ -567,15 +559,13 @@ def model_from_json(data: object) -> KripkeModel:
             row_raw = matrix_raw.get(x)
             if not isinstance(row_raw, dict):
                 raise _format_error(f"relation {k}: matrix row for {x!r} missing")
-            row = shared(list(map(row_raw.get, worlds)))  # None marks a missing entry
-            if row is None:
-                row = []
-                for y in worlds:
-                    if y not in row_raw:
-                        raise _format_error(
-                            f"relation {k}: matrix entry {x!r} -> {y!r} missing"
-                        )
-                    row.append(to_tv(row_raw[y], f"relation {k} entry {x!r} -> {y!r}"))
+            row = []
+            for y in worlds:
+                if y not in row_raw:
+                    raise _format_error(
+                        f"relation {k}: matrix entry {x!r} -> {y!r} missing"
+                    )
+                row.append(to_tv(row_raw[y], "relation {} entry {!r} -> {!r}", k, x, y))
             rows.append(tuple(row))
         rels[prop] = tuple(rows)
 

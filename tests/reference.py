@@ -12,8 +12,8 @@ TruthValue entries world by world, so they are slow and fail on deep
 input, but are easy to check by eye. The differential tests compare the
 library's compiled evaluator and truth tables, search, table-driven
 normalize, iterative parser and printer, schema-driven proof checker,
-the model builders that work on numerators and the loader that reads
-rows as lists with them.
+the model builders that work on numerators and the loader that shares
+one TruthValue per numerator with them.
 
 enumerated_search is the search as it was before rows were separated:
 it runs the compiled program on every candidate, so it is fast enough
@@ -1327,8 +1327,8 @@ def _bad_document(message: str) -> ModelFormatError:
 
 
 def entrywise_model_from_json(data: object) -> KripkeModel:
-    """model_from_json as it was before rows were read as lists: every
-    entry is checked, and built as its own TruthValue, one at a time."""
+    """model_from_json as it was before values were shared: every entry
+    is checked, and built as its own TruthValue, one at a time."""
     if not isinstance(data, dict):
         raise _bad_document("top level must be an object")
     try:

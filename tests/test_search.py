@@ -423,7 +423,9 @@ def test_search_without_conditionals_builds_no_relation_matrices():
 
 def test_nested_search_set_up_shares_the_rows():
     """A nested search to 3 worlds at m=3 builds its 3^9 matrices as
-    triples of the 27 shared rows, not as slices of 3^9 nine-entry tuples."""
+    triples of the 27 shared rows, not as slices of 3^9 nine-entry tuples,
+    and without the identity frame condition, the only reader of each
+    matrix's column maxima, builds nothing per matrix."""
     phi = parse("p => (p => (p -> p))")
     assert countermodel_search(phi, 3, SearchBounds(2)).candidates == 738  # 3 worlds reached
     tracemalloc.start()
@@ -435,22 +437,10 @@ def test_nested_search_set_up_shares_the_rows():
     assert (outcome.found, outcome.value, outcome.exhausted, outcome.candidates) == (
         None, None, True, 2000
     )
-    assert peak < 5 * 2**20  # 3.9 MiB; 7.5 MiB when sliced from one n*n-entry product
-
-
-def test_nested_search_without_fid_builds_no_column_maxima():
-    """Only the identity frame condition reads each matrix's column maxima,
-    so a search without it builds the matrices and nothing per matrix."""
-    phi = parse("p => (p => (p -> p))")
-    tracemalloc.start()
-    try:
-        outcome = countermodel_search(phi, 3, SearchBounds(3, None, 2000))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert outcome == countermodel_search(phi, 3, SearchBounds(3, None, 2000), require_fid=True)
-    assert (outcome.found, outcome.exhausted, outcome.candidates) == (None, True, 2000)
-    assert peak < 2.5 * 2**20  # 1.5 MiB; 3.9 MiB with a column_max entry per matrix
+    # 1.5 MiB; 3.9 MiB with a column_max entry per matrix, 7.5 MiB when
+    # sliced from one n*n-entry product
+    assert peak < 2.5 * 2**20
 
 
 GOLDEN = Path(__file__).parent / "data" / "search_golden.json"
