@@ -223,11 +223,8 @@ def print_formula(phi: Formula) -> str:
                 stack += (")", (node.right, right), text, (node.left, left), "(")
             else:
                 stack += ((node.right, right), text, (node.left, left))
-        elif kind is Not:
-            if least > _NOT_PREC:
-                stack += (")", (node.child, _NOT_PREC), "(~")
-            else:
-                stack += ((node.child, _NOT_PREC), "~")
+        elif kind is Not:  # no operand position binds tighter than ~
+            stack += ((node.child, _NOT_PREC), "~")
         elif kind in _CONSTANTS:
             out.append(_CONSTANTS[kind])
         else:

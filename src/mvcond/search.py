@@ -16,10 +16,13 @@ relation, so each tuple of rows is evaluated once per valuation and the
 first countermodel, and the count of candidates before it, follow in
 closed form. With nesting, the nodes above a conditional run once per
 relation candidate; each candidate matrix is a tuple of the same rows.
+Either way the identity frame condition holds when every row lies within
+its key, entry by entry.
 
 filtrate quotients a model by agreement on a subformula-closed set,
-taking the pointwise supremum of relation entries across classes, and
-check_preservation verifies value agreement formula by formula.
+taking the pointwise supremum of the evaluator's integer relation rows
+across classes, and check_preservation verifies value agreement formula
+by formula.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from .semantics import (
     instruction,
     model_of,
     operations,
-    proposition_from,
 )
 from .syntax import I, J, Cond, Formula, NodeTable, RESERVED_VAR, Var
 from .truthvalues import ScaleMismatchError, TruthValue
@@ -328,8 +330,6 @@ def countermodel_search(
         rows = list(product(values_desc, repeat=n))
         if nested:  # |rows|^n matrices, each a tuple of the shared rows
             matrices = list(product(rows, repeat=n))
-            if require_fid:
-                column_max = {id(matrix): tuple(map(max, zip(*matrix))) for matrix in matrices}
         else:
             row_index = {row: j for j, row in enumerate(rows)}
             conds = [step for step in outer if isinstance(code[step[3]][0], Cond)]
@@ -351,7 +351,7 @@ def countermodel_search(
                     return True
                 count += 1
                 if require_fid and not all(
-                    all(map(le, column_max[id(matrix)], key)) for key, matrix in rel.items()
+                    all(map(le, row, key)) for key, matrix in rel.items() for row in matrix
                 ):
                     return None
                 for fn, i, j, s in outer:
@@ -507,10 +507,10 @@ def filtrate(
     for alpha in (phi.left for phi in ordered if isinstance(phi, Cond)):
         values = ev.numerators(alpha)
         key = tuple(values[r] for r in reps)
-        matrix = model.relations.get(proposition_from(values, model.worlds, model.m))
-        if matrix is not None and key not in relations:
+        rows = ev.relation(values)
+        if rows is not None and key not in relations:
             relations[key] = [
-                [max(matrix[x][y].numerator for x in xs for y in ys) for ys in members.values()]
+                [max(rows[x][y] for x in xs for y in ys) for ys in members.values()]
                 for xs in members.values()
             ]
     policy = model.default_policy

@@ -11,12 +11,14 @@ or falls back to a constant from the chain.
 
 The evaluator compiles a formula once into a syntax.NodeTable and runs
 that post-order program at every world at once: a node's value is a tuple
-of integer numerators, one per world, so a conditional costs one relation
-lookup and O(worlds^2) integer steps. TruthValue appears only at the API
-boundary; countermodel_search and the truth tables run on the same
-program. A model built here, whether loaded by model_from_json or made
-from numerators by model_of, shares one TruthValue per numerator it
-uses, built on first use rather than for the whole chain.
+of integer numerators, one per world. A conditional costs O(worlds^2)
+integer steps; each distinct antecedent's relation is looked up once, by
+the proposition its values form, and kept as integer rows. TruthValue
+appears only at the API boundary; countermodel_search and the truth
+tables run on the same program. A model built here, whether loaded by
+model_from_json or made from numerators by model_of, shares one
+TruthValue per numerator it uses, built on first use rather than for the
+whole chain.
 
 Models are treated as immutable once built; mutating one invalidates
 any Evaluator already holding it.
@@ -195,10 +197,12 @@ def instruction(node: Formula, ops: dict, m: int) -> Callable:
 
 
 def proposition_from(values: Values, worlds: tuple[str, ...], m: int) -> Proposition:
-    cells: list[list[str]] = [[] for _ in range(m)]
+    cells: list = [()] * m  # a cell no world lies in stays the one empty tuple
+    for v in set(values):
+        cells[v] = []
     for w, v in zip(worlds, values):
         cells[v].append(w)
-    return Proposition(tuple(tuple(cell) for cell in cells))
+    return Proposition(tuple(map(tuple, cells)))
 
 
 class _SharedValues(dict):
@@ -254,27 +258,24 @@ class Evaluator:
         self._index = model.world_index()
         policy = model.default_policy
         default = None if policy is None else policy.numerator
-        self._ops = operations(model.m, len(model.worlds), self._matrix, default)
-        self._relations: dict[Values, Matrix] | None = None
+        self._ops = operations(model.m, len(model.worlds), self.relation, default)
+        self._relations: dict[Values, tuple[Values, ...] | None] = {}
         self._reset()
 
     def _reset(self) -> None:
         self._table = NodeTable()
         self._values: list[Values] = []
 
-    def _matrix(self, key: Values) -> list[list[int]] | None:
-        if self._relations is None:
-            # stored propositions keyed by their values; one that is not a
-            # partition listing worlds in model order can never be looked up
-            worlds, m, keyed = self.model.worlds, self.model.m, {}
-            for prop, matrix in self.model.relations.items():
-                cell_of = {w: c for c, cell in enumerate(prop.cells) for w in cell}
-                values = tuple(cell_of.get(w, m) for w in worlds)
-                if max(values, default=0) < m and proposition_from(values, worlds, m) == prop:
-                    keyed[values] = matrix
-            self._relations = keyed
-        matrix = self._relations.get(key)
-        return None if matrix is None else [[e.numerator for e in row] for row in matrix]
+    def relation(self, key: Values) -> tuple[Values, ...] | None:
+        """The integer rows of the relation stored for the antecedent with
+        these values, or None when none is stored; looked up once per key."""
+        if key not in self._relations:
+            model = self.model
+            matrix = model.relations.get(proposition_from(key, model.worlds, model.m))
+            self._relations[key] = None if matrix is None else tuple(
+                tuple([e.numerator for e in row]) for row in matrix
+            )
+        return self._relations[key]
 
     def _variable(self, name: str) -> Values:
         per_world = self.model.valuation.get(name) or {}

@@ -45,6 +45,16 @@ def test_parse_error_exits_3(capsys):
     assert err.strip()
 
 
+def test_parse_reports_graded_indices(capsys):
+    code, payload, _ = run(capsys, "parse", "--formula", "J{1/2}(p) -> I{1}(q)")
+    assert code == 0
+    assert payload["ast"] == {
+        "node": "Imp",
+        "left": {"node": "J", "index": "1/2", "child": {"node": "Var", "name": "p"}},
+        "right": {"node": "I", "index": "1", "child": {"node": "Var", "name": "q"}},
+    }
+
+
 def test_taut_holds_and_fails(capsys):
     code, payload, _ = run(capsys, "taut", "--m", "3", "--formula", "p -> (q -> p)")
     assert (code, payload["status"]) == (0, "holds")
@@ -140,6 +150,24 @@ def test_entails_subcommand(capsys, model_path, tmp_path):
         "~p",
     )
     assert code in (0, 1)  # depends on whether both premises are ever designated
+
+    sigma.write_text("p\n")  # designated at w1 only, where q is 1/2
+    code, payload, _ = run(
+        capsys, "entails", "--model", model_path, "--sigma", str(sigma), "--formula", "q"
+    )
+    assert code == 1
+    assert payload == {"status": "fails", "premises": 1, "world": "w1", "value": 1}
+
+
+def test_valid_on_a_model_that_fails_validation_exits_3(capsys, model_path, tmp_path):
+    doc = json.loads(Path(model_path).read_text())
+    doc["relations"][0]["prop"] = [[] for _ in range(doc["m"])]
+    path = tmp_path / "invalid.json"
+    path.write_text(json.dumps(doc))
+    code, payload, _ = run(capsys, "valid", "--model", str(path), "--formula", "p")
+    assert code == 3
+    assert payload["status"] == "error"
+    assert "proposition cells do not cover world 'w0'" in payload["error"]
 
 
 def test_search_emits_a_reloadable_countermodel(capsys):
@@ -340,6 +368,19 @@ def test_proofcheck_subcommand(capsys):
     )
     assert (code, payload["status"]) == (1, "rejected")
     assert payload["line"] == 4
+
+    ra_gen = DATA / "derivations" / "ra_gen_two_formulas.json"
+    goal = "I{1/2}(p => r) -> I{1}(p => q) -> I{1}(p => q)"
+    code, payload, _ = run(capsys, "proofcheck", "--file", str(ra_gen), "--goal", goal)
+    assert (code, payload) == (0, {"status": "accepted", "lines": 4})
+
+
+def test_proofcheck_on_a_malformed_file_exits_3(capsys, tmp_path):
+    path = tmp_path / "derivation.json"
+    path.write_text(json.dumps({"m": 3, "lines": [{"formula": "p", "rule": "Premise"}]}))
+    code, payload, _ = run(capsys, "proofcheck", "--file", str(path), "--goal", "p")
+    assert code == 3
+    assert payload == {"status": "error", "error": "line 1: Premise needs integer 'index'"}
 
 
 def test_gen_is_deterministic_and_loadable(capsys, tmp_path):

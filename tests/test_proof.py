@@ -319,7 +319,7 @@ def test_ra_threshold_must_lie_on_the_chain():
     assert "chain" in problem.message or "1/3" in problem.message
 
 
-def test_ra_gen_with_two_formulas():
+def _ra_gen_two_formulas() -> Derivation:
     a_list = (Fraction(1), Fraction(1, 2))
     chis = (Q, R)
     a = Fraction(1)
@@ -333,9 +333,31 @@ def test_ra_gen_with_two_formulas():
         I(a, Cond(P, Q)),
     )
     lines.append(Line(conclusion, RaGen(a, a_list, P, chis, Q, (1, 2, 3))))
-    derivation = Derivation(3, (), tuple(lines))
-    verdict = check_derivation(derivation, conclusion)
+    return Derivation(3, (), tuple(lines))
+
+
+def test_ra_gen_with_two_formulas():
+    derivation = _ra_gen_two_formulas()
+    verdict = check_derivation(derivation, derivation.lines[-1].formula)
     assert verdict.ok, verdict.message
+
+
+def test_ra_gen_line_loads_from_json():
+    assert load_derivation(str(DATA / "ra_gen_two_formulas.json")) == _ra_gen_two_formulas()
+
+
+def test_ra_gen_threshold_count_must_match_the_formulas():
+    lines = list(_ra_gen_two_formulas().lines)
+    rule = lines[-1].rule
+    lines[-1] = Line(lines[-1].formula, RaGen(rule.a, rule.a_list, P, (Q,), Q, (1, 2, 3)))
+    problem = check_line(Derivation(3, (), tuple(lines)), 4)
+    assert str(problem) == "line 4 (RaGen): 2 thresholds for 1 formulas"
+
+
+def test_ltaut_line_with_an_off_chain_index_is_rejected():
+    derivation = Derivation(3, (), (Line(parse("J{1/3}(p) -> J{1/3}(p)"), LTaut()),))
+    problem = check_line(derivation, 1)
+    assert str(problem) == "line 1 (LTaut): index 1/3 is not on the 3-element chain"
 
 
 def test_ra_gen_premise_count_must_match_the_chain():
@@ -401,6 +423,48 @@ def test_derivation_json_error_paths():
         derivation_from_json(
             {"m": 3, "lines": [{"formula": "p", "rule": "Ra", "args": {"a": "1/0", "gammas": [], "phi": "p", "gamma": "p", "premise_lines": []}}]}
         )
+
+
+def _one_line(rule, args, formula="p"):
+    return {"m": 3, "lines": [{"formula": formula, "rule": rule, "args": args}]}
+
+
+_RA_ARGS = {"a": "1", "phi": "p", "gammas": ["q"], "gamma": "q", "premise_lines": [1]}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"m": 3, "premises": "p", "lines": []}, "'premises' must be a list"),
+        ({"m": 3, "lines": {}}, "'lines' must be a list"),
+        ({"m": 3, "lines": ["p"]}, "line 1: must be an object"),
+        (_one_line("LTaut", []), "line 1: 'args' must be an object"),
+        (_one_line("Premise", {"index": "1"}), "line 1: Premise needs integer 'index'"),
+        (_one_line("RCEA", {"i": True}), "line 1: RCEA needs integer 'i'"),
+        (_one_line("Ra", {**_RA_ARGS, "gammas": "q"}), "line 1: Ra needs a list 'gammas'"),
+        (
+            _one_line("RaGen", {**_RA_ARGS, "chis": ["q"]}),
+            "line 1: RaGen needs lists 'chis' and 'a_list'",
+        ),
+        (_one_line("LTaut", {}, formula=3), "line 1: formula must be a string"),
+        (_one_line("Ra", {**_RA_ARGS, "a": 0.5}), "line 1: threshold must be a string or int"),
+        (
+            _one_line("Ra", {**_RA_ARGS, "premise_lines": ["1"]}),
+            "line 1: expected a list of integers",
+        ),
+    ],
+)
+def test_derivation_json_names_each_structural_error(doc, message):
+    with pytest.raises(DerivationFormatError) as info:
+        derivation_from_json(doc)
+    assert str(info.value) == message
+
+
+def test_load_derivation_rejects_bad_json(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text("{not json")
+    with pytest.raises(DerivationFormatError, match="^bad derivation document: "):
+        load_derivation(str(path))
 
 
 def test_load_derivation_round_trip(tmp_path):

@@ -156,6 +156,21 @@ def test_missing_relation_policies():
     assert eval_formula(constant_one, "w", Cond(Q, P)) == TruthValue(0, 3)
 
 
+def test_a_relation_listing_worlds_out_of_model_order_keys_nothing():
+    """Cells list worlds in model order, so a proposition with the right
+    worlds in another order is not the antecedent's: it stays unkeyed."""
+    def model(default, *worlds):
+        built = build_model(3, ["x", "y"], {"p": {"x": 2, "y": 2}, "q": {"x": 0, "y": 0}}, default)
+        built.relations[Proposition(((), (), worlds))] = ((TruthValue(2, 3),) * 2,) * 2
+        return built
+
+    phi = Cond(P, Q)
+    with pytest.raises(MissingRelationError):
+        eval_formula(model(None, "y", "x"), "x", phi)
+    assert eval_formula(model(0, "y", "x"), "x", phi) == TruthValue(2, 3)
+    assert eval_formula(model(None, "x", "y"), "x", phi) == TruthValue(0, 3)
+
+
 def test_eval_error_paths():
     model = build_model(3, ["w"], {"p": {"w": 0}})
     with pytest.raises(UndeclaredVariableError):
@@ -247,6 +262,62 @@ def test_validate_model_reports_structural_problems():
     assert validate_model(off)
 
 
+_ZERO_ROWS = ((TruthValue(0, 3),) * 2,) * 2
+
+
+def _keyed(cells, rows=_ZERO_ROWS):
+    """A defect: the model's one relation replaced by rows keyed by cells."""
+    return lambda model: setattr(model, "relations", {Proposition(cells): rows})
+
+
+def _duplicate_world(model):
+    model.worlds += ("x",)
+    model.relations.clear()  # its matrix would no longer be n x n
+
+
+@pytest.mark.parametrize(
+    "defect, message",
+    [
+        (lambda model: setattr(model, "m", 1), "m must be at least 2, got 1"),
+        (_duplicate_world, "duplicate world ids"),
+        (lambda model: setattr(model, "vars", ("p", "q")), "variable 'q' missing from valuation"),
+        (
+            lambda model: model.valuation["p"].update(z=TruthValue(0, 3)),
+            "variable 'p' valued at unknown world 'z'",
+        ),
+        (
+            lambda model: model.valuation.update(r={}),
+            "valuation mentions undeclared variable 'r'",
+        ),
+        (_keyed((("x",), ("y",))), "relation 0: proposition has 2 cells, expected 3"),
+        (
+            _keyed((("x",), (), ("y", "z"))),
+            "relation 0: proposition mentions unknown world 'z'",
+        ),
+        (_keyed((("x",), (), ())), "relation 0: proposition cells do not cover world 'y'"),
+        (_keyed((("x",), (), ("y",)), _ZERO_ROWS[:1]), "relation 0: matrix is not 2x2"),
+        (
+            _keyed((("x",), (), ("y",)), (_ZERO_ROWS[0], (TruthValue(0, 3), TruthValue(1, 4)))),
+            "relation 0: matrix entry has scale 4, expected 3",
+        ),
+        (
+            lambda model: setattr(model, "default_policy", TruthValue(0, 4)),
+            "default policy has scale 4, expected 3",
+        ),
+    ],
+    ids=[
+        "m", "worlds", "vars", "valued-world", "undeclared", "cell-count",
+        "prop-world", "cover", "shape", "entry-scale", "policy-scale",
+    ],
+)
+def test_validate_model_names_each_defect(defect, message):
+    model = build_model(3, ["x", "y"], {"p": {"x": 0, "y": 2}})
+    model.relations[Proposition((("x",), (), ("y",)))] = _ZERO_ROWS
+    assert validate_model(model) == []
+    defect(model)
+    assert validate_model(model) == [message]
+
+
 def test_model_json_round_trip():
     model = random_model(9, 3, 3, ("p", "q"), 1)
     doc = model_to_json(model)
@@ -286,6 +357,42 @@ def test_model_json_rejects_malformed_documents():
         model_from_json([1, 2, 3])
 
 
+_DOC = model_to_json(random_model(2, 3, 2, ("p",), 0))
+_RELATION = _DOC["relations"][0]
+_NOT_A_RELATION = "relation 0 must have 'prop' and 'matrix'"
+_NOT_A_PROP = "relation 0: 'prop' must be a list of world lists"
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"m": 1}, "'m' must be an integer >= 2"),
+        ({"m": True}, "'m' must be an integer >= 2"),
+        ({"m": "3"}, "'m' must be an integer >= 2"),
+        ({"worlds": "w0"}, "'worlds' must be a list of strings"),
+        ({"worlds": ["w0", 1]}, "'worlds' must be a list of strings"),
+        ({"vars": [None]}, "'vars' must be a list of strings"),
+        ({"valuation": [["p"]]}, "'valuation' must be an object"),
+        ({"valuation": {"p": [0, 2]}}, "valuation of 'p' must be an object"),
+        ({"relations": {}}, "'relations' must be a list"),
+        ({"relations": [[_RELATION]]}, _NOT_A_RELATION),
+        ({"relations": [{"matrix": _RELATION["matrix"]}]}, _NOT_A_RELATION),
+        ({"relations": [{"prop": _RELATION["prop"]}]}, _NOT_A_RELATION),
+        ({"relations": [{**_RELATION, "prop": "w0"}]}, _NOT_A_PROP),
+        ({"relations": [{**_RELATION, "prop": [["w0"], "w1", []]}]}, _NOT_A_PROP),
+        ({"relations": [{**_RELATION, "prop": [["w0"], [1], []]}]}, _NOT_A_PROP),
+        (
+            {"relations": [{**_RELATION, "matrix": [[0, 0], [0, 0]]}]},
+            "relation 0: 'matrix' must be an object",
+        ),
+    ],
+)
+def test_model_from_json_names_each_structural_error(change, message):
+    with pytest.raises(ModelFormatError) as info:
+        model_from_json({**_DOC, **change})
+    assert str(info.value) == f"bad model document: {message}"
+
+
 def test_save_and_load_model(tmp_path):
     model = random_model(4, 4, 3, ("p", "q"), 1)
     path = tmp_path / "model.json"
@@ -301,6 +408,20 @@ def test_load_model_rejects_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ModelFormatError):
         load_model(str(path))
+
+
+def test_load_model_rejects_a_document_that_fails_validation(tmp_path):
+    """model_from_json accepts the document; validate_model's diagnostics,
+    joined, are load_model's error."""
+    doc = {**_DOC, "vars": ["p", "p"], "relations": [{**_RELATION, "prop": [["w0"], [], []]}]}
+    model_from_json(doc)
+    path = tmp_path / "invalid.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError) as info:
+        load_model(str(path))
+    assert str(info.value) == (
+        "duplicate variable names; relation 0: proposition cells do not cover world 'w1'"
+    )
 
 
 def test_golden_seeded_model_document():
