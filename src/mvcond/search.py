@@ -19,6 +19,17 @@ relation candidate; each candidate matrix is a tuple of the same rows.
 Either way the identity frame condition holds when every row lies within
 its key, entry by entry.
 
+The row-separated search also shares work across valuations. A
+conditional's values over all rows depend only on its consequent's values
+(and, under the identity frame condition, on its key, which picks the
+rows), so they are computed once per world count, as are the rows within
+each key. Permuting the worlds of
+a valuation permutes its candidates without changing whether one refutes
+the formula, so only a valuation whose per-world value tuples are
+non-decreasing, the least of its orbit, is searched. Any other comes after
+its least permutation, which found no countermodel (the search would have
+stopped there), and adds the closed-form count of that one.
+
 filtrate quotients a model by agreement on a subformula-closed set,
 taking the pointwise supremum of the evaluator's integer relation rows
 across classes, and check_preservation verifies value agreement formula
@@ -29,8 +40,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, product
-from operator import le
+from operator import gt, le
 from typing import Callable, Mapping, Sequence
 
 from .parser import print_formula
@@ -263,8 +275,15 @@ def countermodel_search(
     only row x of each relation, so each valuation evaluates every row
     once per conditional and every tuple of rows once (one row per
     antecedent proposition), and derives the first refuting candidate
-    and the count before it in closed form. Nested conditionals are
-    enumerated candidate by candidate, each matrix a tuple of shared rows.
+    and the count before it in closed form. A conditional's values over
+    the rows are kept per world count, keyed by its consequent's values
+    (and its antecedent's under require_fid), as are each key's rows
+    under require_fid. Only the least valuation of
+    each orbit under permutations of the worlds is evaluated; the others
+    cannot hold the first countermodel and add their closed-form count,
+    |rows|^(worlds * keys), with the budget checked as for any valuation.
+    Nested conditionals are enumerated candidate by candidate, each
+    matrix a tuple of shared rows.
     """
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")
@@ -324,6 +343,7 @@ def countermodel_search(
             (var_slot[v], vi * n) for vi, v in enumerate(names) if v != RESERVED_VAR
         ]
 
+        @cache  # per world count; keys sort by it
         def cells(key: tuple[int, ...]):
             return tuple(tuple(y for y in range(n) if key[y] == c) for c in range(m))
 
@@ -336,6 +356,16 @@ def countermodel_search(
             above = [step for step in outer if not isinstance(code[step[3]][0], Cond)]
             tiled = {k for _, i, j, _ in above for k in (i, j) if not depth[k]}
             points: list = [None] * len(code)  # values at (world, row of the last key)
+            # a conditional's values over its key's rows, by its consequent's
+            # values (and its key under require_fid, which picks the rows)
+            cond_values: dict = {}
+            # an orbit's least valuation, as its worlds' value tuples -> the
+            # candidates of each of its valuations without a countermodel
+            orbit_spent: dict[tuple, int] = {}
+
+            @cache
+            def within(key: tuple[int, ...]) -> list[tuple[int, ...]]:
+                return [r for r in rows if all(map(le, r, key))]
 
         def visit():
             """The first refuting world and its value, or True for an
@@ -370,7 +400,7 @@ def countermodel_search(
                 del rel[key]
             return None
 
-        def by_rows():
+        def by_rows(orbit: tuple):
             """What visit returns, for a formula without nested conditionals.
 
             rel holds each key's rows in enumeration order (those within
@@ -379,15 +409,25 @@ def countermodel_search(
             its key's first; the earliest of these n is the first refuting
             candidate, and its rank in the enumeration is the count
             before it. The last key's rows vary across one points vector,
-            the other keys' stay constant across it.
+            the other keys' stay constant across it. orbit, the valuation's
+            value tuple at each world, is least in its orbit under
+            permutations of the worlds; its candidate count without a
+            countermodel is recorded for the others.
             """
             nonlocal count
-            keys = sorted({values[a] for a in antecedents}, key=cells)
+            keys = list({values[a] for a in antecedents})
+            if len(keys) > 1:
+                keys.sort(key=cells)
+            spent = orbit_spent[orbit] = len(rows) ** (n * len(keys))
             rel.clear()
             for key in keys:
-                rel[key] = [r for r in rows if all(map(le, r, key))] if require_fid else rows
+                rel[key] = within(key) if require_fid else rows
             for fn, i, j, s in conds:  # one value per row of the key
-                values[s] = fn(values[i], values[j])
+                given = (values[i], values[j]) if require_fid else values[j]
+                row_values = cond_values.get(given)
+                if row_values is None:
+                    row_values = cond_values[given] = fn(values[i], values[j])
+                values[s] = row_values
             found: dict[int, tuple[tuple, int]] = {}  # world -> (its rows, value)
             if not keys:
                 found = {x: ((), v) for x, v in enumerate(values[root]) if v != top}
@@ -416,7 +456,6 @@ def countermodel_search(
                         found[x] = (tuple(rel[key][w] for key, w in zip(keys, at + (j,))), v)
                     if len(found) == n:
                         break
-            spent = len(rows) ** (n * len(keys))
             if found:
                 firsts = [rel[key][0] for key in keys]
 
@@ -443,11 +482,21 @@ def countermodel_search(
             return x, v
 
         for assignment in product(range(m), repeat=n * len(names)):
+            if not nested:
+                orbit = [assignment[x::n] for x in range(n)]  # each world's values
+                if any(map(gt, orbit, orbit[1:])):
+                    # a permutation of the worlds sorts it into an earlier
+                    # valuation, which had no countermodel
+                    spent = orbit_spent[tuple(sorted(orbit))]
+                    if budget is not None and count + spent > budget:
+                        return SearchOutcome(None, None, True, budget)
+                    count += spent
+                    continue
             for s, start in var_at:
                 values[s] = assignment[start : start + n]
             for fn, i, j, s in base:
                 values[s] = fn(values[i], values[j])
-            hit = visit() if nested else by_rows()
+            hit = visit() if nested else by_rows(tuple(orbit))
             if hit is True:
                 return SearchOutcome(None, None, True, count)
             if hit is not None:

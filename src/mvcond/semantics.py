@@ -355,7 +355,19 @@ def entails_in_model(
 
 
 def _prop_sort_key(prop: Proposition, index: Mapping[str, int]):
-    return tuple(tuple(index.get(w, len(index)) for w in cell) for cell in prop.cells)
+    """Orders propositions as their cells compared one by one, each as its
+    worlds' indexes. An empty cell sorts before any other, so only the
+    non-empty ones enter the key, as (minus position, indexes); the cell
+    count breaks what ties remain. Empty cells cost a truth test each."""
+    unknown = len(index)
+    return (
+        tuple(
+            (-c, tuple([index.get(w, unknown) for w in cell]))
+            for c, cell in enumerate(prop.cells)
+            if cell
+        ),
+        len(prop.cells),
+    )
 
 
 def _sorted_relations(model: KripkeModel) -> list[tuple[Proposition, Matrix]]:

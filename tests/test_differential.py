@@ -8,6 +8,7 @@ import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
@@ -35,6 +36,7 @@ from mvcond.semantics import (
     UndeclaredVariableError,
     UnknownWorldError,
     model_from_json,
+    model_of,
     model_to_json,
 )
 from mvcond.syntax import (
@@ -176,6 +178,9 @@ SEARCH_QUERIES = [
     # a compound antecedent that also occurs outside every conditional
     ("((p & q) => r) -> ((p & q) -> r)", 2, SearchBounds(max_worlds=2), False),
     ("((p & q) => r) -> ~(p & q)", 3, SearchBounds(max_worlds=2), False),
+    # under FID the rows of p => q and r => q differ with their antecedents;
+    # values keyed by the shared consequent alone would make it valid
+    ("(p => q) -> (r => q)", 3, SearchBounds(max_worlds=2), True),
 ]
 
 
@@ -284,6 +289,67 @@ def test_search_matches_enumeration_on_seeded_formulas(m):
             seen.add((depth, "found" if got[2] else "exhausted" if got[1] else "none"))
     assert {("unnested", "found"), ("unnested", "exhausted"), ("unnested", "none")} <= seen
     assert {("nested", "found"), ("nested", "exhausted")} & seen
+
+
+def _valuations(phi, m, n, relation_values):
+    """Per n-world valuation, in search order: whether its value tuples at
+    the worlds are non-decreasing, making it the least of its orbit under
+    permutations of the worlds, and its candidate count when none refutes
+    phi, |rows|^(n * its number of distinct antecedent propositions)."""
+    closure = subformula_closure(phi)
+    names = sorted({psi.name for psi in closure if isinstance(psi, Var)})
+    antecedents = {psi.left for psi in closure if isinstance(psi, Cond)}
+    rows = len(set(range(m) if relation_values is None else relation_values)) ** n
+    worlds = tuple(f"w{x}" for x in range(n))
+    for assignment in product(range(m), repeat=n * len(names)):
+        columns = [assignment[k * n : (k + 1) * n] for k in range(len(names))]
+        evaluator = Evaluator(model_of(m, worlds, names, columns, {}, 0))
+        keys = {evaluator.numerators(alpha) for alpha in antecedents}
+        at = list(zip(*columns)) or [()] * n
+        yield at == sorted(at), rows ** (n * len(keys))
+
+
+def test_search_matches_enumeration_when_budgets_bind_in_a_skipped_valuation():
+    """Three-world searches at m=2 skip every valuation that a permutation
+    of the worlds sorts into an earlier one. Budgets at the first, middle
+    and last candidate of the first such valuation before the first
+    countermodel bind inside it; seeded formulas are drawn until that has
+    been checked with and without FID, each with the full chain and with
+    restricted relation values."""
+    rng = Random(903)
+    m, cap, checked = 2, 4000, set()
+    while len(checked) < 4:
+        fid = rng.random() < 0.5
+        values = rng.choice((None, (1,), (0, 1), (0,)))
+        phi = _unnested_formula(rng, m)
+        before = countermodel_search(phi, m, SearchBounds(2, values), fid)
+        if before.found or before.candidates > cap:
+            continue
+        total = countermodel_search(phi, m, SearchBounds(3, values), fid).candidates
+        start = before.candidates
+        for least, spent in _valuations(phi, m, 3, values):
+            if start + spent > min(total, cap):
+                break
+            if not least:
+                for budget in (start, start + spent // 2, start + spent - 1):
+                    got = _same_search(phi, m, SearchBounds(3, values, budget), fid)
+                    assert got[:3] == (budget, True, None)
+                checked.add((fid, values is None))
+                break
+            start += spent
+        _same_search(phi, m, SearchBounds(3, values, min(total, cap)), fid)
+
+
+def test_search_matches_enumeration_when_the_first_countermodel_needs_three_worlds():
+    """Each disjunct fails at x only if x reaches a world of its own kind
+    of (p, q): 00, 01 and 10, so no model of two worlds refutes it."""
+    phi = parse("(T => p | q) | (T => p | ~q) | (T => ~p | q)")
+    for fid in (False, True):
+        assert _same_search(phi, 2, SearchBounds(2), fid)[:3] == (264, False, None)
+        got = _same_search(phi, 2, SearchBounds(3), fid)
+        assert got[:3] == (5385, False, "w0")
+        for budget in (264, 5384, 5385):
+            _same_search(phi, 2, SearchBounds(3, None, budget), fid)
 
 
 @pytest.mark.parametrize(

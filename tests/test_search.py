@@ -488,6 +488,25 @@ def test_three_world_search_of_a1_is_exhaustive_in_seconds():
     assert elapsed < 10
 
 
+@pytest.mark.parametrize(
+    "text,m,fid,total",
+    [
+        # 3^n valuations of p, each with 3^(n^2) matrices for |p|, n = 1..4
+        ("p => p", 3, True, 3**2 + 3**6 + 3**12 + 3**20),
+        # 2^(3n) valuations of p, q, r, each with 2^(n^2) matrices for |p|
+        ("(p => (q & r)) -> ((p => q) & (p => r))", 2, False, 2**4 + 2**10 + 2**18 + 2**28),
+    ],
+)
+def test_four_world_searches_count_every_candidate_in_closed_form(text, m, fid, total):
+    """Only the least valuation of each orbit under permutations of the
+    worlds is evaluated; the others add the same closed-form count."""
+    started = time.monotonic()
+    outcome = countermodel_search(parse(text), m, SearchBounds(max_worlds=4), require_fid=fid)
+    elapsed = time.monotonic() - started
+    assert (outcome.found, outcome.exhausted, outcome.candidates) == (None, False, total)
+    assert elapsed < 5
+
+
 def test_identity_under_fid_at_m4_and_three_worlds_builds_no_matrices():
     """The 4^9 three-world matrices are never built; rows are enough."""
     started = time.monotonic()

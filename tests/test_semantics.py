@@ -433,6 +433,37 @@ def test_golden_seeded_model_document():
     assert model_from_json(golden) == model
 
 
+def test_documents_order_relations_cell_by_cell():
+    """Relations are written in the order of their propositions' cells
+    compared one by one, each as its worlds' model indexes (a world the
+    model lacks counts as one past the last), with empty cells, unknown
+    worlds and propositions of the wrong cell count mixed in."""
+    rng = Random(11)
+    worlds = ("w0", "w1", "w2")
+    index = {w: i for i, w in enumerate(worlds)}
+    row = (TruthValue(0, 4),) * len(worlds)
+    for _ in range(40):
+        props = {
+            Proposition(
+                tuple(
+                    tuple(rng.sample(worlds + ("zz",), rng.choice((0, 0, 1, 2))))
+                    for _ in range(rng.choice((3, 4, 4, 4, 5)))
+                )
+            )
+            for _ in range(12)
+        }
+        model = build_model(4, worlds, {})
+        model.relations = {prop: (row,) * len(worlds) for prop in props}
+        want = sorted(
+            props,
+            key=lambda prop: tuple(
+                tuple(index.get(w, len(index)) for w in cell) for cell in prop.cells
+            ),
+        )
+        got = [entry["prop"] for entry in model_to_json(model)["relations"]]
+        assert got == [[list(cell) for cell in prop.cells] for prop in want]
+
+
 def _entries(model):
     """Every TruthValue a model holds: valuation, matrix entries, default."""
     yield from (tv for per_world in model.valuation.values() for tv in per_world.values())
