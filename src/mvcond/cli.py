@@ -17,6 +17,7 @@ import json
 import sys
 import traceback
 from fractions import Fraction
+from functools import cache
 from itertools import groupby
 from operator import attrgetter
 
@@ -376,11 +377,15 @@ def build_parser() -> argparse.ArgumentParser:
     return root
 
 
+_parser = cache(build_parser)  # main's parser, built once: parsing leaves it as it is
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     layout = {"indent": 2} if args.pretty else {"separators": (",", ":")}
     try:
-        code, payload = args.handler(args)
+        # by name, so the parser built once calls the module's current handler
+        code, payload = globals()[args.handler.__name__](args)
         text = json.dumps(payload, **layout)
     except (ValueError, OSError, RecursionError) as exc:
         error = f"input nested too deeply: {exc}" if isinstance(exc, RecursionError) else str(exc)

@@ -3,12 +3,14 @@
 is_L_tautology decides truth-table validity on the m-valued chain by
 exhaustive valuation, optionally abstracting conditional subformulas to
 fresh shared atoms first; the table runs the evaluator's compiled
-program, m assignments at a time. countermodel_search enumerates finite models
-in a canonical order (world count ascending; valuations in ascending
-lexicographic numerator order over sorted variables; relation matrices
-row-major with entries descending from 1), so a given query always
-returns the same countermodel. A "none" outcome certifies only that no
-model within the given bounds refutes the formula. The search runs the
+program in slabs of at most 2^16 values (a chain's width per subformula
+if that is more), every combination of the last few variables at once.
+countermodel_search enumerates finite models in a canonical order (world
+count ascending; valuations in ascending lexicographic numerator order
+over sorted variables; relation matrices row-major with entries
+descending from 1), so a given query always returns the same
+countermodel. A "none" outcome certifies only that no model within the
+given bounds refutes the formula. The search runs the
 evaluator's compiled program on integers, its conditional-free
 subformulas once per valuation. Without a conditional nested inside
 another, a formula's value at world x reads only row x of each
@@ -129,15 +131,27 @@ def _truth_table_slots(phi: Formula, abstract: bool, advice: str):
     return table, root, inputs, order
 
 
+# Values in one slab over all slots (one chain's worth per slot if more):
+# 8-byte pointers to shared small ints, so about 0.5 MiB live, while wide
+# rows keep the per-step overhead small. Uncapped, 10,000 slots over 12
+# variables at m=2 would hold 4,096 rows each, about 41 million values.
+_SLAB_CELLS = 1 << 16
+
+
 def _chain_program(
-    phi: Formula, m: int, abstract: bool, advice: str, n: int
-) -> tuple[list[str], Callable[[Mapping[str, Values]], Values]]:
-    """phi compiled for truth tables on the m-element chain, n rows at once:
-    the input names and a function from every input's values to phi's."""
+    phi: Formula, m: int, abstract: bool, advice: str, slabs: bool
+) -> tuple[list[str], Callable[[Mapping[str, Values]], Values], int]:
+    """phi compiled for truth tables on the m-element chain: the input names,
+    a function from every input's values to phi's, and j for m^j rows at
+    once: 0 without slabs, else the most, up to the input count, whose
+    cells fit in _SLAB_CELLS, and at least 1 when there is an input."""
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")
     table, root, inputs, order = _truth_table_slots(phi, abstract, advice)
-    ops = operations(m, n, dict().get, None)  # no conditional is compiled
+    j = 1 if slabs and inputs else 0
+    while j < len(inputs) and m ** (j + 1) * len(table.nodes) <= _SLAB_CELLS:
+        j += 1
+    ops = operations(m, m**j, dict().get, None)  # no conditional is compiled
     values: list = [None] * len(table.nodes)
     steps = []
     for slot in order:
@@ -151,16 +165,16 @@ def _chain_program(
         for name, slots in inputs.items():
             for slot in slots:
                 values[slot] = given[name]
-        for fn, i, j, slot in steps:
-            values[slot] = fn(values[i], values[j])
+        for fn, left, right, slot in steps:
+            values[slot] = fn(values[left], values[right])
         return values[root]
 
-    return list(inputs), run
+    return list(inputs), run, j
 
 
 def value_under(phi: Formula, env: Mapping[str, TruthValue], m: int) -> TruthValue:
     """Truth-table value of a conditional-free formula under an assignment."""
-    names, run = _chain_program(phi, m, False, "abstract it first", 1)
+    names, run, _ = _chain_program(phi, m, False, "abstract it first", False)
     given = {}
     for name in names:
         value = env.get(name)
@@ -203,18 +217,26 @@ def falsifying_assignment(
     """First assignment (ascending lexicographic order over sorted
     variables) giving a non-designated value, or None.
 
-    The table is evaluated m rows at a time: the last variable takes
-    every chain value at once and the others are constant across a block.
+    The table runs in slabs of m^j rows (see _chain_program): the last j
+    variables take every combination of chain values at once, in the same
+    order, and the others are constant across a slab.
     """
-    names, run = _chain_program(phi, m, abstract, "enable abstraction", m)
+    names, run, j = _chain_program(phi, m, abstract, "enable abstraction", True)
     names.sort()
-    last = tuple(range(m))
+    width = m**j
+    # the i-th of the last j names: each value repeated m^(j-1-i) times,
+    # and that pattern cycled m^i times
+    columns = [
+        tuple(chain.from_iterable((x,) * m ** (j - 1 - i) for x in range(m))) * m**i
+        for i in range(j)
+    ]
     top = m - 1
-    for prefix in product(range(m), repeat=max(len(names) - 1, 0)):
-        result = run(dict(zip(names, [(x,) * m for x in prefix] + [last])))
-        for x, value in enumerate(result):
-            if value != top:
-                return {name: TruthValue(e, m) for name, e in zip(names, prefix + (x,))}
+    for prefix in product(range(m), repeat=len(names) - j):
+        result = run(dict(zip(names, [(x,) * width for x in prefix] + columns)))
+        if min(result) != top:
+            row = next(r for r, value in enumerate(result) if value != top)
+            digits = [row // m ** (j - 1 - i) % m for i in range(j)]
+            return {name: TruthValue(e, m) for name, e in zip(names, [*prefix, *digits])}
     return None
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from operator import attrgetter
 from typing import Callable, Sequence, TypeVar
 
 __all__ = [
@@ -153,12 +154,22 @@ class I(_Graded):
     """Threshold test: value 1 where the child has value >= index, else 0."""
 
 
+# Per node type, its children as a tuple, or None for a leaf. _fold and
+# children() both read it; a type not in it is not a formula node.
+_KIDS: dict[type, Callable[[Formula], tuple[Formula, ...]] | None] = {
+    **dict.fromkeys((Var, Top, Bot)),
+    **dict.fromkeys((Not, J, I), lambda node: (node.child,)),
+    **dict.fromkeys((Imp, Cond, And, Or, OPlus, OTimes, OMinus, Iff), attrgetter("left", "right")),
+}
+
+# Per node type that has one, the name or index that NodeTable keys it by.
+_PARAM = {Var: attrgetter("name"), J: attrgetter("index"), I: attrgetter("index")}
+
+
 def children(phi: Formula) -> tuple[Formula, ...]:
-    if isinstance(phi, _Binary):
-        return (phi.left, phi.right)
-    if isinstance(phi, (Not, _Graded)):
-        return (phi.child,)
-    return ()
+    """phi's direct subformulas, left to right; () for a leaf or a non-formula."""
+    get = _KIDS.get(type(phi))
+    return get(phi) if get else ()
 
 
 def free_vars(phi: Formula) -> frozenset[str]:
@@ -171,7 +182,9 @@ def _fold(phi: Formula, build: Callable[..., T], memo: dict[int, tuple[Formula, 
 
     memo maps id(node) to (node, result); it holds each node so that its id
     is never reused, so a node shared by identity is built once. The walk
-    keeps its own stack, so any depth works.
+    keeps its own stack, so any depth works, and reads each node's children
+    from _KIDS by its type: a leaf is built when first met, any other node
+    once its children are.
     """
     stack: list = [phi]
     while stack:
@@ -182,9 +195,14 @@ def _fold(phi: Formula, build: Callable[..., T], memo: dict[int, tuple[Formula, 
             continue
         if id(node) in memo:
             continue
-        if not isinstance(node, Formula):
-            raise TypeError(f"not a formula node: {node!r}")
-        kids = children(node)
+        try:
+            get = _KIDS[type(node)]
+        except KeyError:
+            raise TypeError(f"not a formula node: {node!r}") from None
+        if get is None:
+            memo[id(node)] = (node, build(node))
+            continue
+        kids = get(node)
         stack.append((node, kids))
         stack.extend(reversed(kids))
     return memo[id(phi)][1]
@@ -210,8 +228,9 @@ class NodeTable:
         return _fold(phi, self._slot, self._slots)
 
     def _slot(self, node: Formula, *kid_slots: int) -> int:
-        param = node.name if isinstance(node, Var) else getattr(node, "index", None)
-        slot = self._shapes.setdefault((type(node), param, kid_slots), len(self.nodes))
+        param = _PARAM.get(type(node))
+        key = (type(node), param and param(node), kid_slots)
+        slot = self._shapes.setdefault(key, len(self.nodes))
         if slot == len(self.nodes):
             self.nodes.append(node)
             self.kids.append(kid_slots)

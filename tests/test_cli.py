@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from mvcond.cli import _power, main
+from mvcond.cli import _power, build_parser, main
 from mvcond.semantics import check_fid, model_from_json, save_model
 from mvcond.search import random_model
 from mvcond.truthvalues import TruthValue
@@ -462,6 +462,22 @@ def test_usage_errors_exit_2(capsys):
         main([])
     assert info.value.code == 2
     capsys.readouterr()
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    """Repeated calls, usage errors among them, print the same; build_parser
+    still returns a new parser, and main does not call it again."""
+    assert build_parser() is not build_parser()
+    seen = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as info:
+            main(["taut", "--m", "3"])  # missing --formula
+        seen.append((info.value.code, capsys.readouterr()))
+        seen.append((main(["taut", "--m", "3", "--formula", "p | ~p"]), capsys.readouterr()))
+    assert seen[:2] == seen[2:]
+    assert [code for code, _ in seen[:2]] == [2, 1]
+    monkeypatch.setattr("mvcond.cli.build_parser", None)
+    assert main(["parse", "--formula", "p"]) == 0
 
 
 def test_pretty_flag_controls_layout(capsys):

@@ -8,6 +8,7 @@ import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from random import Random
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from mvcond.parser import ParseError, parse, print_formula
 from mvcond.search import (
+    _SLAB_CELLS,
     SearchBounds,
     SearchError,
     abstract_conditionals,
@@ -38,6 +40,7 @@ from mvcond.semantics import (
     model_from_json,
     model_of,
     model_to_json,
+    operations,
 )
 from mvcond.syntax import (
     RESERVED_VAR,
@@ -518,6 +521,91 @@ def test_truth_tables_skip_what_lies_inside_an_abstracted_conditional():
     assert _result(falsifying_assignment, shared, 3, True) == _result(
         reference_falsifying_assignment, shared, 3, True
     )
+
+
+def _slab_widths(monkeypatch):
+    """The rows per slab of each truth table compiled from now on, in order."""
+    widths = []
+
+    def recording(m, n, relation, default):
+        widths.append(n)
+        return operations(m, n, relation, default)
+
+    monkeypatch.setattr("mvcond.search.operations", recording)
+    return widths
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_truth_tables_match_reference_at_every_slab_width(seed, monkeypatch):
+    """With the cell cap at m^i times the table's slot count, slabs are m^i
+    rows wide, for each i from 1 until the whole table is one slab. Half
+    the formulas are implications between two random ones, so that more
+    witnesses lie past the first slab and more tables hold."""
+    widths = _slab_widths(monkeypatch)
+    rng = Random(seed)
+    reached, later, holds = set(), 0, 0
+    for _ in range(60):
+        phi = random_formula(rng, rng.randrange(1, 5), TABLE_NAMES, True, TABLE_INDICES)
+        if rng.random() < 0.5:
+            phi = Imp(phi, random_formula(rng, 3, TABLE_NAMES, True, TABLE_INDICES))
+        m = rng.choice((2, 3, 4, 5, 9))
+        slots = len(subformula_closure(phi))
+        for abstract in (False, True):
+            expected = _result(reference_falsifying_assignment, phi, m, abstract)
+            monkeypatch.setattr("mvcond.search._SLAB_CELLS", _SLAB_CELLS)
+            widths.clear()
+            assert _result(falsifying_assignment, phi, m, abstract) == expected
+            assert all(n * slots <= max(m * slots, _SLAB_CELLS) for n in widths)
+            holds += expected is None
+            for i in range(1, 9):
+                monkeypatch.setattr("mvcond.search._SLAB_CELLS", m**i * slots)
+                widths.clear()
+                assert _result(falsifying_assignment, phi, m, abstract) == expected
+                if not widths or widths[-1] < m**i:  # no table, or one slab already
+                    break
+                reached.add(i)
+                if isinstance(expected, dict):
+                    values = reversed(expected.values())
+                    later += sum(e.numerator * m**x for x, e in enumerate(values)) >= m**i
+    assert reached >= {1, 2, 3, 4} and later and holds
+
+
+def _falsified_only_at(names, numerators, m):
+    """~(J{e}(v) & ...): non-designated only where each v has numerator e."""
+    return Not(reduce(And, [J(Fraction(e, m - 1), Var(v)) for v, e in zip(names, numerators)]))
+
+
+@pytest.mark.parametrize("m", (2, 3, 5))
+@pytest.mark.parametrize("j", (1, 2, 3))
+def test_truth_table_witnesses_at_slab_boundaries(m, j, monkeypatch):
+    """Slabs of m^j rows over three variables: the one falsifying row is the
+    first, the last of the first slab, the first of the second slab and the
+    last of the table in turn."""
+    names, top = ("a", "b", "c"), m - 1
+    rows = [(0, 0, 0), (0,) * (3 - j) + (top,) * j]
+    if j < 3:
+        rows.append((0,) * (2 - j) + (1,) + (0,) * j)
+    rows.append((top,) * 3)
+    widths = _slab_widths(monkeypatch)
+    for row in rows:
+        phi = _falsified_only_at(names, row, m)
+        monkeypatch.setattr("mvcond.search._SLAB_CELLS", m**j * len(subformula_closure(phi)))
+        widths.clear()
+        hit = falsifying_assignment(phi, m)
+        assert widths == [m**j]
+        assert hit == {v: TruthValue(e, m) for v, e in zip(names, row)}
+        assert hit == reference_falsifying_assignment(phi, m)
+
+
+def test_truth_table_slabs_are_at_least_a_chain_wide(monkeypatch):
+    """A cap below m times the slot count still gives slabs of m rows, as
+    many as there are chain values; a table without variables has one row."""
+    widths = _slab_widths(monkeypatch)
+    monkeypatch.setattr("mvcond.search._SLAB_CELLS", 0)
+    hit = falsifying_assignment(parse("p -> q"), 5)
+    assert hit == {"p": TruthValue(1, 5), "q": TruthValue(0, 5)}
+    assert falsifying_assignment(parse("T -> F"), 5) == {}
+    assert widths == [5, 1]
 
 
 @pytest.mark.parametrize("seed", range(4))

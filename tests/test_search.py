@@ -408,6 +408,22 @@ def test_truth_table_memory_does_not_grow_with_m_squared():
     assert peak < 5_000_000
 
 
+def test_truth_table_slabs_are_capped_in_cells():
+    """A 10,000-leaf & chain over 12 variables at m=2 is falsified in row 0,
+    so the table ends after its first slab. That slab is a few rows wide,
+    not all 4,096 rows over 10,011 slots (about 41 million values)."""
+    names = "abcdefghijkl"
+    phi = parse(" & ".join(names[i % 12] for i in range(10_000)))
+    tracemalloc.start()
+    try:
+        hit = falsifying_assignment(phi, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hit == {v: TruthValue(0, 2) for v in names}
+    assert peak < 8 * 2**20
+
+
 def test_search_without_conditionals_builds_no_relation_matrices():
     """The 3^9 matrices of 3 worlds are needed only for some antecedent."""
     phi = parse("p -> p")

@@ -209,6 +209,22 @@ def test_children_and_free_vars():
     assert free_vars(Top()) == frozenset()
 
 
+def test_every_walk_reads_each_node_type_the_same_way():
+    """children and the one walk agree on every connective, key J/I by index
+    and reject anything that is not a formula node."""
+    binary = (Imp, Cond, And, Or, OPlus, OTimes, OMinus, Iff)
+    assert all(children(kind(P, Q)) == (P, Q) for kind in binary)
+    assert children(I(0, Q)) == (Q,) and children(Var("p")) == children(Bot()) == ()
+    assert children("p") == ()
+    phi = And(J(0, P), And(J(1, P), I(1, P)))
+    assert subformula_closure(phi) == [P, J(0, P), J(1, P), I(1, P), And(J(1, P), I(1, P)), phi]
+    for bad in (Not("p"), And(P, None), "p"):
+        with pytest.raises(TypeError, match="not a formula node: "):
+            subformula_closure(bad)
+        with pytest.raises(TypeError, match="not a formula node: "):
+            normalize(bad, 3)
+
+
 def test_structural_equality_is_exact():
     assert Imp(P, Q) == Imp(Var("p"), Var("q"))
     assert Imp(P, Q) != Imp(Q, P)
