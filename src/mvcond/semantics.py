@@ -20,6 +20,13 @@ model_from_json or made from numerators by model_of, shares one
 TruthValue per numerator it uses, built on first use rather than for the
 whole chain.
 
+Model documents move a row at a time. model_from_json reads each matrix
+row, and each variable's valuation, in one pass when every entry is a
+plain int on the chain, and goes entry by entry only to name the first
+bad one. save_model writes the text of json.dump(doc, indent=2) with the
+C encoder called once per innermost container (a matrix row, a
+valuation, a cell), not with json's pure-Python indent encoder.
+
 Models are treated as immutable once built; mutating one invalidates
 any Evaluator already holding it.
 """
@@ -28,6 +35,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from operator import sub
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -477,11 +487,8 @@ def model_to_json(model: KripkeModel) -> dict:
             {
                 "prop": [list(cell) for cell in prop.cells],
                 "matrix": {
-                    x: {
-                        y: matrix[xi][yi].numerator
-                        for yi, y in enumerate(model.worlds)
-                    }
-                    for xi, x in enumerate(model.worlds)
+                    x: {y: e.numerator for y, e in zip(model.worlds, row)}
+                    for x, row in zip(model.worlds, matrix)
                 },
             }
         )
@@ -503,6 +510,18 @@ def model_to_json(model: KripkeModel) -> dict:
 
 def _format_error(message: str) -> ModelFormatError:
     return ModelFormatError(f"bad model document: {message}")
+
+
+def _on_chain(value: _SharedValues, raw: Mapping, keys: Iterable) -> tuple | None:
+    """raw's values at keys, shared, in one pass when each is there and a
+    plain int on the chain; else None, to go entry by entry."""
+    try:
+        entries = list(map(raw.__getitem__, keys))
+        if set(map(type, entries)) <= {int}:
+            return tuple(map(value.__getitem__, entries))
+    except (KeyError, ValueError):
+        pass
+    return None
 
 
 def model_from_json(data: object) -> KripkeModel:
@@ -534,22 +553,21 @@ def model_from_json(data: object) -> KripkeModel:
 
     value = _SharedValues(m)
 
-    def to_tv(raw: object, where: str, *args: object) -> TruthValue:
-        """The shared value of raw; where, formatted with args, names the
-        entry in an error and is built only then."""
+    def to_tv(raw: object, where: str) -> TruthValue:
         if not isinstance(raw, int) or isinstance(raw, bool):
-            raise _format_error(f"{where.format(*args)}: numerator must be an integer")
+            raise _format_error(f"{where}: numerator must be an integer")
         try:
             return value[raw]
         except ValueError as exc:
-            raise _format_error(f"{where.format(*args)}: {exc}") from None
+            raise _format_error(f"{where}: {exc}") from None
 
     val: dict[str, dict[str, TruthValue]] = {}
     for v, per_world in valuation.items():
         if not isinstance(per_world, dict):
             raise _format_error(f"valuation of {v!r} must be an object")
-        val[v] = {
-            w: to_tv(raw, "valuation of {!r} at {!r}", v, w)
+        shared = _on_chain(value, per_world, per_world)
+        val[v] = dict(zip(per_world, shared)) if shared is not None else {
+            w: to_tv(raw, f"valuation of {v!r} at {w!r}")
             for w, raw in per_world.items()
         }
 
@@ -572,13 +590,15 @@ def model_from_json(data: object) -> KripkeModel:
             row_raw = matrix_raw.get(x)
             if not isinstance(row_raw, dict):
                 raise _format_error(f"relation {k}: matrix row for {x!r} missing")
-            row = []
-            for y in worlds:
-                if y not in row_raw:
-                    raise _format_error(
-                        f"relation {k}: matrix entry {x!r} -> {y!r} missing"
-                    )
-                row.append(to_tv(row_raw[y], "relation {} entry {!r} -> {!r}", k, x, y))
+            row = _on_chain(value, row_raw, worlds)
+            if row is None:  # entry by entry, so the first bad entry names the error
+                row = []
+                for y in worlds:
+                    if y not in row_raw:
+                        raise _format_error(
+                            f"relation {k}: matrix entry {x!r} -> {y!r} missing"
+                        )
+                    row.append(to_tv(row_raw[y], f"relation {k} entry {x!r} -> {y!r}"))
             rows.append(tuple(row))
         rels[prop] = tuple(rows)
 
@@ -612,11 +632,73 @@ def load_model(path: str) -> KripkeModel:
     return model
 
 
+_CONTAINERS = (dict, list, tuple)
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+@lru_cache(maxsize=None)
+def _encoder(depth: int) -> Callable[[object], str]:
+    """The C encoder, its items separated by a new line indented to depth."""
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": ")).encode
+
+
+def _key(key: object) -> str:
+    """An object's key as json writes it, and the colon after it."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key) + ": "
+    return _encoder(0)({key: 0})[1:-2]  # an int, float, bool or None key
+
+
+def _write_indented(doc: object, write: Callable[[str], object]) -> None:
+    """Writes the text of json.dumps(doc, indent=2), in chunks. A scalar,
+    or a container holding no non-empty container, is one call of the C
+    encoder, whose item separator carries the indent (an encoded string
+    holds no raw newline), with the brackets' lines spliced in; an empty
+    container is its constant text. Other containers are walked item by
+    item, on an explicit stack."""
+    out: list[str] = []
+    # per open container: its items, itself, what precedes its next item, its closing text
+    frames = [[iter((("", doc),)), None, "", ""]]
+    while frames:
+        frame = frames[-1]
+        pad = "\n" + "  " * (len(frames) - 1)  # starts a line at the items' depth
+        comma = "," + pad
+        for key, obj in frame[0]:
+            out.append(frame[2] + key)
+            frame[2] = comma
+            if len(out) > 64:  # a few rows at a time: no copy of the whole text is held
+                write("".join(out))
+                out.clear()
+            if not isinstance(obj, _CONTAINERS):
+                out.append(_encoder(0)(obj))
+                continue
+            kids = obj.values() if isinstance(obj, dict) else obj
+            brackets = "[]" if kids is obj else "{}"
+            if not obj:
+                out.append(brackets)
+            elif set(map(type, kids)) <= _SCALARS or not any(
+                isinstance(kid, _CONTAINERS) and kid for kid in kids
+            ):
+                text = _encoder(len(frames))(obj)
+                out.append(text[0] + pad + "  " + text[1:-1] + pad + text[-1])
+            elif any(obj is outer[1] for outer in frames):
+                raise ValueError("Circular reference detected")
+            else:
+                out.append(brackets[0])
+                keys = repeat("") if kids is obj else map(_key, obj)
+                frames.append([zip(keys, kids), obj, pad + "  ", pad + brackets[1]])
+                break
+        else:
+            out.append(frames.pop()[3])
+    write("".join(out))
+
+
 def save_model(model: KripkeModel, path: str, extra: dict | None = None) -> None:
-    """Write the model document, with optional extra top-level keys."""
+    """Write the model document, with optional extra top-level keys, as
+    json.dump(doc, handle, indent=2) and a newline would."""
     doc = model_to_json(model)
     if extra:
         doc.update(extra)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2)
+        _write_indented(doc, handle.write)
         handle.write("\n")

@@ -15,6 +15,10 @@ normalize, iterative parser and printer, schema-driven proof checker,
 the model builders that work on numerators and the loader that shares
 one TruthValue per numerator with them.
 
+reference_model_from_json is the loader as it was before matrix rows
+were read in one pass: every entry goes through its own check, so it is
+the oracle for the messages the row-wise loader gives on a bad entry.
+
 enumerated_search is the search as it was before rows were separated:
 it runs the compiled program on every candidate, so it is fast enough
 for the 3-world and m=4 cases that reference_search cannot reach.
@@ -65,6 +69,7 @@ from mvcond.semantics import (
     Proposition,
     UndeclaredVariableError,
     UnknownWorldError,
+    _SharedValues,
     check_fid,
     instruction,
     model_of,
@@ -1393,6 +1398,96 @@ def entrywise_model_from_json(data: object) -> KripkeModel:
                         f"relation {k}: matrix entry {x!r} -> {y!r} missing"
                     )
                 row.append(to_tv(row_raw[y], f"relation {k} entry {x!r} -> {y!r}"))
+            rows.append(tuple(row))
+        rels[prop] = tuple(rows)
+
+    policy_raw = data.get("default_relation", "error")
+    if policy_raw == "error":
+        policy = None
+    else:
+        policy = to_tv(policy_raw, "default_relation")
+
+    return KripkeModel(
+        m=m,
+        worlds=tuple(worlds),
+        vars=tuple(vars_),
+        valuation=val,
+        relations=rels,
+        default_policy=policy,
+    )
+
+
+def reference_model_from_json(data: object) -> KripkeModel:
+    """model_from_json as it was before rows were read in one pass: every
+    entry goes through to_tv on its own, looked up in the shared values."""
+    if not isinstance(data, dict):
+        raise _bad_document("top level must be an object")
+    try:
+        m = data["m"]
+        worlds = data["worlds"]
+        vars_ = data["vars"]
+        valuation = data["valuation"]
+        relations = data["relations"]
+    except KeyError as missing:
+        raise _bad_document(f"missing key {missing.args[0]!r}") from None
+    if not isinstance(m, int) or isinstance(m, bool) or m < 2:
+        raise _bad_document("'m' must be an integer >= 2")
+    if not isinstance(worlds, list) or not all(isinstance(w, str) for w in worlds):
+        raise _bad_document("'worlds' must be a list of strings")
+    if not isinstance(vars_, list) or not all(isinstance(v, str) for v in vars_):
+        raise _bad_document("'vars' must be a list of strings")
+    if not isinstance(valuation, dict):
+        raise _bad_document("'valuation' must be an object")
+    if not isinstance(relations, list):
+        raise _bad_document("'relations' must be a list")
+
+    value = _SharedValues(m)
+
+    def to_tv(raw: object, where: str, *args: object) -> TruthValue:
+        """The shared value of raw; where, formatted with args, names the
+        entry in an error and is built only then."""
+        if not isinstance(raw, int) or isinstance(raw, bool):
+            raise _bad_document(f"{where.format(*args)}: numerator must be an integer")
+        try:
+            return value[raw]
+        except ValueError as exc:
+            raise _bad_document(f"{where.format(*args)}: {exc}") from None
+
+    val: dict[str, dict[str, TruthValue]] = {}
+    for v, per_world in valuation.items():
+        if not isinstance(per_world, dict):
+            raise _bad_document(f"valuation of {v!r} must be an object")
+        val[v] = {
+            w: to_tv(raw, "valuation of {!r} at {!r}", v, w)
+            for w, raw in per_world.items()
+        }
+
+    rels: dict[Proposition, Matrix] = {}
+    for k, entry in enumerate(relations):
+        if not isinstance(entry, dict) or "prop" not in entry or "matrix" not in entry:
+            raise _bad_document(f"relation {k} must have 'prop' and 'matrix'")
+        cells_raw = entry["prop"]
+        if not isinstance(cells_raw, list) or not all(
+            isinstance(cell, list) and all(isinstance(w, str) for w in cell)
+            for cell in cells_raw
+        ):
+            raise _bad_document(f"relation {k}: 'prop' must be a list of world lists")
+        prop = Proposition(tuple(tuple(cell) for cell in cells_raw))
+        matrix_raw = entry["matrix"]
+        if not isinstance(matrix_raw, dict):
+            raise _bad_document(f"relation {k}: 'matrix' must be an object")
+        rows = []
+        for x in worlds:
+            row_raw = matrix_raw.get(x)
+            if not isinstance(row_raw, dict):
+                raise _bad_document(f"relation {k}: matrix row for {x!r} missing")
+            row = []
+            for y in worlds:
+                if y not in row_raw:
+                    raise _bad_document(
+                        f"relation {k}: matrix entry {x!r} -> {y!r} missing"
+                    )
+                row.append(to_tv(row_raw[y], "relation {} entry {!r} -> {!r}", k, x, y))
             rows.append(tuple(row))
         rels[prop] = tuple(rows)
 

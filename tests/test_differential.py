@@ -3,10 +3,12 @@ the parser and printer, filtration, its preservation check, random models
 and the model document loader against the reference implementations in
 reference.py."""
 
+import io
 import json
 import re
 import sys
 from dataclasses import replace
+from enum import IntEnum
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvcond.cli import main
 from mvcond.parser import ParseError, parse, print_formula
 from mvcond.search import (
     _SLAB_CELLS,
@@ -41,6 +44,7 @@ from mvcond.semantics import (
     model_of,
     model_to_json,
     operations,
+    save_model,
 )
 from mvcond.syntax import (
     RESERVED_VAR,
@@ -68,6 +72,7 @@ from reference import (
     reference_check_preservation,
     reference_falsifying_assignment,
     reference_filtrate,
+    reference_model_from_json,
     reference_normalize,
     reference_parse,
     reference_print,
@@ -775,6 +780,128 @@ def test_model_from_json_matches_the_entrywise_loader():
         "bad model document: relation _: matrix row for _ missing",
         "bad model document: relation _: matrix entry _ -> _ missing",
     }
+
+
+_ONE = IntEnum("_ONE", {"ONE": 1}).ONE  # an int subclass other than bool
+
+
+def _with_key_after(row, after, key, raw):
+    """row with key set to raw, placed right after the key after."""
+    items = list(row.items())
+    at = [k for k, _ in items].index(after) + 1
+    return dict(items[:at] + [(key, raw)] + items[at:])
+
+
+def _corrupted(doc, rng):
+    """Copies of doc with one valuation or matrix entry, at the first, a
+    middle or the last column, set to a value that is not a plain
+    numerator on the chain, deleted, or joined by a key that names no
+    world; and copies with that row, or that valuation, not an object."""
+    worlds = doc["worlds"]
+    v, x = rng.choice(sorted(doc["valuation"])), rng.choice(worlds)
+    k = rng.randrange(len(doc["relations"]))
+    column, rows = doc["valuation"][v], doc["relations"][k]["matrix"]
+
+    def with_column(per_world):
+        return {**doc, "valuation": {**doc["valuation"], v: per_world}}
+
+    def with_row(row):
+        relations = list(doc["relations"])
+        relations[k] = {**relations[k], "matrix": {**rows, x: row}}
+        return {**doc, "relations": relations}
+
+    for y in dict.fromkeys((worlds[0], worlds[len(worlds) // 2], worlds[-1])):
+        for bad in (True, 1.0, "1", None, -1, doc["m"], _ONE):
+            yield with_column({**column, y: bad})
+            yield with_row({**rows[x], y: bad})
+        yield with_column(_without(column, y))
+        yield with_row(_without(rows[x], y))
+        yield with_column(_with_key_after(column, y, "nowhere", 0))
+        yield with_row(_with_key_after(rows[x], y, "nowhere", 0))
+    yield with_column(list(column.values()))
+    yield with_row(list(rows[x].values()))
+
+
+def test_model_from_json_matches_the_per_entry_loader_on_corrupted_rows():
+    rng = Random(14)
+    outcomes = set()
+    for m in (2, 3, 5, 9):
+        for n in (1, 2, 5, 16):
+            doc = model_to_json(random_model(10 * m + n, m, n, NAMES, n % 3))
+            for bad in _corrupted(doc, rng):
+                new = _result(model_from_json, bad)
+                assert new == _result(reference_model_from_json, bad)
+                outcomes.add(new[0] if isinstance(new, tuple) else KripkeModel)
+    assert outcomes == {ModelFormatError, KripkeModel}
+
+
+def _indent2(doc):
+    out = io.StringIO()
+    json.dump(doc, out, indent=2)
+    return out.getvalue() + "\n"
+
+
+def _model_cases():
+    """Seeded models with m in {2, 3, 5, 10**5}, 1-64 worlds, 0-4 extra
+    relations, and the default relation a numerator in every other one,
+    "error" in the rest. The m = 10**5 ones have few relations, as json's
+    indent encoder takes about 0.2 s on each 10**5-cell proposition."""
+    rng = Random(7)
+    for seed in range(24):
+        m = (2, 3, 5)[seed % 3]
+        n = 64 if seed % 8 == 0 else rng.randint(1, 64)
+        yield random_model(seed, m, n, NAMES[: 1 + seed % 3], seed % 5)
+    yield random_model(1, 10**5, 3, ("p",), 2)
+    yield random_model(2, 10**5, 9, ("p",), 0)
+
+
+def test_save_model_writes_the_bytes_of_json_dump(tmp_path):
+    path = tmp_path / "model.json"
+    for k, model in enumerate(_model_cases()):
+        model = replace(model, default_policy=model.default_policy if k % 2 else None)
+        save_model(model, str(path))
+        assert path.read_bytes() == _indent2(model_to_json(model)).encode("utf-8")
+
+
+def test_save_model_writes_quoted_and_non_ascii_names_as_json_does(tmp_path):
+    worlds = ('w"0', "w\\1", "w\n2", "w\u00e93", "\u4e16\u754c")
+    names = ('p"', "q\\", "r\n", "\u00df")
+    columns = [tuple((i + j) % 3 for j in range(len(worlds))) for i in range(len(names))]
+    rows = [[(x * y) % 3 for y in range(len(worlds))] for x in range(len(worlds))]
+    path = tmp_path / "model.json"
+    for relations, default in (({columns[0]: rows, (2, 2, 0, 1, 0): rows}, 1), ({}, None)):
+        model = model_of(3, worlds, names, columns, relations, default)
+        save_model(model, str(path), {"class_map": {w: worlds[0] for w in worlds}})
+        doc = {**model_to_json(model), "class_map": {w: worlds[0] for w in worlds}}
+        assert path.read_bytes() == _indent2(doc).encode("utf-8")
+        assert model_from_json(json.loads(path.read_text(encoding="utf-8"))) == model
+
+
+def test_save_model_writes_nested_extra_keys_as_json_does(tmp_path):
+    path, model = tmp_path / "model.json", random_model(4, 3, 2, ("p",), 1)
+    extra = {
+        "notes": [[], {}, [1, [2.5, []]], {"a": {"b": [None, True]}}, ((1,), ())],
+        7: {"": [[[]]]},
+        None: "x",
+    }
+    save_model(model, str(path), extra)
+    assert path.read_bytes() == _indent2({**model_to_json(model), **extra}).encode("utf-8")
+    loop: list = []
+    loop.append([loop])
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        save_model(model, str(path), {"loop": loop})
+
+
+def test_filtrate_quotient_file_is_what_json_dump_writes(tmp_path, capsys):
+    source, sigma, out = tmp_path / "model.json", tmp_path / "sigma.txt", tmp_path / "q.json"
+    save_model(random_model(5, 3, 12, NAMES, 2), str(source))
+    sigma.write_text("p => q\n")
+    code = main(["filtrate", "--model", str(source), "--sigma", str(sigma), "--out", str(out)])
+    assert code == 0, capsys.readouterr().out
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert len(doc["worlds"]) < len(doc["class_map"]) == 12  # some worlds were merged
+    assert list(doc)[-1] == "class_map"
+    assert out.read_bytes() == _indent2(doc).encode("utf-8")
 
 
 # sigma texts: repeated antecedent propositions (p, p & p, p | p, and q and

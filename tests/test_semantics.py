@@ -318,6 +318,20 @@ def test_validate_model_names_each_defect(defect, message):
     assert validate_model(model) == [message]
 
 
+def test_validate_model_names_the_first_bad_entry_of_each_bad_row():
+    model = build_model(3, ["x", "y", "z"], {"p": {"x": 0, "y": 1, "z": 2}})
+    ok = TruthValue(0, 3)
+    model.relations[Proposition((("x",), ("y",), ("z",)))] = (
+        (ok, TruthValue(0, 4), TruthValue(0, 5)),
+        (ok, ok, ok),
+        (TruthValue(0, 6), ok, TruthValue(0, 4)),
+    )
+    assert validate_model(model) == [
+        "relation 0: matrix entry has scale 4, expected 3",
+        "relation 0: matrix entry has scale 6, expected 3",
+    ]
+
+
 def test_model_json_round_trip():
     model = random_model(9, 3, 3, ("p", "q"), 1)
     doc = model_to_json(model)
