@@ -34,7 +34,7 @@ any Evaluator already holding it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
@@ -145,7 +145,7 @@ class KripkeModel:
         return {w: i for i, w in enumerate(self.worlds)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FidViolation:
     """A relation entry exceeding what the target world's cell permits."""
 
@@ -154,6 +154,13 @@ class FidViolation:
     target: str
     degree: TruthValue
     target_cell: int | None  # 1-based cell of target, None if in no cell
+
+
+# check_fid fills a record through these slot setters, in field order: the
+# frozen __init__ would make one object.__setattr__ call per field.
+_FID_SETTERS = tuple(
+    FidViolation.__dict__[f.name].__set__ for f in fields(FidViolation)
+)
 
 
 Values = tuple[int, ...]  # one numerator per world, in model order
@@ -381,6 +388,8 @@ def _prop_sort_key(prop: Proposition, index: Mapping[str, int]):
 
 
 def _sorted_relations(model: KripkeModel) -> list[tuple[Proposition, Matrix]]:
+    if len(model.relations) < 2:  # nothing to order, so no key to build
+        return list(model.relations.items())
     index = model.world_index()
     return sorted(model.relations.items(), key=lambda kv: _prop_sort_key(kv[0], index))
 
@@ -390,22 +399,41 @@ def check_fid(model: KripkeModel) -> list[FidViolation]:
 
     A relation entry of degree (i-1)/(m-1) from x to y demands that y
     lie in cell j of the keying proposition for some j >= i; degree-0
-    entries demand nothing.
+    entries demand nothing. A world listed in two cells counts in the
+    first. Each relation row is tested in one pass against the least
+    violating numerator of every target: j for a world in cell j, 1 for
+    a world in no cell. Entries past the n-th of a row, and rows past
+    the n-th, are ignored; a shorter matrix raises IndexError.
     """
+    worlds = model.worlds
+    n = len(worlds)
     violations: list[FidViolation] = []
+    append = violations.append
+    new = object.__new__
+    set_prop, set_source, set_target, set_degree, set_cell = _FID_SETTERS
     for prop, matrix in _sorted_relations(model):
         cell_of: dict[str, int] = {}
         for j, cell in enumerate(prop.cells, start=1):
             for w in cell:
                 cell_of.setdefault(w, j)
-        for xi, x in enumerate(model.worlds):
-            for yi, y in enumerate(model.worlds):
-                degree = matrix[xi][yi]
-                if degree.numerator == 0:
-                    continue
-                j = cell_of.get(y)
-                if j is None or j < degree.numerator + 1:
-                    violations.append(FidViolation(prop, x, y, degree, j))
+        cells = [cell_of.get(y) for y in worlds]
+        floor = [1 if j is None else j for j in cells]
+        for x, row in zip(worlds, matrix):
+            for y, degree, j, low in zip(worlds, row, cells, floor):
+                if degree.numerator >= low:
+                    v = new(FidViolation)
+                    set_prop(v, prop)
+                    set_source(v, x)
+                    set_target(v, y)
+                    set_degree(v, degree)
+                    set_cell(v, j)
+                    append(v)
+            if len(row) < n:
+                raise IndexError(
+                    f"matrix row of world {x!r} has {len(row)} entries, expected {n}"
+                )
+        if len(matrix) < n:
+            raise IndexError(f"matrix has {len(matrix)} rows, expected {n}")
     return violations
 
 

@@ -3,13 +3,14 @@
 These are the straightforward recursive versions of the evaluator, the
 countermodel search, normalize, the truth tables, the parser, the
 printer, the proof checker's axiom matchers and line checker,
-filtration, its preservation check, random models and the model document
-loader as the library once shipped them. They evaluate one (world,
-formula) pair or one assignment at a time, build a KripkeModel for every
-candidate, rewrite trees without sharing, parse by recursive descent,
-compare formulas with the recursive dataclass == and build models from
-TruthValue entries world by world, so they are slow and fail on deep
-input, but are easy to check by eye. The differential tests compare the
+filtration, its preservation check, random models, the identity frame
+condition check and the model document loader as the library once
+shipped them. They evaluate one (world, formula) pair or one assignment
+at a time, build a KripkeModel for every candidate, rewrite trees
+without sharing, parse by recursive descent, compare formulas with the
+recursive dataclass == and build models from TruthValue entries world
+by world, so they are slow and fail on deep input, but are easy to
+check by eye. The differential tests compare the
 library's compiled evaluator and truth tables, search, table-driven
 normalize, iterative parser and printer, schema-driven proof checker,
 the model builders that work on numerators and the loader that shares
@@ -18,6 +19,11 @@ one TruthValue per numerator with them.
 reference_model_from_json is the loader as it was before matrix rows
 were read in one pass: every entry goes through its own check, so it is
 the oracle for the messages the row-wise loader gives on a bad entry.
+
+reference_check_fid is the frame condition check as it was before rows
+were tested in one pass: it reads every entry through matrix[x][y] and
+builds each record with FidViolation's generated __init__, so a short or
+missing row raises IndexError at its first missing entry.
 
 enumerated_search is the search as it was before rows were separated:
 it runs the compiled program on every candidate, so it is fast enough
@@ -62,6 +68,7 @@ from mvcond.search import (
 )
 from mvcond.semantics import (
     Evaluator,
+    FidViolation,
     KripkeModel,
     Matrix,
     MissingRelationError,
@@ -70,7 +77,6 @@ from mvcond.semantics import (
     UndeclaredVariableError,
     UnknownWorldError,
     _SharedValues,
-    check_fid,
     instruction,
     model_of,
     operations,
@@ -342,7 +348,7 @@ def reference_search(
                 ):
                     return SearchOutcome(None, None, True, count)
                 count += 1
-                if require_fid and check_fid(candidate):
+                if require_fid and reference_check_fid(candidate):
                     continue
                 hit = ReferenceEvaluator(candidate).failing_world(phi)
                 if hit is not None:
@@ -1325,6 +1331,35 @@ def reference_random_model(
         relations=relations,
         default_policy=TruthValue.bottom(m),
     )
+
+
+def reference_check_fid(model: KripkeModel) -> list[FidViolation]:
+    """Violations of the identity frame condition, relations ordered by
+    their cells' world indexes (an unknown world after every known one),
+    then source and target in world order; a world in two cells counts
+    in the first."""
+    index = model.world_index()
+    unknown = len(index)
+    violations: list[FidViolation] = []
+    for prop, matrix in sorted(
+        model.relations.items(),
+        key=lambda kv: tuple(
+            tuple(index.get(w, unknown) for w in cell) for cell in kv[0].cells
+        ),
+    ):
+        cell_of: dict[str, int] = {}
+        for j, cell in enumerate(prop.cells, start=1):
+            for w in cell:
+                cell_of.setdefault(w, j)
+        for xi, x in enumerate(model.worlds):
+            for yi, y in enumerate(model.worlds):
+                degree = matrix[xi][yi]
+                if degree.numerator == 0:
+                    continue
+                j = cell_of.get(y)
+                if j is None or j < degree.numerator + 1:
+                    violations.append(FidViolation(prop, x, y, degree, j))
+    return violations
 
 
 def _bad_document(message: str) -> ModelFormatError:

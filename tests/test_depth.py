@@ -56,7 +56,8 @@ def test_deep_formula_under_the_default_recursion_limit(name):
     phi = parse(text)
     out = print_formula(phi)
     normal = normalize(phi, 3)
-    values = [Evaluator(model).value(w, phi).numerator for w in model.worlds]
+    evaluator = Evaluator(model)
+    values = [evaluator.value(w, phi).numerator for w in model.worlds]
     tautology = is_L_tautology(Imp(phi, Var("p")), 3) if name == "conjunctions" else None
     assert time.perf_counter() - start < 2
 

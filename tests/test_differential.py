@@ -38,8 +38,10 @@ from mvcond.semantics import (
     MissingRelationError,
     ModelError,
     ModelFormatError,
+    Proposition,
     UndeclaredVariableError,
     UnknownWorldError,
+    check_fid,
     model_from_json,
     model_of,
     model_to_json,
@@ -69,6 +71,7 @@ from reference import (
     entrywise_model_from_json,
     enumerated_search,
     reference_abstract_conditionals,
+    reference_check_fid,
     reference_check_preservation,
     reference_falsifying_assignment,
     reference_filtrate,
@@ -717,6 +720,79 @@ def test_random_model_matches_reference(m):
             assert _dump(new) == _dump(ref)
             repeated += len(ref.relations) < len(set(names)) + extra
     assert repeated
+
+
+def _fid_fields(violations):
+    return [(v.prop, v.source, v.target, v.degree, v.target_cell) for v in violations]
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 9])
+def test_check_fid_matches_reference_on_random_models(m):
+    for n in (1, 2, 3, 4, 7, 16, 33, 64):
+        for seed, (names, extra) in enumerate(MODEL_SHAPES):
+            model = random_model(10_000 * m + 100 * n + seed, m, n, names, extra)
+            got, want = check_fid(model), reference_check_fid(model)
+            assert _fid_fields(got) == _fid_fields(want)
+
+
+def _fid_model(m, worlds, relations):
+    """A model with no variables whose relations are given as (cells,
+    rows of numerators); nothing checks that the cells partition the
+    worlds or that the rows are n x n."""
+    return KripkeModel(
+        m=m,
+        worlds=tuple(worlds),
+        vars=(),
+        valuation={},
+        relations={
+            Proposition(tuple(map(tuple, cells))): tuple(
+                tuple(TruthValue(e, m) for e in row) for row in rows
+            )
+            for cells, rows in relations
+        },
+        default_policy=None,
+    )
+
+
+MALFORMED_FID_MODELS = {
+    "world in two cells": _fid_model(
+        3, "xy", [([["x"], ["x", "y"], []], [[1, 2], [2, 1]])]
+    ),
+    "world in no cell": _fid_model(
+        3, "xyz", [([["x"], [], ["z"]], [[2, 0, 1], [1, 2, 0], [0, 1, 2]])]
+    ),
+    "unknown world in a cell": _fid_model(
+        3,
+        "xy",
+        [
+            ([["x", "ghost"], ["y"], []], [[1, 1], [2, 0]]),
+            ([["x"], ["ghost", "y"], []], [[2, 2], [1, 1]]),
+            ([["ghost"], ["x"], ["y"]], [[2, 2], [2, 2]]),
+        ],
+    ),
+    "rows longer than the worlds": _fid_model(
+        2, "xy", [([["x"], ["y"]], [[1, 1, 1], [1, 0, 1], [1, 1, 1]])]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_FID_MODELS)
+def test_check_fid_matches_reference_on_malformed_models(name):
+    model = MALFORMED_FID_MODELS[name]
+    got, want = check_fid(model), reference_check_fid(model)
+    assert want
+    assert _fid_fields(got) == _fid_fields(want)
+
+
+@pytest.mark.parametrize(
+    "rows", [[[1, 1], [1]], [[1], [1, 1]], [[1, 1]], [], [[0, 0, 0]]]
+)
+def test_check_fid_raises_on_a_matrix_smaller_than_the_worlds(rows):
+    model = _fid_model(2, "xy", [([["x"], ["y"]], rows)])
+    with pytest.raises(IndexError):
+        reference_check_fid(model)
+    with pytest.raises(IndexError):
+        check_fid(model)
 
 
 def _documents():

@@ -1,6 +1,7 @@
 """Model evaluation, propositions, frame-condition and format checks."""
 
 import json
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -11,6 +12,7 @@ from mvcond.parser import parse
 from mvcond.search import random_model
 from mvcond.semantics import (
     Evaluator,
+    FidViolation,
     KripkeModel,
     MissingRelationError,
     ModelFormatError,
@@ -224,6 +226,33 @@ def test_fid_check_cases():
     ok = build_model(3, ["x", "y"], {"p": {"x": 0, "y": 1}})
     add_relation(ok, P, [[0, 1], [0, 0]])  # degree 1/2 into a value-1/2 world
     assert check_fid(ok) == []
+
+
+def test_fid_violation_records_keep_their_contract():
+    bad = build_model(3, ["x", "y"], {"p": {"x": 2, "y": 0}})
+    add_relation(bad, P, [[0, 2], [0, 0]])
+    [hit] = check_fid(bad)
+    built = FidViolation(hit.prop, "x", "y", TruthValue(2, 3), 1)
+    assert hit == built
+    assert hash(hit) == hash(built)
+    assert repr(hit) == repr(built)
+    assert repr(hit).startswith("FidViolation(prop=Proposition(cells=")
+    assert repr(hit).endswith(
+        ", source='x', target='y', degree=TruthValue(numerator=2, scale=3), "
+        "target_cell=1)"
+    )
+    with pytest.raises(FrozenInstanceError):
+        hit.target_cell = 2
+    with pytest.raises(FrozenInstanceError):
+        del hit.source
+    assert hit == built
+    assert [f.name for f in fields(FidViolation)] == [
+        "prop",
+        "source",
+        "target",
+        "degree",
+        "target_cell",
+    ]
 
 
 def test_fid_models_make_identity_conditionals_designated():
