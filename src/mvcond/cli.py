@@ -43,7 +43,7 @@ from .semantics import (
     save_model,
     validate_model,
 )
-from .syntax import Formula, I, J, NodeTable, Var, children
+from .syntax import Formula, I, J, NodeTable, Var, _fold
 
 __all__ = ["main", "build_parser"]
 
@@ -60,20 +60,20 @@ def _read_formula_lines(path: str) -> list[Formula]:
     return out
 
 
-def _ast(phi: Formula) -> dict:
-    out: dict = {"node": type(phi).__name__}
-    if isinstance(phi, Var):
-        out["name"] = phi.name
-    elif isinstance(phi, (J, I)):
-        out["index"] = str(phi.index)
-    kids = [_ast(child) for child in children(phi)]
+def _ast(node: Formula, *kids: dict) -> dict:
+    """One node's AST document, its children's already built (see _fold)."""
+    out: dict = {"node": type(node).__name__}
+    if isinstance(node, Var):
+        out["name"] = node.name
+    elif isinstance(node, (J, I)):
+        out["index"] = str(node.index)
     out.update(zip(("child",) if len(kids) == 1 else ("left", "right"), kids))
     return out
 
 
 def _cmd_parse(args) -> tuple[int, dict]:
     phi = parse(args.formula)
-    return 0, {"status": "ok", "formula": print_formula(phi), "ast": _ast(phi)}
+    return 0, {"status": "ok", "formula": print_formula(phi), "ast": _fold(phi, _ast, {})}
 
 
 def _cmd_taut(args) -> tuple[int, dict]:

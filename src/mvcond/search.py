@@ -21,16 +21,17 @@ relation candidate; each candidate matrix is a tuple of the same rows.
 Either way the identity frame condition holds when every row lies within
 its key, entry by entry.
 
-The row-separated search also shares work across valuations. A
-conditional's values over all rows depend only on its consequent's values
-(and, under the identity frame condition, on its key, which picks the
-rows), so they are computed once per world count, as are the rows within
-each key. Permuting the worlds of
-a valuation permutes its candidates without changing whether one refutes
-the formula, so only a valuation whose per-world value tuples are
-non-decreasing, the least of its orbit, is searched. Any other comes after
-its least permutation, which found no countermodel (the search would have
-stopped there), and adds the closed-form count of that one.
+The search also shares work across valuations. In the row-separated
+search a conditional's values over all rows depend only on its
+consequent's values (and, under the identity frame condition, on its
+key, which picks the rows), so they are computed once per world count,
+as are the rows within each key. For every formula, nested or not,
+permuting the worlds of a valuation permutes its candidates without
+changing whether one refutes the formula, so only a valuation whose
+per-world value tuples are non-decreasing, the least of its orbit, is
+searched. Any other comes after its least permutation, which found no
+countermodel (the search would have stopped there), and adds that one's
+count.
 
 filtrate quotients a model by agreement on a subformula-closed set,
 taking the pointwise supremum of the evaluator's integer relation rows
@@ -300,12 +301,15 @@ def countermodel_search(
     and the count before it in closed form. A conditional's values over
     the rows are kept per world count, keyed by its consequent's values
     (and its antecedent's under require_fid), as are each key's rows
-    under require_fid. Only the least valuation of
-    each orbit under permutations of the worlds is evaluated; the others
-    cannot hold the first countermodel and add their closed-form count,
-    |rows|^(worlds * keys), with the budget checked as for any valuation.
-    Nested conditionals are enumerated candidate by candidate, each
-    matrix a tuple of shared rows.
+    under require_fid. Nested conditionals are enumerated candidate by
+    candidate, each matrix a tuple of shared rows.
+
+    Either way only the least valuation of each orbit under permutations
+    of the worlds is evaluated. Renaming the worlds maps a valuation's
+    candidates one to one onto its least permutation's, keys renamed,
+    keeping which keys each round assigns, the frame test and whether a
+    candidate refutes; so any other valuation adds that one's count and,
+    like it, has no countermodel.
     """
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")
@@ -370,6 +374,9 @@ def countermodel_search(
             return tuple(tuple(y for y in range(n) if key[y] == c) for c in range(m))
 
         rows = list(product(values_desc, repeat=n))
+        # an orbit's least valuation, as its worlds' value tuples -> the
+        # candidates of each of its valuations, none a countermodel
+        orbit_spent: dict[tuple, int] = {}
         if nested:  # |rows|^n matrices, each a tuple of the shared rows
             matrices = list(product(rows, repeat=n))
         else:
@@ -381,49 +388,46 @@ def countermodel_search(
             # a conditional's values over its key's rows, by its consequent's
             # values (and its key under require_fid, which picks the rows)
             cond_values: dict = {}
-            # an orbit's least valuation, as its worlds' value tuples -> the
-            # candidates of each of its valuations without a countermodel
-            orbit_spent: dict[tuple, int] = {}
 
             @cache
             def within(key: tuple[int, ...]) -> list[tuple[int, ...]]:
                 return [r for r in rows if all(map(le, r, key))]
 
-        def visit():
-            """The first refuting world and its value, or True for an
-            exhausted budget, over every completion of the relations in rel.
+        def visit(limit: int | None):
+            """The candidates counted and the first refuting world and its
+            value, or None, over every completion of the relations in rel.
+            A round stops once a child hits or its count exceeds limit (None
+            for no budget); the caller then reads the budget from the count.
             At most 4 deep: after r calls each antecedent of depth < r has
             its final value, already a key, and none is deeper than 2."""
-            nonlocal count
             for fn, i, j, s in inner:
                 values[s] = fn(values[i], values[j])
             fresh = {values[a] for a in antecedents}.difference(rel)
             if not fresh:
-                if budget is not None and count >= budget:
-                    return True
-                count += 1
                 if require_fid and not all(
                     all(map(le, row, key)) for key, matrix in rel.items() for row in matrix
                 ):
-                    return None
+                    return 1, None
                 for fn, i, j, s in outer:
                     values[s] = fn(values[i], values[j])
                 for x, v in enumerate(values[root]):
                     if v != top:
-                        return x, v
-                return None
+                        return 1, (x, v)
+                return 1, None
             keys = sorted(fresh, key=cells)
+            spent = 0
             for combo in product(matrices, repeat=len(keys)):
                 rel.update(zip(keys, combo))
-                hit = visit()
-                if hit is not None:
-                    return hit
+                more, hit = visit(None if limit is None else limit - spent)
+                spent += more
+                if hit is not None or (limit is not None and spent > limit):
+                    return spent, hit
             for key in keys:
                 del rel[key]
-            return None
+            return spent, None
 
-        def by_rows(orbit: tuple):
-            """What visit returns, for a formula without nested conditionals.
+        def by_rows():
+            """What visit(None) returns, for a formula without nested conditionals.
 
             rel holds each key's rows in enumeration order (those within
             the key under require_fid). For each world x, the first
@@ -431,16 +435,11 @@ def countermodel_search(
             its key's first; the earliest of these n is the first refuting
             candidate, and its rank in the enumeration is the count
             before it. The last key's rows vary across one points vector,
-            the other keys' stay constant across it. orbit, the valuation's
-            value tuple at each world, is least in its orbit under
-            permutations of the worlds; its candidate count without a
-            countermodel is recorded for the others.
+            the other keys' stay constant across it.
             """
-            nonlocal count
             keys = list({values[a] for a in antecedents})
             if len(keys) > 1:
                 keys.sort(key=cells)
-            spent = orbit_spent[orbit] = len(rows) ** (n * len(keys))
             rel.clear()
             for key in keys:
                 rel[key] = within(key) if require_fid else rows
@@ -478,49 +477,45 @@ def countermodel_search(
                         found[x] = (tuple(rel[key][w] for key, w in zip(keys, at + (j,))), v)
                     if len(found) == n:
                         break
-            if found:
-                firsts = [rel[key][0] for key in keys]
-
-                def rank(x: int) -> int:
-                    """x's candidate's index, its row indices read as digits
-                    in enumeration order (key by key, world by world)."""
-                    t, index = found[x][0], 0
-                    for k, first in enumerate(firsts):
-                        for y in range(n):
-                            index = index * len(rows) + row_index[t[k] if y == x else first]
-                    return index
-
-                x = min(sorted(found), key=rank)
-                spent = rank(x) + 1
-            if budget is not None and count + spent > budget:
-                count = budget
-                return True
-            count += spent
             if not found:
-                return None
+                return len(rows) ** (n * len(keys)), None
+            firsts = [rel[key][0] for key in keys]
+
+            def rank(x: int) -> int:
+                """x's candidate's index, its row indices read as digits
+                in enumeration order (key by key, world by world)."""
+                t, index = found[x][0], 0
+                for k, first in enumerate(firsts):
+                    for y in range(n):
+                        index = index * len(rows) + row_index[t[k] if y == x else first]
+                return index
+
+            x = min(sorted(found), key=rank)
             t, v = found[x]
             for k, key in enumerate(keys):
                 rel[key] = tuple(t[k] if y == x else firsts[k] for y in range(n))
-            return x, v
+            return rank(x) + 1, (x, v)
 
         for assignment in product(range(m), repeat=n * len(names)):
-            if not nested:
-                orbit = [assignment[x::n] for x in range(n)]  # each world's values
-                if any(map(gt, orbit, orbit[1:])):
-                    # a permutation of the worlds sorts it into an earlier
-                    # valuation, which had no countermodel
-                    spent = orbit_spent[tuple(sorted(orbit))]
-                    if budget is not None and count + spent > budget:
-                        return SearchOutcome(None, None, True, budget)
-                    count += spent
-                    continue
-            for s, start in var_at:
-                values[s] = assignment[start : start + n]
-            for fn, i, j, s in base:
-                values[s] = fn(values[i], values[j])
-            hit = visit() if nested else by_rows(tuple(orbit))
-            if hit is True:
-                return SearchOutcome(None, None, True, count)
+            orbit = [assignment[x::n] for x in range(n)]  # each world's values
+            if any(map(gt, orbit, orbit[1:])):
+                # a permutation of the worlds sorts it into an earlier
+                # valuation, which had no countermodel and as many candidates
+                spent, hit = orbit_spent[tuple(sorted(orbit))], None
+            else:
+                for s, start in var_at:
+                    values[s] = assignment[start : start + n]
+                for fn, i, j, s in base:
+                    values[s] = fn(values[i], values[j])
+                if nested:
+                    spent, hit = visit(None if budget is None else budget - count)
+                else:
+                    spent, hit = by_rows()
+                if hit is None:
+                    orbit_spent[tuple(orbit)] = spent
+            if budget is not None and count + spent > budget:
+                return SearchOutcome(None, None, True, budget)
+            count += spent
             if hit is not None:
                 x, v = hit
                 worlds = tuple(f"w{i}" for i in range(n))

@@ -38,7 +38,7 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from operator import sub
+from operator import attrgetter, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .syntax import (
@@ -509,11 +509,16 @@ def validate_model(model: KripkeModel) -> list[str]:
 
 def model_to_json(model: KripkeModel) -> dict:
     """Deterministic document: relations sorted by proposition, worlds in order."""
+    return _document(model, lambda prop: [list(cell) for cell in prop.cells])
+
+
+def _document(model: KripkeModel, cells_of: Callable[[Proposition], object]) -> dict:
+    """model_to_json's document, each relation's "prop" as cells_of(prop)."""
     relations = []
     for prop, matrix in _sorted_relations(model):
         relations.append(
             {
-                "prop": [list(cell) for cell in prop.cells],
+                "prop": cells_of(prop),
                 "matrix": {
                     x: {y: e.numerator for y, e in zip(model.worlds, row)}
                     for x, row in zip(model.worlds, matrix)
@@ -724,7 +729,7 @@ def _write_indented(doc: object, write: Callable[[str], object]) -> None:
 def save_model(model: KripkeModel, path: str, extra: dict | None = None) -> None:
     """Write the model document, with optional extra top-level keys, as
     json.dump(doc, handle, indent=2) and a newline would."""
-    doc = model_to_json(model)
+    doc = _document(model, attrgetter("cells"))  # tuples write as arrays: no list per cell
     if extra:
         doc.update(extra)
     with open(path, "w", encoding="utf-8") as handle:

@@ -351,6 +351,80 @@ def test_search_matches_enumeration_when_budgets_bind_in_a_skipped_valuation():
         _same_search(phi, m, SearchBounds(3, values, min(total, cap)), fid)
 
 
+def _nested_formula(rng, m):
+    """Two conditionals on one antecedent without conditionals, the first
+    inside the second's consequent, joined by another connective to one of
+    them or to a conditional-free formula."""
+    antecedent = chain_formula(rng, 1, m, SEARCH_NAMES)
+    inner = Cond(antecedent, chain_formula(rng, 1, m, SEARCH_NAMES))
+    join = rng.choice((Imp, And, Or, Iff))
+    outer = Cond(antecedent, join(inner, chain_formula(rng, 1, m, SEARCH_NAMES)))
+    other = rng.choice((inner, outer, chain_formula(rng, 2, m, SEARCH_NAMES)))
+    return rng.choice((Imp, Imp, And, Or, Iff))(outer, other)
+
+
+def test_nested_search_matches_enumeration_at_three_worlds():
+    """Three-world searches at m=2 evaluate only the least valuation of each
+    orbit for nested formulas too. Seeded formulas, some with conditionals
+    inside antecedents, with and without FID and relation values, under
+    budgets that let the search reach three worlds."""
+    rng = Random(904)
+    reached = set()
+    for i in range(24):
+        if i % 2:
+            phi = _nested_formula(rng, 2)
+        else:
+            phi = chain_formula(rng, 4, 2, names=SEARCH_NAMES, allow_cond=True)
+            while _cond_depth(phi) < 2:
+                phi = chain_formula(rng, 4, 2, names=SEARCH_NAMES, allow_cond=True)
+        fid = i % 4 < 2
+        values = rng.choice((None, None, (1,), (0, 1), (0,)))
+        two_worlds = _same_search(phi, 2, SearchBounds(2, values, 6000), fid)
+        got = _same_search(phi, 2, SearchBounds(3, values, two_worlds[0] + 3000), fid)
+        if got[0] is not SearchError and two_worlds[2] is None and not two_worlds[1]:
+            reached.add((fid, values is None))
+    assert reached == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_nested_search_matches_enumeration_when_budgets_bind_in_a_skipped_valuation():
+    """As for formulas without nesting: budgets at the first, middle and
+    last candidate of the first three-world valuation that a permutation of
+    the worlds sorts into an earlier one bind inside it, for seeded nested
+    formulas whose antecedents hold no conditional, so that each valuation
+    has |rows|^(n * its distinct antecedent propositions) candidates."""
+    rng = Random(905)
+    m, cap, checked = 2, 4000, set()
+    while len(checked) < 4:
+        fid = rng.random() < 0.5
+        values = rng.choice((None, (1,), (0, 1), (0,)))
+        phi = _nested_formula(rng, m)
+        before = countermodel_search(phi, m, SearchBounds(2, values), fid)
+        if before.found or before.candidates > cap:
+            continue
+        # the count without a budget, or cap if that is less
+        limit = countermodel_search(phi, m, SearchBounds(3, values, cap), fid).candidates
+        start = before.candidates
+        for least, spent in _valuations(phi, m, 3, values):
+            if start + spent > limit:
+                break
+            if not least:
+                for budget in (start, start + spent // 2, start + spent - 1):
+                    got = _same_search(phi, m, SearchBounds(3, values, budget), fid)
+                    assert got[:3] == (budget, True, None)
+                checked.add((fid, values is None))
+                break
+            start += spent
+        _same_search(phi, m, SearchBounds(3, values, limit), fid)
+
+
+@pytest.mark.parametrize("fid", [False, True])
+def test_nested_search_to_three_worlds_counts_every_candidate(fid):
+    """No countermodel: 2^2 valuations of 2 candidates, 2^4 of 2^4 and 2^6
+    of 2^9, all but the least valuation of each orbit counted unvisited."""
+    phi = parse("(p => (p => q)) -> (p => (p => q))")
+    assert _same_search(phi, 2, SearchBounds(3), fid)[:3] == (33032, False, None)
+
+
 def test_search_matches_enumeration_when_the_first_countermodel_needs_three_worlds():
     """Each disjunct fails at x only if x reaches a world of its own kind
     of (p, q): 00, 01 and 10, so no model of two worlds refutes it."""
