@@ -9,12 +9,12 @@ not depend on premises, since they preserve theoremhood rather than
 consequence; pass rules_on_premises=True to lift the restriction.
 
 Formulas are compared, the goal check included, modulo the spelling of
-T and F: one node table per derivation, in which T and F share the slots
-of p -> p and ~(p -> p) over the reserved variable; nothing else is
-normalized. The axioms and RCEA/RCEC are schema texts matched by
-first-order matching: a schema variable is a metavariable, a repeated
-one must bind equal formulas, and any other node must be matched by a
-node of its type. No check recurses on formula structure.
+T and F: both trees are walked in lockstep, and where their node types
+differ T and F read as p -> p and ~(p -> p) over the reserved variable;
+nothing else is normalized. The axioms and RCEA/RCEC are schema texts
+matched by first-order matching: a schema variable is a metavariable, a
+repeated one must bind equal formulas, and any other node must be
+matched by a node of its type. No check recurses on formula structure.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .parser import ParseError, parse, print_formula
 from .search import falsifying_assignment
@@ -33,12 +33,12 @@ from .syntax import (
     I,
     Iff,
     Imp,
-    NodeTable,
     Not,
     Top,
     Var,
     RESERVED_VAR,
     UnrepresentableIndexError,
+    _PARAM,
     children,
     imp_chain,
     index_numerator,
@@ -161,23 +161,28 @@ class Verdict:
     message: str | None = None
 
 
-_RESERVED = Var(RESERVED_VAR)
-
-
-def _same() -> Callable[[Formula, Formula], bool]:
-    """Structural equality modulo the spelling of T and F: equal slots in one
-    node table where T and F share the slots of p -> p and ~(p -> p) over
-    the reserved variable. A formula compared again is not added again."""
-    table = NodeTable()
-    truth = Imp(_RESERVED, _RESERVED)
-    table.alias(Top, table.add(truth))
-    table.alias(Bot, table.add(Not(truth)))
-    return lambda x, y: table.add(x) == table.add(y)
+_TRUTH = Imp(Var(RESERVED_VAR), Var(RESERVED_VAR))
+_SPELLED = {Top: _TRUTH, Bot: Not(_TRUTH)}  # T and F over the reserved variable
 
 
 def rule_eq(x: Formula, y: Formula) -> bool:
-    """Structural equality modulo the spelling of T and F."""
-    return _same()(x, y)
+    """Structural equality modulo the spelling of T and F, read as _t -> _t and
+    ~(_t -> _t) where node types differ: a lockstep walk, each pair once."""
+    stack, seen = [(x, y)], set()
+    while stack:
+        a, b = stack.pop()
+        if a is b or (id(a), id(b)) in seen:
+            continue
+        seen.add((id(a), id(b)))
+        if type(a) is not type(b):
+            a, b = _SPELLED.get(type(a), a), _SPELLED.get(type(b), b)
+            if type(a) is not type(b):
+                return False
+        param = _PARAM.get(type(a))
+        if param and param(a) != param(b):
+            return False
+        stack.extend(zip(children(a), children(b)))
+    return True
 
 
 # The schemas: a Var is a metavariable, any other node must be matched by
@@ -196,16 +201,11 @@ _CONGRUENCES = {
 }
 
 
-def _instantiates(
-    schema: Formula,
-    phi: Formula,
-    same: Callable[[Formula, Formula], bool],
-    bound: dict[str, Formula],
-) -> bool:
+def _instantiates(schema: Formula, phi: Formula, bound: dict[str, Formula]) -> bool:
     """Whether phi is schema with a formula put for each metavariable.
 
     bound maps the metavariables bound so far to their formulas and gains
-    the rest; a metavariable met again must bind a formula same to the
+    the rest; a metavariable met again must bind a formula rule_eq to the
     first. Only the schema is walked, with an explicit stack.
     """
     stack = [(schema, phi)]
@@ -214,7 +214,7 @@ def _instantiates(
         if isinstance(pattern, Var):
             if pattern.name not in bound:
                 bound[pattern.name] = node
-            elif not same(bound[pattern.name], node):
+            elif not rule_eq(bound[pattern.name], node):
                 return False
         elif type(pattern) is not type(node):
             return False
@@ -225,9 +225,8 @@ def _instantiates(
 
 def match_axiom(phi: Formula, allow_lid: bool = False) -> str | None:
     """Name of the first axiom schema phi instantiates, if any."""
-    same = _same()
     for name, schema in _AXIOMS.items():
-        if (allow_lid or name != "LID") and _instantiates(schema, phi, same, {}):
+        if (allow_lid or name != "LID") and _instantiates(schema, phi, {}):
             return name
     return None
 
@@ -297,7 +296,7 @@ def check_line(
     derivation: Derivation, index: int, rules_on_premises: bool = False
 ) -> LineError | None:
     """Check the 1-based line index; None means the line is in order."""
-    return _check_line(derivation, index, rules_on_premises, None, _same())
+    return _check_line(derivation, index, rules_on_premises, None)
 
 
 def _check_line(
@@ -305,10 +304,9 @@ def _check_line(
     index: int,
     rules_on_premises: bool,
     dependent: list[bool] | None,
-    same: Callable[[Formula, Formula], bool],
 ) -> LineError | None:
     """check_line, given _premise_dependence(derivation) or None to
-    compute it when the line needs it, comparing formulas with same."""
+    compute it when the line needs it."""
     if not 1 <= index <= len(derivation.lines):
         raise IndexError(f"no line {index}")
     line = derivation.lines[index - 1]
@@ -339,7 +337,7 @@ def _check_line(
         if not 1 <= rule.index <= len(derivation.premises):
             return err(f"no premise {rule.index}")
         expected = derivation.premises[rule.index - 1]
-        if not same(line.formula, expected):
+        if not rule_eq(line.formula, expected):
             return err(
                 f"expected {print_formula(expected)}, "
                 f"found {print_formula(line.formula)}"
@@ -362,7 +360,7 @@ def _check_line(
         schema = _AXIOMS.get(rule.name)
         if schema is None:
             return err(f"unknown axiom {rule.name!r}")
-        if not _instantiates(schema, line.formula, same, {}):
+        if not _instantiates(schema, line.formula, {}):
             return err(
                 f"{print_formula(line.formula)} does not instantiate {rule.name}"
             )
@@ -372,7 +370,7 @@ def _check_line(
         minor = derivation.lines[rule.i - 1].formula
         major = derivation.lines[rule.j - 1].formula
         expected = Imp(minor, line.formula)
-        if not same(major, expected):
+        if not rule_eq(major, expected):
             return err(
                 f"line {rule.j} is {print_formula(major)}, "
                 f"expected {print_formula(expected)}"
@@ -395,7 +393,7 @@ def _check_line(
                 "of conditionals"
             )
         bound = {"a": cited.left, "b": cited.right}
-        if not _instantiates(_CONGRUENCES[name], line.formula, same, bound):
+        if not _instantiates(_CONGRUENCES[name], line.formula, bound):
             return err(
                 f"{print_formula(line.formula)} does not follow from "
                 f"{print_formula(cited)} by {name}"
@@ -423,13 +421,13 @@ def _check_line(
         for cited, b in zip(rule.premise_lines, chain):
             formula = derivation.lines[cited - 1].formula
             expected = _graded(rule.a, thresholds, parts, target, b)
-            if not same(formula, expected):
+            if not rule_eq(formula, expected):
                 return err(
                     f"premise for b={b} (line {cited}) is "
                     f"{print_formula(formula)}, expected {print_formula(expected)}"
                 )
         expected = _graded(rule.a, thresholds, parts, target, phi=rule.phi)
-        if not same(line.formula, expected):
+        if not rule_eq(line.formula, expected):
             return err(
                 f"conclusion is {print_formula(line.formula)}, "
                 f"expected {print_formula(expected)}"
@@ -447,13 +445,12 @@ def check_derivation(
     if not derivation.lines:
         return Verdict(False, None, "derivation has no lines")
     dependent = _premise_dependence(derivation)
-    same = _same()
     for index in range(1, len(derivation.lines) + 1):
-        problem = _check_line(derivation, index, rules_on_premises, dependent, same)
+        problem = _check_line(derivation, index, rules_on_premises, dependent)
         if problem is not None:
             return Verdict(False, problem.line, str(problem))
     last = derivation.lines[-1].formula
-    if not same(last, goal):
+    if not rule_eq(last, goal):
         return Verdict(
             False,
             len(derivation.lines),

@@ -2,9 +2,10 @@
 
 is_L_tautology decides truth-table validity on the m-valued chain by
 exhaustive valuation, optionally abstracting conditional subformulas to
-fresh shared atoms first; the table runs the evaluator's compiled
-program in slabs of at most 2^16 values (a chain's width per subformula
-if that is more), every combination of the last few variables at once.
+fresh shared atoms first. A slab of rows, every combination of the last
+few variables, keeps row r's value at bit w*r of one int per subformula
+(w = (2*(m-1)).bit_length() + 1, rows * w * subformulas within 2^22
+bits), so each connective is a few whole-int operations on all rows.
 countermodel_search enumerates finite models in a canonical order (world
 count ascending; valuations in ascending lexicographic numerator order
 over sorted variables; relation matrices row-major with entries
@@ -58,7 +59,10 @@ from .semantics import (
     model_of,
     operations,
 )
-from .syntax import I, J, Cond, Formula, NodeTable, RESERVED_VAR, Var
+from .syntax import (
+    And, Bot, Cond, Formula, I, Iff, Imp, J, NodeTable, Not, OMinus, OPlus, OTimes, Or,
+    RESERVED_VAR, Top, Var,
+)
 from .truthvalues import ScaleMismatchError, TruthValue
 
 __all__ = [
@@ -132,27 +136,77 @@ def _truth_table_slots(phi: Formula, abstract: bool, advice: str):
     return table, root, inputs, order
 
 
-# Values in one slab over all slots (one chain's worth per slot if more):
-# 8-byte pointers to shared small ints, so about 0.5 MiB live, while wide
-# rows keep the per-step overhead small. Uncapped, 10,000 slots over 12
-# variables at m=2 would hold 4,096 rows each, about 41 million values.
-_SLAB_CELLS = 1 << 16
+# Bits in one slab over all slots (a chain's worth per slot if more): about
+# 0.5 MiB live, while wide rows keep the per-step overhead small. Uncapped,
+# 10,000 slots over 12 variables at m=2 would take about 15 MB.
+_SLAB_BITS = 1 << 22
+
+
+def _field_width(m: int) -> int:
+    """Bits per row: room for the sum of two chain values, and a flag bit."""
+    return (2 * (m - 1)).bit_length() + 1
+
+
+def _side_by_side(parts: list[int], bits: int) -> int:
+    """The sum of parts[x] << bits*x, each part below 2^bits, joined in
+    pairs so that the work grows as n log n in the parts, not n^2."""
+    while len(parts) > 1:
+        parts = [low | high << bits for low, high in zip(parts[::2], parts[1::2] + [0])]
+        bits *= 2
+    return parts[0]
+
+
+def _packed(m: int, rows: int) -> dict:
+    """semantics.operations for truth tables on packed ints: row r's value
+    in the field of w = _field_width(m) bits at bit w*r, of which the top
+    one is a flag bit that only the arithmetic below sets."""
+    w = _field_width(m)
+    one = ((1 << w * rows) - 1) // ((1 << w) - 1)  # 1 in every field
+    flag, top = one << (w - 1), (m - 1) * one
+
+    def ge(a: int, b: int) -> int:  # the flag of each field where a >= b
+        return ((a | flag) - b) & flag
+
+    def fill(f: int) -> int:  # each flagged field all ones
+        return (f << 1) - (f >> (w - 1))
+
+    def monus(a: int, b: int) -> int:  # max(0, a - b) in each field
+        t = (a | flag) - b
+        f = t & flag
+        return (t ^ f) & fill(f)
+
+    return {
+        Not: lambda a, _: top - a,
+        Imp: lambda a, b: top - monus(a, b),
+        And: lambda a, b: a - monus(a, b),
+        Or: lambda a, b: b + monus(a, b),
+        OPlus: lambda a, b: top - monus(top, a + b),
+        OTimes: lambda a, b: monus(a + b, top),
+        OMinus: monus,
+        Iff: lambda a, b: top - monus(a, b) - monus(b, a),
+        J: lambda k: lambda a, _, k=k * one: top & fill(ge(a, k) & ge(k, a)),
+        I: lambda k: lambda a, _, k=k * one: top & fill(ge(a, k)),
+        Top: top,
+        Bot: 0,
+    }
 
 
 def _chain_program(
     phi: Formula, m: int, abstract: bool, advice: str, slabs: bool
-) -> tuple[list[str], Callable[[Mapping[str, Values]], Values], int]:
+) -> tuple[list[str], Callable[[Mapping[str, int]], int], int]:
     """phi compiled for truth tables on the m-element chain: the input names,
-    a function from every input's values to phi's, and j for m^j rows at
-    once: 0 without slabs, else the most, up to the input count, whose
-    cells fit in _SLAB_CELLS, and at least 1 when there is an input."""
+    a function from every input's packed values to phi's (see _packed), and
+    j for m^j rows at once: 0 without slabs, else the most, up to the input
+    count, whose bits over all slots fit in _SLAB_BITS, and at least 1 when
+    there is an input."""
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")
     table, root, inputs, order = _truth_table_slots(phi, abstract, advice)
     j = 1 if slabs and inputs else 0
-    while j < len(inputs) and m ** (j + 1) * len(table.nodes) <= _SLAB_CELLS:
+    bits = _field_width(m) * len(table.nodes)
+    while slabs and j < len(inputs) and m ** (j + 1) * bits <= _SLAB_BITS:
         j += 1
-    ops = operations(m, m**j, dict().get, None)  # no conditional is compiled
+    ops = _packed(m, m**j)
     values: list = [None] * len(table.nodes)
     steps = []
     for slot in order:
@@ -162,7 +216,7 @@ def _chain_program(
         else:
             values[slot] = ops[type(node)]
 
-    def run(given: Mapping[str, Values]) -> Values:
+    def run(given: Mapping[str, int]) -> int:
         for name, slots in inputs.items():
             for slot in slots:
                 values[slot] = given[name]
@@ -183,8 +237,8 @@ def value_under(phi: Formula, env: Mapping[str, TruthValue], m: int) -> TruthVal
             raise ValueError(f"assignment has no value for {name!r}")
         if value.scale != m:
             raise ScaleMismatchError(f"{name!r} has a value of scale {value.scale}, not {m}")
-        given[name] = (value.numerator,)
-    return TruthValue(run(given)[0], m)
+        given[name] = value.numerator
+    return TruthValue(run(given), m)
 
 
 def abstract_conditionals(phi: Formula) -> tuple[Formula, dict[Formula, Var]]:
@@ -218,24 +272,23 @@ def falsifying_assignment(
     """First assignment (ascending lexicographic order over sorted
     variables) giving a non-designated value, or None.
 
-    The table runs in slabs of m^j rows (see _chain_program): the last j
-    variables take every combination of chain values at once, in the same
-    order, and the others are constant across a slab.
+    The table runs in slabs of m^j packed rows (see _chain_program): the
+    last j variables take every combination of chain values at once, in
+    the same order from the lowest field up, and the others are constant
+    across a slab, whose first failing row is its lowest field below top.
     """
     names, run, j = _chain_program(phi, m, abstract, "enable abstraction", True)
     names.sort()
-    width = m**j
-    # the i-th of the last j names: each value repeated m^(j-1-i) times,
-    # and that pattern cycled m^i times
-    columns = [
-        tuple(chain.from_iterable((x,) * m ** (j - 1 - i) for x in range(m))) * m**i
-        for i in range(j)
-    ]
-    top = m - 1
+    w = _field_width(m)
+    columns = [1]  # the last k names' columns over m^k rows, then 1 in every field
+    for k in range(j):  # m blocks of m^k rows, a new name constant in each
+        stair = [x * columns[-1] for x in range(m)]
+        columns = [_side_by_side(p, w * m**k) for p in [stair, *([c] * m for c in columns)]]
+    *columns, one = columns
     for prefix in product(range(m), repeat=len(names) - j):
-        result = run(dict(zip(names, [(x,) * width for x in prefix] + columns)))
-        if min(result) != top:
-            row = next(r for r, value in enumerate(result) if value != top)
+        missed = run(dict(zip(names, [x * one for x in prefix] + columns))) ^ (m - 1) * one
+        if missed:
+            row = ((missed & -missed).bit_length() - 1) // w
             digits = [row // m ** (j - 1 - i) % m for i in range(j)]
             return {name: TruthValue(e, m) for name, e in zip(names, [*prefix, *digits])}
     return None

@@ -162,7 +162,8 @@ _KIDS: dict[type, Callable[[Formula], tuple[Formula, ...]] | None] = {
     **dict.fromkeys((Imp, Cond, And, Or, OPlus, OTimes, OMinus, Iff), attrgetter("left", "right")),
 }
 
-# Per node type that has one, the name or index that NodeTable keys it by.
+# Per node type that has one, the name or index that NodeTable keys it by
+# and proof.rule_eq compares.
 _PARAM = {Var: attrgetter("name"), J: attrgetter("index"), I: attrgetter("index")}
 
 
@@ -235,10 +236,6 @@ class NodeTable:
             self.nodes.append(node)
             self.kids.append(kid_slots)
         return slot
-
-    def alias(self, constant: type, slot: int) -> None:
-        """Give every Top (or every Bot) node added from now on the slot."""
-        self._shapes[(constant, None, ())] = slot
 
 
 def subformula_closure(phi: Formula) -> list[Formula]:

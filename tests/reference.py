@@ -25,6 +25,11 @@ were tested in one pass: it reads every entry through matrix[x][y] and
 builds each record with FidViolation's generated __init__, so a short or
 missing row raises IndexError at its first missing entry.
 
+table_rule_eq is the proof checker's formula comparison as it was before
+the lockstep walk: hash-consing into one node table, iterative, so it is
+the oracle for deep and DAG-shaped pairs that reference_rule_eq cannot
+reach.
+
 enumerated_search is the search as it was before rows were separated:
 it runs the compiled program on every candidate, so it is fast enough
 for the 3-world and m=4 cases that reference_search cannot reach.
@@ -101,6 +106,8 @@ from mvcond.syntax import (
     Top,
     UnrepresentableIndexError,
     Var,
+    _PARAM,
+    _fold,
     children,
     free_vars,
     imp_chain,
@@ -542,6 +549,25 @@ def _expand_constants(phi: Formula) -> Formula:
 def reference_rule_eq(x: Formula, y: Formula) -> bool:
     """Structural equality after expanding T and F over the reserved variable."""
     return _expand_constants(x) == _expand_constants(y)
+
+
+def table_rule_eq(x: Formula, y: Formula) -> bool:
+    """rule_eq as the proof checker had it before the lockstep walk: both
+    formulas hash-consed into one table of shapes, in which T and F take
+    the slots of _t -> _t and ~(_t -> _t). It keeps its own stack, so it
+    works at any depth and on DAG-shaped input."""
+    shapes: dict[tuple, int] = {}
+
+    def slot(node: Formula, *kid_slots: int) -> int:
+        param = _PARAM.get(type(node))
+        key = (type(node), param and param(node), kid_slots)
+        return shapes.setdefault(key, len(shapes))  # above every slot so far
+
+    memo: dict = {}
+    truth = Imp(_RESERVED, _RESERVED)
+    shapes[(Top, None, ())] = _fold(truth, slot, memo)
+    shapes[(Bot, None, ())] = _fold(Not(truth), slot, memo)
+    return _fold(x, slot, memo) == _fold(y, slot, memo)
 
 
 def _match_a1(phi: Formula) -> bool:

@@ -2,7 +2,8 @@
 formula keeps its own stack, so each of these parses, prints, normalizes,
 evaluates, gets a truth table and is proof checked. The results are
 compared without recursion: structurally equal formulas share a NodeTable
-slot. A static check keeps any new self-calling function out of src/."""
+slot, and rule_eq walks two trees in lockstep. A static check keeps any
+new self-calling function out of src/."""
 
 import ast
 import json
@@ -14,7 +15,7 @@ import pytest
 
 from mvcond import cli
 from mvcond.parser import parse, print_formula
-from mvcond.proof import MP, Derivation, Line, Premise, check_derivation, match_axiom
+from mvcond.proof import MP, Derivation, Line, Premise, check_derivation, match_axiom, rule_eq
 from mvcond.search import (
     SigmaNotClosedError,
     falsifying_assignment,
@@ -23,7 +24,7 @@ from mvcond.search import (
     random_model,
 )
 from mvcond.semantics import Evaluator
-from mvcond.syntax import And, Cond, Imp, NodeTable, Var, normalize
+from mvcond.syntax import And, Cond, Imp, NodeTable, Var, imp_chain, normalize
 from mvcond.truthvalues import TruthValue
 
 DEPTH = 10_000
@@ -96,6 +97,20 @@ def test_deep_modus_ponens_derivation_is_accepted():
     verdict = check_derivation(Derivation(3, (Var("p"), chain), tuple(lines)), Var("p"))
     assert time.perf_counter() - start < 2
     assert verdict.ok, verdict.message
+
+
+def test_rule_eq_on_two_separately_parsed_deep_chains():
+    """The chains share no node, so the lockstep walk meets every pair; a
+    chain ending in T equals one spelled with _t -> _t."""
+    assert sys.getrecursionlimit() <= 1000
+    text = " -> ".join(LEAVES)
+    x, y, z = parse(text), parse(text), parse(" -> ".join(LEAVES[:-1] + ["T"]))
+    spelled = imp_chain([Var(v) for v in reversed(LEAVES[:-1])], Imp(Var("_t"), Var("_t")))
+    start = time.perf_counter()
+    assert rule_eq(x, y)
+    assert not rule_eq(x, z)
+    assert rule_eq(z, spelled) and rule_eq(spelled, z)
+    assert time.perf_counter() - start < 2
 
 
 def test_axiom_instance_with_deep_metavariables_matches():

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from mvcond.cli import main
 from mvcond.parser import ParseError, parse, print_formula
 from mvcond.search import (
-    _SLAB_CELLS,
+    _SLAB_BITS,
+    _packed,
     SearchBounds,
     SearchError,
     abstract_conditionals,
@@ -45,7 +46,6 @@ from mvcond.semantics import (
     model_from_json,
     model_of,
     model_to_json,
-    operations,
     save_model,
 )
 from mvcond.syntax import (
@@ -59,6 +59,7 @@ from mvcond.syntax import (
     Or,
     UnrepresentableIndexError,
     Var,
+    free_vars,
     normalize,
     subformula_closure,
 )
@@ -609,20 +610,26 @@ def _slab_widths(monkeypatch):
     """The rows per slab of each truth table compiled from now on, in order."""
     widths = []
 
-    def recording(m, n, relation, default):
-        widths.append(n)
-        return operations(m, n, relation, default)
+    def recording(m, rows):
+        widths.append(rows)
+        return _packed(m, rows)
 
-    monkeypatch.setattr("mvcond.search.operations", recording)
+    monkeypatch.setattr("mvcond.search._packed", recording)
     return widths
+
+
+def _field_bits(m):
+    """The packed field width: the sum of two chain values, and a flag bit."""
+    return (2 * (m - 1)).bit_length() + 1
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_truth_tables_match_reference_at_every_slab_width(seed, monkeypatch):
-    """With the cell cap at m^i times the table's slot count, slabs are m^i
-    rows wide, for each i from 1 until the whole table is one slab. Half
-    the formulas are implications between two random ones, so that more
-    witnesses lie past the first slab and more tables hold."""
+    """With the bit cap at m^i times the field width times the table's slot
+    count, slabs are m^i rows wide, for each i from 1 until the whole table
+    is one slab. Half the formulas are implications between two random
+    ones, so that more witnesses lie past the first slab and more tables
+    hold."""
     widths = _slab_widths(monkeypatch)
     rng = Random(seed)
     reached, later, holds = set(), 0, 0
@@ -631,16 +638,16 @@ def test_truth_tables_match_reference_at_every_slab_width(seed, monkeypatch):
         if rng.random() < 0.5:
             phi = Imp(phi, random_formula(rng, 3, TABLE_NAMES, True, TABLE_INDICES))
         m = rng.choice((2, 3, 4, 5, 9))
-        slots = len(subformula_closure(phi))
+        bits = _field_bits(m) * len(subformula_closure(phi))
         for abstract in (False, True):
             expected = _result(reference_falsifying_assignment, phi, m, abstract)
-            monkeypatch.setattr("mvcond.search._SLAB_CELLS", _SLAB_CELLS)
+            monkeypatch.setattr("mvcond.search._SLAB_BITS", _SLAB_BITS)
             widths.clear()
             assert _result(falsifying_assignment, phi, m, abstract) == expected
-            assert all(n * slots <= max(m * slots, _SLAB_CELLS) for n in widths)
+            assert all(n * bits <= max(m * bits, _SLAB_BITS) for n in widths)
             holds += expected is None
             for i in range(1, 9):
-                monkeypatch.setattr("mvcond.search._SLAB_CELLS", m**i * slots)
+                monkeypatch.setattr("mvcond.search._SLAB_BITS", m**i * bits)
                 widths.clear()
                 assert _result(falsifying_assignment, phi, m, abstract) == expected
                 if not widths or widths[-1] < m**i:  # no table, or one slab already
@@ -671,7 +678,8 @@ def test_truth_table_witnesses_at_slab_boundaries(m, j, monkeypatch):
     widths = _slab_widths(monkeypatch)
     for row in rows:
         phi = _falsified_only_at(names, row, m)
-        monkeypatch.setattr("mvcond.search._SLAB_CELLS", m**j * len(subformula_closure(phi)))
+        bits = _field_bits(m) * len(subformula_closure(phi))
+        monkeypatch.setattr("mvcond.search._SLAB_BITS", m**j * bits)
         widths.clear()
         hit = falsifying_assignment(phi, m)
         assert widths == [m**j]
@@ -680,14 +688,63 @@ def test_truth_table_witnesses_at_slab_boundaries(m, j, monkeypatch):
 
 
 def test_truth_table_slabs_are_at_least_a_chain_wide(monkeypatch):
-    """A cap below m times the slot count still gives slabs of m rows, as
-    many as there are chain values; a table without variables has one row."""
+    """A cap below m times the field width times the slot count still gives
+    slabs of m rows, as many as there are chain values; a table without
+    variables has one row."""
     widths = _slab_widths(monkeypatch)
-    monkeypatch.setattr("mvcond.search._SLAB_CELLS", 0)
+    monkeypatch.setattr("mvcond.search._SLAB_BITS", 0)
     hit = falsifying_assignment(parse("p -> q"), 5)
     assert hit == {"p": TruthValue(1, 5), "q": TruthValue(0, 5)}
     assert falsifying_assignment(parse("T -> F"), 5) == {}
     assert widths == [5, 1]
+
+
+def test_value_under_compiles_a_one_row_program(monkeypatch):
+    """value_under runs one row however many variables there are: T & p & q
+    & r & s at m=3 under every assignment, each compiled one row wide."""
+    widths = _slab_widths(monkeypatch)
+    phi = parse("T & p & q & r & s")
+    for values in product(range(3), repeat=4):
+        env = {v: TruthValue(e, 3) for v, e in zip("pqrs", values)}
+        widths.clear()
+        assert value_under(phi, env, 3) == TruthValue(min(values), 3)
+        assert widths == [1]
+
+
+# w = (2*(m-1)).bit_length() + 1 grows exactly where m - 1 crosses a power
+# of two: each such m, the one before it, and a long chain
+FIELD_MS = (2, 3, 4, 5, 8, 9, 16, 17, 33, 65, 129, 1000)
+
+
+@pytest.mark.parametrize("m", FIELD_MS)
+def test_truth_tables_match_reference_where_the_field_width_changes(m):
+    """Truth tables with and without abstraction, and value_under, against
+    the reference on random formulas with J/I (indices on the chain and
+    one off it), T/F, a conditional now and then and the reserved variable
+    _t. A third are x -> x and a third (x -> y) | (y -> x), which hold
+    wherever they evaluate, so that whole tables run. Above m=65 a formula
+    keeps to one input, so that the reference's table stays small."""
+    rng, top = Random(m), m - 1
+    on_chain = {Fraction(k, top) for k in (0, 1, top // 2, top - 1, top)}
+    indices = tuple(sorted(on_chain | {Fraction(1, m)}))
+    names, outcomes = ("p", RESERVED_VAR), set()
+    checked = 0
+    while checked < 20:
+        x, y = (random_formula(rng, rng.randrange(1, 4), names, True, indices) for _ in "xy")
+        phi = rng.choice((x, Imp(x, x), Or(Imp(x, y), Imp(y, x))))
+        abstracted, _ = reference_abstract_conditionals(phi)
+        if len(free_vars(abstracted)) > (2 if m <= 65 else 1):
+            continue
+        for abstract in (False, True):
+            expected = _result(reference_falsifying_assignment, phi, m, abstract)
+            assert _result(falsifying_assignment, phi, m, abstract) == expected
+            outcomes.add(type(expected).__name__)
+        env = {v: TruthValue(rng.choice((0, 1, top // 2, top - 1, top)), m) for v in names}
+        ref = _result(reference_value_under, phi, env, m)
+        if isinstance(ref, TruthValue) or abstracted == phi:
+            assert _result(value_under, phi, env, m) == ref
+        checked += 1
+    assert outcomes == {"NoneType", "dict", "tuple"}  # holds, fails, raises
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -33,10 +33,10 @@ from mvcond.proof import (
     match_axiom,
     rule_eq,
 )
-from mvcond.syntax import And, Bot, Cond, I, Imp, Not, Top, Var, children, imp_chain
+from mvcond.syntax import And, Bot, Cond, I, Imp, Not, Top, Var, children, imp_chain, normalize
 
-from formula_gen import random_formula
-from reference import reference_rule_eq
+from formula_gen import chain_formula, random_formula
+from reference import reference_rule_eq, table_rule_eq
 
 DATA = Path(__file__).parent / "data" / "derivations"
 
@@ -531,6 +531,46 @@ def test_rule_eq_matches_the_reference_on_random_pairs():
         assert rule_eq(x, y) == reference_rule_eq(x, y)
         assert rule_eq(y, x) == reference_rule_eq(y, x)
         assert rule_eq(x, x)
+
+
+def _spell_apart(phi, rng):
+    """phi with each T and F written one of its ways (F also as ~T and
+    ~(_t -> _t)), and now and then a leaf changed; J/I children keep
+    their index."""
+    reserved = Var("_t")
+    if isinstance(phi, (Top, Bot)):
+        truth = rng.choice((Top(), Imp(reserved, reserved)))
+        return truth if isinstance(phi, Top) else rng.choice((Bot(), Not(truth)))
+    if not children(phi):
+        return rng.choice((phi, Var("q"), Top())) if rng.random() < 0.05 else phi
+    kids = [_spell_apart(kid, rng) for kid in children(phi)]
+    return type(phi)(phi.index, *kids) if hasattr(phi, "index") else type(phi)(*kids)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rule_eq_matches_the_node_table_version(seed):
+    """Against table_rule_eq, the hash-consing comparison rule_eq replaced:
+    independent random pairs, same-shape pairs spelled differently, and
+    DAG-shaped normalize output, whose shared subtrees the lockstep walk
+    must not walk twice to stay polynomial."""
+    rng = Random(seed)
+    names = ("p", "q", "_t")
+    equal = 0
+    for _ in range(400):
+        x, y = random_formula(rng, 4, names), random_formula(rng, 4, names)
+        assert rule_eq(x, y) == table_rule_eq(x, y)
+        y = _spell_apart(x, rng)
+        assert rule_eq(x, y) == rule_eq(y, x) == table_rule_eq(x, y)
+        equal += rule_eq(x, y)
+    assert 0 < equal < 400
+    for _ in range(20):
+        x = chain_formula(rng, 3, 9, names)
+        y = _spell_apart(x, rng)
+        for a, b in ((x, y), (normalize(x, 9), normalize(y, 9))):
+            assert rule_eq(a, b) == rule_eq(b, a) == table_rule_eq(a, b)
+    # 93 distinct subformulas, about 18.5 million nodes as a tree
+    text = "J{1/2}(J{1/2}(J{1/2}(J{1/2}(p))))"
+    assert rule_eq(normalize(parse(text), 9), normalize(parse(text), 9))
 
 
 def _respell(phi, rng, reserved):

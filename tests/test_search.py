@@ -397,7 +397,7 @@ def test_value_under_rejects_values_from_another_chain():
 
 
 def test_truth_table_memory_does_not_grow_with_m_squared():
-    """Each block holds O(m) values per input, not a tuple per chain value."""
+    """Each slab holds O(m) fields per input, not one column per chain value."""
     phi = parse("p -> p")
     tracemalloc.start()
     try:
@@ -410,8 +410,8 @@ def test_truth_table_memory_does_not_grow_with_m_squared():
 
 def test_truth_table_slabs_are_capped_in_cells():
     """A 10,000-leaf & chain over 12 variables at m=2 is falsified in row 0,
-    so the table ends after its first slab. That slab is a few rows wide,
-    not all 4,096 rows over 10,011 slots (about 41 million values)."""
+    so the table ends after its first slab. That slab is 64 rows of 3 bits
+    wide, not all 4,096 rows over 10,011 slots (about 15 MB packed)."""
     names = "abcdefghijkl"
     phi = parse(" & ".join(names[i % 12] for i in range(10_000)))
     tracemalloc.start()
