@@ -33,12 +33,13 @@ from .syntax import (
     I,
     Iff,
     Imp,
+    J,
     Not,
     Top,
     Var,
     RESERVED_VAR,
     UnrepresentableIndexError,
-    _PARAM,
+    _KIDS,
     children,
     imp_chain,
     index_numerator,
@@ -167,21 +168,34 @@ _SPELLED = {Top: _TRUTH, Bot: Not(_TRUTH)}  # T and F over the reserved variable
 
 def rule_eq(x: Formula, y: Formula) -> bool:
     """Structural equality modulo the spelling of T and F, read as _t -> _t and
-    ~(_t -> _t) where node types differ: a lockstep walk, each pair once."""
+    ~(_t -> _t) where node types differ: a lockstep walk that compares leaves
+    inline and visits each pair of other nodes once."""
     stack, seen = [(x, y)], set()
+    pop, push, add = stack.pop, stack.extend, seen.add
     while stack:
-        a, b = stack.pop()
-        if a is b or (id(a), id(b)) in seen:
+        a, b = pop()
+        if a is b:
             continue
-        seen.add((id(a), id(b)))
-        if type(a) is not type(b):
-            a, b = _SPELLED.get(type(a), a), _SPELLED.get(type(b), b)
-            if type(a) is not type(b):
+        kind = type(a)
+        if kind is not type(b):
+            a, b = _SPELLED.get(kind, a), _SPELLED.get(type(b), b)
+            kind = type(a)
+            if kind is not type(b):
                 return False
-        param = _PARAM.get(type(a))
-        if param and param(a) != param(b):
+        if kind is Var:
+            if a.name != b.name:
+                return False
+            continue
+        get = _KIDS.get(kind)
+        if get is None:  # T or F
+            continue
+        pair = (id(a), id(b))
+        if pair in seen:
+            continue
+        add(pair)
+        if (kind is J or kind is I) and a.index != b.index:
             return False
-        stack.extend(zip(children(a), children(b)))
+        push(zip(get(a), get(b)))
     return True
 
 

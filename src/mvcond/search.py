@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import chain, product
 from operator import gt, le
 from typing import Callable, Mapping, Sequence
@@ -154,6 +154,29 @@ def _side_by_side(parts: list[int], bits: int) -> int:
         parts = [low | high << bits for low, high in zip(parts[::2], parts[1::2] + [0])]
         bits *= 2
     return parts[0]
+
+
+# Kept for the next table at the same m and slab width. An entry is j + 1
+# ints of m^j * w bits; past j = 1, m^j * w times the slot count (at least
+# j) fits in _SLAB_BITS, so an entry is at most 2 * max(_SLAB_BITS, m * w)
+# bits, and the 8 entries at most 8 MiB while m * w <= 2^22 (m up to about
+# 220,000).
+@lru_cache(maxsize=8)
+def _columns(m: int, j: int) -> tuple[int, ...]:
+    """The last j names' packed columns over m^j rows, the first name's
+    first, then 1 in every field. Over m rows the last name's column is the
+    sum of x * B^x, ((m-1) * B^m - (B^m - 1)/(B - 1) + 1)/(B - 1), and the
+    ones (B^m - 1)/(B - 1), B = 2^w: one division by the small B - 1 each."""
+    if not j:
+        return (1,)
+    w = _field_width(m)
+    whole, small = 1 << w * m, (1 << w) - 1
+    one = (whole - 1) // small
+    columns = [((m - 1) * whole - one + 1) // small, one]
+    for k in range(1, j):  # m blocks of m^k rows, a new name constant in each
+        stair = [x * columns[-1] for x in range(m)]
+        columns = [_side_by_side(p, w * m**k) for p in [stair, *([c] * m for c in columns)]]
+    return tuple(columns)
 
 
 def _packed(m: int, rows: int) -> dict:
@@ -280,11 +303,7 @@ def falsifying_assignment(
     names, run, j = _chain_program(phi, m, abstract, "enable abstraction", True)
     names.sort()
     w = _field_width(m)
-    columns = [1]  # the last k names' columns over m^k rows, then 1 in every field
-    for k in range(j):  # m blocks of m^k rows, a new name constant in each
-        stair = [x * columns[-1] for x in range(m)]
-        columns = [_side_by_side(p, w * m**k) for p in [stair, *([c] * m for c in columns)]]
-    *columns, one = columns
+    *columns, one = _columns(m, j)
     for prefix in product(range(m), repeat=len(names) - j):
         missed = run(dict(zip(names, [x * one for x in prefix] + columns))) ^ (m - 1) * one
         if missed:

@@ -162,8 +162,7 @@ _KIDS: dict[type, Callable[[Formula], tuple[Formula, ...]] | None] = {
     **dict.fromkeys((Imp, Cond, And, Or, OPlus, OTimes, OMinus, Iff), attrgetter("left", "right")),
 }
 
-# Per node type that has one, the name or index that NodeTable keys it by
-# and proof.rule_eq compares.
+# Per node type that has one, the name or index that NodeTable keys it by.
 _PARAM = {Var: attrgetter("name"), J: attrgetter("index"), I: attrgetter("index")}
 
 

@@ -30,6 +30,10 @@ the lockstep walk: hash-consing into one node table, iterative, so it is
 the oracle for deep and DAG-shaped pairs that reference_rule_eq cannot
 reach.
 
+pairwise_columns is the truth tables' slab columns as they were built
+before the closed form: every column joined from shifted copies in pairs,
+over m-long lists at the first level too, so it is the oracle for
+search._columns.
 enumerated_search is the search as it was before rows were separated:
 it runs the compiled program on every candidate, so it is fast enough
 for the 3-world and m=4 cases that reference_search cannot reach.
@@ -940,6 +944,25 @@ def reference_falsifying_assignment(
         if not reference_value_under(phi, env, m).is_designated:
             return env
     return None
+
+
+def pairwise_columns(m: int, j: int) -> tuple[int, ...]:
+    """The last j names' packed columns over m^j rows (row r in the w-bit
+    field at bit w*r), the first name's first, then 1 in every field, each
+    name's column joined from m shifted copies of the block before it."""
+    w = (2 * (m - 1)).bit_length() + 1
+
+    def side_by_side(parts: list[int], bits: int) -> int:
+        while len(parts) > 1:
+            parts = [low | high << bits for low, high in zip(parts[::2], parts[1::2] + [0])]
+            bits *= 2
+        return parts[0]
+
+    columns = [1]
+    for k in range(j):
+        stair = [x * columns[-1] for x in range(m)]
+        columns = [side_by_side(p, w * m**k) for p in [stair, *([c] * m for c in columns)]]
+    return tuple(columns)
 
 
 @dataclass(frozen=True)

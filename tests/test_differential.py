@@ -7,6 +7,7 @@ import io
 import json
 import re
 import sys
+import tracemalloc
 from dataclasses import replace
 from enum import IntEnum
 from fractions import Fraction
@@ -22,6 +23,7 @@ from mvcond.cli import main
 from mvcond.parser import ParseError, parse, print_formula
 from mvcond.search import (
     _SLAB_BITS,
+    _columns,
     _packed,
     SearchBounds,
     SearchError,
@@ -71,6 +73,7 @@ from reference import (
     _cond_depth,
     entrywise_model_from_json,
     enumerated_search,
+    pairwise_columns,
     reference_abstract_conditionals,
     reference_check_fid,
     reference_check_preservation,
@@ -745,6 +748,65 @@ def test_truth_tables_match_reference_where_the_field_width_changes(m):
             assert _result(value_under, phi, env, m) == ref
         checked += 1
     assert outcomes == {"NoneType", "dict", "tuple"}  # holds, fails, raises
+
+
+@pytest.mark.parametrize("m", (*FIELD_MS, 100_000))
+def test_slab_columns_match_the_pairwise_build(m, monkeypatch):
+    """search._columns, built cold, against the pairwise build it replaced
+    at every slab width up to the whole table: over as many names (at most
+    five) as keep m^k rows within 8,192, the cap at m^j times the field
+    width times the slot count for each j from 1 to k, as the slab tests
+    set it, with the one falsifying row the last or a mixed one; and a
+    table without variables."""
+    calls = []
+
+    def recording(m, j):
+        _columns.cache_clear()
+        calls.append((m, j, _columns(m, j)))
+        return calls[-1][2]
+
+    monkeypatch.setattr("mvcond.search._columns", recording)
+    widths = _slab_widths(monkeypatch)
+    top, k = m - 1, 1
+    while k < 5 and m ** (k + 1) <= 8192:
+        k += 1
+    names = "abcde"[:k]
+    for j in range(1, k + 1):
+        for row in ((top,) * k, tuple((top, 1, 0)[i % 3] for i in range(k))):
+            phi = _falsified_only_at(names, row, m)
+            bits = _field_bits(m) * len(subformula_closure(phi))
+            monkeypatch.setattr("mvcond.search._SLAB_BITS", m**j * bits)
+            calls.clear()
+            widths.clear()
+            hit = falsifying_assignment(phi, m)
+            assert hit == {v: TruthValue(e, m) for v, e in zip(names, row)}
+            assert widths == [m**j] and [c[:2] for c in calls] == [(m, j)]
+            assert calls[0][2] == pairwise_columns(m, j)
+    calls.clear()
+    assert falsifying_assignment(parse("T -> F"), m) == {}
+    assert calls == [(m, 0, (1,))] and pairwise_columns(m, 0) == (1,)
+
+
+def test_slab_column_cache_holds_what_its_comment_states():
+    """The columns kept after the 48,828,125-row table over 11 variables at
+    m=5 and p -> p at m=100,000 stay within the bound by _columns: 8
+    entries, 8 MiB in all while m * w <= 2^22."""
+    phi = parse(
+        "(a & b & c & d & e & f & g & h & i & j & k) -> (k | j | i | h | g | f | e | d | c | b | a)"
+    )
+    assert _columns.cache_info().maxsize == 8
+    assert 100_000 * _field_bits(100_000) <= _SLAB_BITS
+    _columns.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert falsifying_assignment(phi, 5) is None
+        assert falsifying_assignment(parse("p -> p"), 100_000) is None
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert _columns.cache_info().currsize == 2
+    assert held <= 8 << 20
 
 
 @pytest.mark.parametrize("seed", range(4))

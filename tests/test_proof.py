@@ -33,7 +33,7 @@ from mvcond.proof import (
     match_axiom,
     rule_eq,
 )
-from mvcond.syntax import And, Bot, Cond, I, Imp, Not, Top, Var, children, imp_chain, normalize
+from mvcond.syntax import And, Bot, Cond, I, Imp, J, Not, Top, Var, children, imp_chain, normalize
 
 from formula_gen import chain_formula, random_formula
 from reference import reference_rule_eq, table_rule_eq
@@ -571,6 +571,71 @@ def test_rule_eq_matches_the_node_table_version(seed):
     # 93 distinct subformulas, about 18.5 million nodes as a tree
     text = "J{1/2}(J{1/2}(J{1/2}(J{1/2}(p))))"
     assert rule_eq(normalize(parse(text), 9), normalize(parse(text), 9))
+    # the shortcuts: one deep name or one J/I index changed, and T and F
+    # against their spellings at a leaf
+    indices = (Fraction(0), Fraction(1, 2), Fraction(1))
+    names_changed = indices_changed = 0
+    for _ in range(100):
+        x = random_formula(rng, 6, names, indices=indices)
+        path = _deepest(x, Var)
+        if path:
+            renamed = Var(rng.choice([v for v in names if v != _node_at(x, path).name]))
+            y = _rebuilt(x, path, renamed)
+            assert not rule_eq(x, y) and not rule_eq(y, x) and not table_rule_eq(x, y)
+            assert rule_eq(x, _rebuilt(x, path, Var(_node_at(x, path).name)))
+            names_changed += 1
+        path = _deepest(x, (J, I))
+        if path:
+            node = _node_at(x, path)
+            index = rng.choice([k for k in indices if k != node.index])
+            y = _rebuilt(x, path, type(node)(index, node.child))
+            assert not rule_eq(x, y) and not rule_eq(y, x) and not table_rule_eq(x, y)
+            indices_changed += 1
+    assert names_changed > 50 and indices_changed > 50
+    for graded in (J, I):
+        assert rule_eq(graded(1, P), graded(Fraction(1), P))
+        assert table_rule_eq(graded(1, P), graded(Fraction(1), P))
+        assert not rule_eq(graded(1, P), graded(Fraction(1, 2), P))
+    truth = Imp(Var("_t"), Var("_t"))
+    for connective in (And, Cond):
+        for x, y, same in (
+            (connective(P, Top()), connective(P, truth), True),
+            (connective(Top(), P), connective(truth, P), True),
+            (connective(P, Top()), connective(P, Imp(Var("_t"), Q)), False),
+            (connective(P, Bot()), connective(P, Not(Top())), True),
+            (connective(P, Bot()), connective(P, Not(truth)), True),
+            (connective(P, Bot()), connective(P, Top()), False),
+        ):
+            assert rule_eq(x, y) == rule_eq(y, x) == table_rule_eq(x, y) == same
+    assert rule_eq(Bot(), Not(Top())) and table_rule_eq(Bot(), Not(Top()))
+
+
+def _deepest(phi, kind):
+    """The child positions from phi down to a deepest node of the given
+    type, the rightmost of them, or None if there is none."""
+    found, stack = None, [(phi, ())]
+    while stack:
+        node, path = stack.pop()
+        if isinstance(node, kind) and (found is None or len(path) > len(found)):
+            found = path
+        stack.extend((kid, path + (i,)) for i, kid in enumerate(children(node)))
+    return found
+
+
+def _node_at(phi, path):
+    for i in path:
+        phi = children(phi)[i]
+    return phi
+
+
+def _rebuilt(phi, path, node):
+    """phi with the subformula at path replaced by node; the rest is new
+    objects along the path and shared elsewhere."""
+    if not path:
+        return node
+    kids = list(children(phi))
+    kids[path[0]] = _rebuilt(kids[path[0]], path[1:], node)
+    return type(phi)(phi.index, *kids) if hasattr(phi, "index") else type(phi)(*kids)
 
 
 def _respell(phi, rng, reserved):
