@@ -252,6 +252,77 @@ def _cmd_gen(args) -> tuple[int, dict]:
     }
 
 
+_REQUIRED = {"required": True}
+_REQUIRED_INT = {"type": int, "required": True}
+_FORMULA = ("--formula", _REQUIRED)
+_MODEL = ("--model", _REQUIRED)
+_M = ("--m", _REQUIRED_INT)
+
+# subcommand: (its help, its flags in --help order as (flag, add_argument
+# keywords)); each also takes --pretty, and main runs _cmd_<subcommand>
+# with - read as _
+_COMMANDS = {
+    "parse": ("parse and re-print a formula", [_FORMULA]),
+    "taut": ("truth-table tautology check on the chain", [
+        _M,
+        _FORMULA,
+        ("--abstract-conditionals", dict(
+            action="store_true",
+            help="replace conditional subformulas by fresh shared atoms",
+        )),
+    ]),
+    "eval": ("evaluate a formula at a world of a model", [
+        _MODEL,
+        ("--world", _REQUIRED),
+        _FORMULA,
+    ]),
+    "valid": ("is the formula designated at every world", [_MODEL, _FORMULA]),
+    "entails": ("do the premises force the formula at every world", [
+        _MODEL,
+        ("--sigma", dict(required=True, help="file of premises, one per line")),
+        _FORMULA,
+    ]),
+    "search": ("bounded countermodel search", [
+        _M,
+        _FORMULA,
+        ("--max-worlds", dict(type=int, default=2)),
+        ("--fid", dict(
+            action="store_true",
+            help="only consider models satisfying the identity frame condition",
+        )),
+        ("--values", dict(
+            help="comma-separated relation numerators to enumerate (default: all)",
+        )),
+        ("--budget", dict(type=int, help="candidate budget; exit 4 if hit")),
+    ]),
+    "filtrate": ("quotient a model by agreement on a formula set", [
+        _MODEL,
+        ("--sigma", dict(
+            required=True,
+            help="file of formulas, one per line; closed under subformulas automatically",
+        )),
+        ("--out", dict(required=True, help="where to write the quotient model")),
+    ]),
+    "fid-check": ("check the identity frame condition on a model", [_MODEL]),
+    "proofcheck": ("check a derivation against a goal", [
+        ("--file", _REQUIRED),
+        ("--goal", _REQUIRED),
+        ("--rules-on-premises", dict(
+            action="store_true",
+            help="allow congruence and graded rules on premise-dependent lines",
+        )),
+    ]),
+    "gen": ("generate a seeded random model", [
+        ("--seed", _REQUIRED_INT),
+        _M,
+        ("--worlds", _REQUIRED_INT),
+        ("--vars", dict(required=True, help="comma-separated variable names")),
+        ("--extra-relations", dict(type=int, default=0)),
+        ("--out", _REQUIRED),
+    ]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     root = argparse.ArgumentParser(
         prog="mvcond",
@@ -261,119 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
             "All output is JSON on stdout."
         ),
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--pretty", action="store_true", help="indent the JSON output"
-    )
     sub = root.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("parse", parents=[common], help="parse and re-print a formula")
-    p.add_argument("--formula", required=True)
-    p.set_defaults(handler=_cmd_parse)
-
-    p = sub.add_parser(
-        "taut", parents=[common], help="truth-table tautology check on the chain"
-    )
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--formula", required=True)
-    p.add_argument(
-        "--abstract-conditionals",
-        action="store_true",
-        help="replace conditional subformulas by fresh shared atoms",
-    )
-    p.set_defaults(handler=_cmd_taut)
-
-    p = sub.add_parser(
-        "eval", parents=[common], help="evaluate a formula at a world of a model"
-    )
-    p.add_argument("--model", required=True)
-    p.add_argument("--world", required=True)
-    p.add_argument("--formula", required=True)
-    p.set_defaults(handler=_cmd_eval)
-
-    p = sub.add_parser(
-        "valid", parents=[common], help="is the formula designated at every world"
-    )
-    p.add_argument("--model", required=True)
-    p.add_argument("--formula", required=True)
-    p.set_defaults(handler=_cmd_valid)
-
-    p = sub.add_parser(
-        "entails",
-        parents=[common],
-        help="do the premises force the formula at every world",
-    )
-    p.add_argument("--model", required=True)
-    p.add_argument("--sigma", required=True, help="file of premises, one per line")
-    p.add_argument("--formula", required=True)
-    p.set_defaults(handler=_cmd_entails)
-
-    p = sub.add_parser(
-        "search", parents=[common], help="bounded countermodel search"
-    )
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--formula", required=True)
-    p.add_argument("--max-worlds", type=int, default=2)
-    p.add_argument(
-        "--fid",
-        action="store_true",
-        help="only consider models satisfying the identity frame condition",
-    )
-    p.add_argument(
-        "--values",
-        default=None,
-        help="comma-separated relation numerators to enumerate (default: all)",
-    )
-    p.add_argument(
-        "--budget", type=int, default=None, help="candidate budget; exit 4 if hit"
-    )
-    p.set_defaults(handler=_cmd_search)
-
-    p = sub.add_parser(
-        "filtrate",
-        parents=[common],
-        help="quotient a model by agreement on a formula set",
-    )
-    p.add_argument("--model", required=True)
-    p.add_argument(
-        "--sigma",
-        required=True,
-        help="file of formulas, one per line; closed under subformulas automatically",
-    )
-    p.add_argument("--out", required=True, help="where to write the quotient model")
-    p.set_defaults(handler=_cmd_filtrate)
-
-    p = sub.add_parser(
-        "fid-check",
-        parents=[common],
-        help="check the identity frame condition on a model",
-    )
-    p.add_argument("--model", required=True)
-    p.set_defaults(handler=_cmd_fid_check)
-
-    p = sub.add_parser(
-        "proofcheck", parents=[common], help="check a derivation against a goal"
-    )
-    p.add_argument("--file", required=True)
-    p.add_argument("--goal", required=True)
-    p.add_argument(
-        "--rules-on-premises",
-        action="store_true",
-        help="allow congruence and graded rules on premise-dependent lines",
-    )
-    p.set_defaults(handler=_cmd_proofcheck)
-
-    p = sub.add_parser(
-        "gen", parents=[common], help="generate a seeded random model"
-    )
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--worlds", type=int, required=True)
-    p.add_argument("--vars", required=True, help="comma-separated variable names")
-    p.add_argument("--extra-relations", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_gen)
-
+    for command, (summary, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--pretty", action="store_true", help="indent the JSON output")
+        for flag, keywords in flags:
+            p.add_argument(flag, **keywords)
     return root
 
 
@@ -384,8 +348,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     layout = {"indent": 2} if args.pretty else {"separators": (",", ":")}
     try:
-        # by name, so the parser built once calls the module's current handler
-        code, payload = globals()[args.handler.__name__](args)
+        # looked up per call, so a handler replaced on the module is the one run
+        code, payload = globals()["_cmd_" + args.command.replace("-", "_")](args)
         text = json.dumps(payload, **layout)
     except (ValueError, OSError, RecursionError) as exc:
         error = f"input nested too deeply: {exc}" if isinstance(exc, RecursionError) else str(exc)

@@ -34,15 +34,14 @@ from .syntax import (
     Iff,
     Imp,
     J,
-    Not,
     Top,
     Var,
-    RESERVED_VAR,
     UnrepresentableIndexError,
     _KIDS,
     children,
     imp_chain,
     index_numerator,
+    normalize,
 )
 
 __all__ = [
@@ -162,8 +161,7 @@ class Verdict:
     message: str | None = None
 
 
-_TRUTH = Imp(Var(RESERVED_VAR), Var(RESERVED_VAR))
-_SPELLED = {Top: _TRUTH, Bot: Not(_TRUTH)}  # T and F over the reserved variable
+_SPELLED = {kind: normalize(kind(), 2) for kind in (Top, Bot)}  # T and F as normalize spells them
 
 
 def rule_eq(x: Formula, y: Formula) -> bool:
@@ -500,63 +498,57 @@ def _parse_int_list(raw: object, where: str) -> tuple[int, ...]:
     return tuple(raw)
 
 
+# rule name: (justification, its arguments in order); the first four rules'
+# arguments are integers, the graded rules' are lists of formulas, a_list
+# of thresholds
+_INT_RULES = {
+    "Premise": (Premise, ("index",)),
+    "MP": (MP, ("i", "j")),
+    "RCEA": (RCEA, ("i",)),
+    "RCEC": (RCEC, ("i",)),
+}
+_LIST_RULES = {"Ra": (Ra, ("gammas",)), "RaGen": (RaGen, ("chis", "a_list"))}
+
+
 def _justification_from_json(
     rule_name: object, args: dict, where: str
 ) -> Justification:
-    if rule_name == "Premise":
-        index = args.get("index")
-        if not isinstance(index, int) or isinstance(index, bool):
-            raise DerivationFormatError(f"{where}: Premise needs integer 'index'")
-        return Premise(index)
-    if rule_name == "LTaut":
+    name = rule_name if isinstance(rule_name, str) else None  # a list or dict keys no table
+
+    def needs(what: str, keys: Sequence[str]) -> DerivationFormatError:
+        quoted = " and ".join(f"'{key}'" for key in keys)
+        return DerivationFormatError(f"{where}: {name} needs {what} {quoted}")
+
+    if name == "LTaut":
         return LTaut()
-    if rule_name in ("A1", "A2", "A3", "LID"):
-        return Ax(rule_name)
-    if rule_name == "MP":
-        i, j = args.get("i"), args.get("j")
-        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (i, j)):
-            raise DerivationFormatError(f"{where}: MP needs integer 'i' and 'j'")
-        return MP(i, j)
-    if rule_name in ("RCEA", "RCEC"):
-        i = args.get("i")
-        if not isinstance(i, int) or isinstance(i, bool):
-            raise DerivationFormatError(f"{where}: {rule_name} needs integer 'i'")
-        return (RCEA if rule_name == "RCEA" else RCEC)(i)
-    if rule_name == "Ra":
-        gammas_raw = args.get("gammas")
-        if not isinstance(gammas_raw, list):
-            raise DerivationFormatError(f"{where}: Ra needs a list 'gammas'")
-        return Ra(
-            a=_parse_fraction(args.get("a"), where),
-            phi=_parse_formula(args.get("phi"), where),
-            gammas=tuple(
-                _parse_formula(g, f"{where} gamma {k+1}")
-                for k, g in enumerate(gammas_raw)
-            ),
-            gamma=_parse_formula(args.get("gamma"), where),
-            premise_lines=_parse_int_list(args.get("premise_lines"), where),
-        )
-    if rule_name == "RaGen":
-        chis_raw = args.get("chis")
-        a_list_raw = args.get("a_list")
-        if not isinstance(chis_raw, list) or not isinstance(a_list_raw, list):
-            raise DerivationFormatError(
-                f"{where}: RaGen needs lists 'chis' and 'a_list'"
-            )
-        return RaGen(
-            a=_parse_fraction(args.get("a"), where),
-            a_list=tuple(
+    if name in _AXIOMS:
+        return Ax(name)
+    if name in _INT_RULES:
+        kind, keys = _INT_RULES[name]
+        values = [args.get(key) for key in keys]
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in values):
+            raise needs("integer", keys)
+        return kind(*values)
+    if name in _LIST_RULES:
+        kind, keys = _LIST_RULES[name]
+        lists = {key: args.get(key) for key in keys}
+        if not all(isinstance(x, list) for x in lists.values()):
+            raise needs("a list" if len(keys) == 1 else "lists", keys)
+        parts, part = keys[0], keys[0][:-1]  # gammas of gamma, chis of chi
+        fields = {"a": _parse_fraction(args.get("a"), where)}
+        if "a_list" in lists:
+            fields["a_list"] = tuple(
                 _parse_fraction(x, f"{where} a_list {k+1}")
-                for k, x in enumerate(a_list_raw)
-            ),
-            phi=_parse_formula(args.get("phi"), where),
-            chis=tuple(
-                _parse_formula(c, f"{where} chi {k+1}")
-                for k, c in enumerate(chis_raw)
-            ),
-            chi=_parse_formula(args.get("chi"), where),
-            premise_lines=_parse_int_list(args.get("premise_lines"), where),
+                for k, x in enumerate(lists["a_list"])
+            )
+        fields["phi"] = _parse_formula(args.get("phi"), where)
+        fields[parts] = tuple(
+            _parse_formula(x, f"{where} {part} {k+1}")
+            for k, x in enumerate(lists[parts])
         )
+        fields[part] = _parse_formula(args.get(part), where)
+        fields["premise_lines"] = _parse_int_list(args.get("premise_lines"), where)
+        return kind(**fields)
     raise DerivationFormatError(f"{where}: unknown rule {rule_name!r}")
 
 

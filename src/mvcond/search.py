@@ -699,6 +699,8 @@ def random_model(
     n_extra_relations random partitions (a repeated partition replaces
     the earlier matrix); the default policy is the constant 0.
     """
+    if m < 2:
+        raise ValueError(f"m must be at least 2, got {m}")
     if n_extra_relations < 0:
         raise ValueError(f"n_extra_relations must be non-negative, got {n_extra_relations}")
     rng = random.Random(seed)

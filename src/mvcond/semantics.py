@@ -14,8 +14,9 @@ that post-order program at every world at once: a node's value is a tuple
 of integer numerators, one per world. A conditional costs O(worlds^2)
 integer steps; each distinct antecedent's relation is looked up once, by
 the proposition its values form, and kept as integer rows. TruthValue
-appears only at the API boundary; countermodel_search and the truth
-tables run on the same program. A model built here, whether loaded by
+appears only at the API boundary; countermodel_search runs on the same
+program, and the truth tables on their own over packed integers
+(search._packed). A model built here, whether loaded by
 model_from_json or made from numerators by model_of, shares one
 TruthValue per numerator it uses, built on first use rather than for the
 whole chain.

@@ -34,6 +34,12 @@ pairwise_columns is the truth tables' slab columns as they were built
 before the closed form: every column joined from shifted copies in pairs,
 over m-long lists at the first level too, so it is the oracle for
 search._columns.
+
+reference_justification_from_json is the derivation reader's rule
+decoder as it was before its rules were read through tables: one branch
+per rule name, so it is the oracle for the justification or error text
+each rule's arguments give.
+
 enumerated_search is the search as it was before rows were separated:
 it runs the compiled program on every candidate, so it is fast enough
 for the 3-world and m=4 cases that reference_search cannot reach.
@@ -56,6 +62,8 @@ from mvcond.proof import (
     RCEC,
     Ax,
     Derivation,
+    DerivationFormatError,
+    Justification,
     LineError,
     LTaut,
     Premise,
@@ -63,6 +71,9 @@ from mvcond.proof import (
     RaGen,
     Verdict,
     _cited_lines,
+    _parse_formula,
+    _parse_fraction,
+    _parse_int_list,
     _premise_dependence,
     _rule_name,
 )
@@ -853,6 +864,66 @@ def reference_check_derivation(
             f"{print_formula(goal)}",
         )
     return Verdict(True)
+
+
+def reference_justification_from_json(
+    rule_name: object, args: dict, where: str
+) -> Justification:
+    if rule_name == "Premise":
+        index = args.get("index")
+        if not isinstance(index, int) or isinstance(index, bool):
+            raise DerivationFormatError(f"{where}: Premise needs integer 'index'")
+        return Premise(index)
+    if rule_name == "LTaut":
+        return LTaut()
+    if rule_name in ("A1", "A2", "A3", "LID"):
+        return Ax(rule_name)
+    if rule_name == "MP":
+        i, j = args.get("i"), args.get("j")
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (i, j)):
+            raise DerivationFormatError(f"{where}: MP needs integer 'i' and 'j'")
+        return MP(i, j)
+    if rule_name in ("RCEA", "RCEC"):
+        i = args.get("i")
+        if not isinstance(i, int) or isinstance(i, bool):
+            raise DerivationFormatError(f"{where}: {rule_name} needs integer 'i'")
+        return (RCEA if rule_name == "RCEA" else RCEC)(i)
+    if rule_name == "Ra":
+        gammas_raw = args.get("gammas")
+        if not isinstance(gammas_raw, list):
+            raise DerivationFormatError(f"{where}: Ra needs a list 'gammas'")
+        return Ra(
+            a=_parse_fraction(args.get("a"), where),
+            phi=_parse_formula(args.get("phi"), where),
+            gammas=tuple(
+                _parse_formula(g, f"{where} gamma {k+1}")
+                for k, g in enumerate(gammas_raw)
+            ),
+            gamma=_parse_formula(args.get("gamma"), where),
+            premise_lines=_parse_int_list(args.get("premise_lines"), where),
+        )
+    if rule_name == "RaGen":
+        chis_raw = args.get("chis")
+        a_list_raw = args.get("a_list")
+        if not isinstance(chis_raw, list) or not isinstance(a_list_raw, list):
+            raise DerivationFormatError(
+                f"{where}: RaGen needs lists 'chis' and 'a_list'"
+            )
+        return RaGen(
+            a=_parse_fraction(args.get("a"), where),
+            a_list=tuple(
+                _parse_fraction(x, f"{where} a_list {k+1}")
+                for k, x in enumerate(a_list_raw)
+            ),
+            phi=_parse_formula(args.get("phi"), where),
+            chis=tuple(
+                _parse_formula(c, f"{where} chi {k+1}")
+                for k, c in enumerate(chis_raw)
+            ),
+            chi=_parse_formula(args.get("chi"), where),
+            premise_lines=_parse_int_list(args.get("premise_lines"), where),
+        )
+    raise DerivationFormatError(f"{where}: unknown rule {rule_name!r}")
 
 
 def reference_value_under(phi: Formula, env: Mapping[str, TruthValue], m: int) -> TruthValue:

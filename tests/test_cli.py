@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, JSON payloads, determinism."""
 
+import argparse
 import json
 import re
 import shlex
@@ -480,6 +481,107 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
     assert main(["parse", "--formula", "p"]) == 0
 
 
+_HELP = (("-h", "--help"), "help", False, argparse.SUPPRESS, None, "_HelpAction",
+         "show this help message and exit")
+_PRETTY = (("--pretty",), "pretty", False, False, None, "_StoreTrueAction", "indent the JSON output")
+# subcommand: (its help, then each action as (option strings, dest, required,
+# default, type, action class name, help)), all in --help order
+_PARSER_SHAPE = {
+    "parse": ("parse and re-print a formula", [
+        _HELP, _PRETTY,
+        (("--formula",), "formula", True, None, None, "_StoreAction", None),
+    ]),
+    "taut": ("truth-table tautology check on the chain", [
+        _HELP, _PRETTY,
+        (("--m",), "m", True, None, int, "_StoreAction", None),
+        (("--formula",), "formula", True, None, None, "_StoreAction", None),
+        (("--abstract-conditionals",), "abstract_conditionals", False, False, None, "_StoreTrueAction",
+         "replace conditional subformulas by fresh shared atoms"),
+    ]),
+    "eval": ("evaluate a formula at a world of a model", [
+        _HELP, _PRETTY,
+        (("--model",), "model", True, None, None, "_StoreAction", None),
+        (("--world",), "world", True, None, None, "_StoreAction", None),
+        (("--formula",), "formula", True, None, None, "_StoreAction", None),
+    ]),
+    "valid": ("is the formula designated at every world", [
+        _HELP, _PRETTY,
+        (("--model",), "model", True, None, None, "_StoreAction", None),
+        (("--formula",), "formula", True, None, None, "_StoreAction", None),
+    ]),
+    "entails": ("do the premises force the formula at every world", [
+        _HELP, _PRETTY,
+        (("--model",), "model", True, None, None, "_StoreAction", None),
+        (("--sigma",), "sigma", True, None, None, "_StoreAction", "file of premises, one per line"),
+        (("--formula",), "formula", True, None, None, "_StoreAction", None),
+    ]),
+    "search": ("bounded countermodel search", [
+        _HELP, _PRETTY,
+        (("--m",), "m", True, None, int, "_StoreAction", None),
+        (("--formula",), "formula", True, None, None, "_StoreAction", None),
+        (("--max-worlds",), "max_worlds", False, 2, int, "_StoreAction", None),
+        (("--fid",), "fid", False, False, None, "_StoreTrueAction",
+         "only consider models satisfying the identity frame condition"),
+        (("--values",), "values", False, None, None, "_StoreAction",
+         "comma-separated relation numerators to enumerate (default: all)"),
+        (("--budget",), "budget", False, None, int, "_StoreAction", "candidate budget; exit 4 if hit"),
+    ]),
+    "filtrate": ("quotient a model by agreement on a formula set", [
+        _HELP, _PRETTY,
+        (("--model",), "model", True, None, None, "_StoreAction", None),
+        (("--sigma",), "sigma", True, None, None, "_StoreAction",
+         "file of formulas, one per line; closed under subformulas automatically"),
+        (("--out",), "out", True, None, None, "_StoreAction", "where to write the quotient model"),
+    ]),
+    "fid-check": ("check the identity frame condition on a model", [
+        _HELP, _PRETTY,
+        (("--model",), "model", True, None, None, "_StoreAction", None),
+    ]),
+    "proofcheck": ("check a derivation against a goal", [
+        _HELP, _PRETTY,
+        (("--file",), "file", True, None, None, "_StoreAction", None),
+        (("--goal",), "goal", True, None, None, "_StoreAction", None),
+        (("--rules-on-premises",), "rules_on_premises", False, False, None, "_StoreTrueAction",
+         "allow congruence and graded rules on premise-dependent lines"),
+    ]),
+    "gen": ("generate a seeded random model", [
+        _HELP, _PRETTY,
+        (("--seed",), "seed", True, None, int, "_StoreAction", None),
+        (("--m",), "m", True, None, int, "_StoreAction", None),
+        (("--worlds",), "worlds", True, None, int, "_StoreAction", None),
+        (("--vars",), "vars", True, None, None, "_StoreAction", "comma-separated variable names"),
+        (("--extra-relations",), "extra_relations", False, 0, int, "_StoreAction", None),
+        (("--out",), "out", True, None, None, "_StoreAction", None),
+    ]),
+}
+
+
+def test_parser_shape_is_pinned():
+    """The root, its subcommands in order with their help, and every
+    subcommand action's option strings, dest, required, default, type,
+    class and help."""
+    root = build_parser()
+    assert (root.prog, root.description) == (
+        "mvcond",
+        "Many-valued conditional logic: parsing, evaluation, tautology "
+        "checking, countermodel search, filtration, and proof checking. "
+        "All output is JSON on stdout.",
+    )
+    (sub,) = [a for a in root._actions if isinstance(a, argparse._SubParsersAction)]
+    assert (sub.dest, sub.required) == ("command", True)
+    assert [(c.dest, c.help) for c in sub._choices_actions] == [
+        (name, shape[0]) for name, shape in _PARSER_SHAPE.items()
+    ]
+    assert list(sub.choices) == list(_PARSER_SHAPE)
+    for name, parser in sub.choices.items():
+        assert parser.prog == f"mvcond {name}"
+        got = [
+            (tuple(a.option_strings), a.dest, a.required, a.default, a.type, type(a).__name__, a.help)
+            for a in parser._actions
+        ]
+        assert got == _PARSER_SHAPE[name][1], name
+
+
 def test_pretty_flag_controls_layout(capsys):
     main(["parse", "--formula", "p & q"])
     compact = capsys.readouterr().out
@@ -546,6 +648,8 @@ def test_filtrate_bound_switches_to_a_power_at_4300_digits():
         ("taut", "--m", "1", "--formula", "p -> p"),
         ("search", "--m", "0", "--formula", "p => p"),
         ("search", "--m", "1", "--formula", "p => p"),
+        ("gen", "--seed", "1", "--m", "0", "--worlds", "2", "--vars", "p", "--out", "unwritten.json"),
+        ("gen", "--seed", "1", "--m", "1", "--worlds", "2", "--vars", "p", "--out", "unwritten.json"),
     ],
 )
 def test_chain_size_below_2_exits_3(capsys, argv):

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from mvcond.parser import ParseError, parse, print_formula
+from mvcond.parser import ParseError, SourceSpan, parse, print_formula
 from mvcond.syntax import (
     And,
     Bot,
@@ -78,6 +78,14 @@ def test_non_associative_operators_demand_parens():
         parse("p <-> q <-> r")
     assert parse("p => (q => r)") == Cond(P, Cond(Q, R))
     assert parse("(p <-> q) <-> r") == Iff(Iff(P, Q), R)
+
+
+def test_source_span_rejects_a_reversed_or_negative_range():
+    assert SourceSpan(1, 3) == SourceSpan(1, 3)
+    with pytest.raises(ValueError, match=r"^bad span 3\.\.1$"):
+        SourceSpan(3, 1)
+    with pytest.raises(ValueError, match=r"^bad span -1\.\.2$"):
+        SourceSpan(-1, 2)
 
 
 def test_identifier_lexicon():

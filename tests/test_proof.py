@@ -172,6 +172,13 @@ def test_forward_citation_is_rejected():
     assert str(problem).startswith("line 1 (MP):")
 
 
+def test_a_rule_that_is_not_a_justification_is_unknown():
+    derivation = Derivation(m=3, premises=(), lines=(Line(parse("p -> p"), "LTaut"),))
+    problem = check_line(derivation, 1)
+    assert (problem.line, problem.message) == (1, "unknown rule 'LTaut'")
+    assert not check_derivation(derivation, parse("p -> p")).ok
+
+
 def test_ltaut_rejects_non_tautologies_with_a_witness():
     derivation = Derivation(
         m=3, premises=(), lines=(Line(parse("p | ~p"), LTaut()),)

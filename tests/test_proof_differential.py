@@ -1,5 +1,6 @@
-"""The proof checker against the axiom matchers and line checker in
-reference.py: every verdict, line error and message must be equal."""
+"""The proof checker against the axiom matchers, line checker and rule
+decoder in reference.py: every verdict, line error, justification and
+message must be equal."""
 
 import json
 from dataclasses import replace
@@ -16,6 +17,7 @@ from mvcond.proof import (
     RCEC,
     Ax,
     Derivation,
+    DerivationFormatError,
     Line,
     LTaut,
     Premise,
@@ -26,11 +28,17 @@ from mvcond.proof import (
     derivation_from_json,
     load_derivation,
     match_axiom,
+    _justification_from_json,
 )
 from mvcond.syntax import Bot, Cond, I, Iff, Imp, Not, Top, Var, children, imp_chain
 
 from formula_gen import chain_formula, random_formula
-from reference import reference_check_derivation, reference_check_line, reference_match_axiom
+from reference import (
+    reference_check_derivation,
+    reference_check_line,
+    reference_justification_from_json,
+    reference_match_axiom,
+)
 from test_acceptance import RA_GOAL, RA_MUTATIONS, RCEC_GOAL, RCEC_MUTATIONS, apply_mutation
 
 DATA = Path(__file__).parent / "data" / "derivations"
@@ -311,3 +319,111 @@ def test_match_axiom_matches_reference():
             assert name == reference_match_axiom(phi, allow_lid)
             found.add(name)
     assert found == {None, *SCHEMAS}
+
+
+# one well-formed args object per rule; an unknown rule name takes any
+_RULE_ARGS = {
+    "Premise": {"index": 1},
+    "LTaut": {},
+    "A1": {},
+    "A2": {},
+    "A3": {},
+    "LID": {},
+    "MP": {"i": 1, "j": 2},
+    "RCEA": {"i": 1},
+    "RCEC": {"i": 2},
+    "Ra": {"a": "1/2", "phi": "p", "gammas": ["q", "r"], "gamma": "q", "premise_lines": [1, 2]},
+    "RaGen": {
+        "a": 1,
+        "a_list": ["1/2", 0],
+        "phi": "p",
+        "chis": ["q", "r & p"],
+        "chi": "q",
+        "premise_lines": [1, 2],
+    },
+}
+_RULE_NAMES = [*_RULE_ARGS, "Nope", "mp", "", None, 3, True, ["MP"], {"rule": "MP"}]
+_ARG_NAMES = sorted({key for args in _RULE_ARGS.values() for key in args})
+_MISSING = object()
+# missing, bools, strs, floats, ints, lists and non-lists, then bad thresholds
+_ARG_VALUES = [
+    _MISSING, True, False, "p", "1/2", "p &", "", 0.5, 2.0, 1, 0, -3, None,
+    [], [1, 2], ["p", "q"], {"a": 1}, ("q",), "1/0", "x/2",
+]
+_LIST_ITEMS = [True, 1.5, 0.5, "1/0", "p &", "", None, 3, [], {"x": 1}, "1/2"]
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except Exception as exc:  # the error's type and text are compared
+        return type(exc).__name__, str(exc)
+
+
+def _args_of(rule_name):
+    """A copy of the rule's well-formed args; none for an unknown name."""
+    return dict(_RULE_ARGS.get(rule_name, {})) if isinstance(rule_name, str) else {}
+
+
+def _with(args, key, value):
+    args = dict(args)
+    if value is _MISSING:
+        args.pop(key, None)
+    else:
+        args[key] = value
+    return args
+
+
+def _variants(rule_name):
+    """The rule's args with each argument missing or replaced, and each
+    item of each list argument replaced."""
+    base = _args_of(rule_name)
+    yield base
+    for key in _ARG_NAMES:
+        for value in _ARG_VALUES:
+            yield _with(base, key, value)
+    for key, value in base.items():
+        if isinstance(value, list):
+            for k in range(len(value)):
+                for item in _LIST_ITEMS:
+                    yield _with(base, key, value[:k] + [item] + value[k + 1 :])
+
+
+def test_rule_decoder_matches_reference_on_every_argument():
+    seen = set()
+    for rule_name in _RULE_NAMES:
+        for args in _variants(rule_name):
+            got = _outcome(lambda: _justification_from_json(rule_name, args, "line 1"))
+            want = _outcome(lambda: reference_justification_from_json(rule_name, args, "line 1"))
+            assert got == want, (rule_name, args)
+            seen.add(got[0])
+    assert seen == {"ok", "DerivationFormatError"}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_seeded_derivation_documents_decode_as_reference(seed):
+    """Whole documents of good and damaged lines: the same derivation, or
+    the first damaged line's error text."""
+    rng = Random(seed)
+    failures = 0
+    for _ in range(60):
+        entries = []
+        for _ in range(rng.randrange(1, 5)):
+            rule_name = rng.choice(_RULE_NAMES if rng.random() < 0.2 else list(_RULE_ARGS))
+            donor = rng.choice(list(_RULE_ARGS)) if rng.random() < 0.2 else rule_name
+            args = _args_of(donor)
+            for _ in range(rng.choice((0, 0, 0, 0, 1, 2))):
+                args = _with(args, rng.choice(_ARG_NAMES), rng.choice(_ARG_VALUES))
+            entries.append({"formula": "p -> p", "rule": rule_name, "args": args})
+        doc = {"m": 2, "premises": ["p"], "lines": entries}
+        try:
+            rules = [
+                reference_justification_from_json(e["rule"], e["args"], f"line {k + 1}")
+                for k, e in enumerate(entries)
+            ]
+            want = ("ok", Derivation(2, (parse("p"),), tuple(Line(parse("p -> p"), r) for r in rules)))
+        except DerivationFormatError as exc:
+            want = ("DerivationFormatError", str(exc))
+            failures += 1
+        assert _outcome(lambda: derivation_from_json(doc)) == want
+    assert 10 <= failures <= 50

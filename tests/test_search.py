@@ -389,6 +389,14 @@ def test_chain_size_below_2_is_rejected_first(m):
         is_L_tautology(parse("p => p"), m)  # before the conditional is seen
     with pytest.raises(ValueError, match="m must be at least 2"):
         countermodel_search(parse("p => p"), m, SearchBounds(max_candidates=0))
+    with pytest.raises(ValueError, match="m must be at least 2"):
+        random_model(1, m, 2, ("p",), -1)  # before the relation count is seen
+
+
+@pytest.mark.parametrize("text", ["p => p", "(p => q) -> (p => q)", "p => (p => (p -> p))"])
+def test_search_without_bounds_uses_the_default_bounds(text):
+    phi = parse(text)
+    assert countermodel_search(phi, 3) == countermodel_search(phi, 3, SearchBounds())
 
 
 def test_value_under_rejects_values_from_another_chain():

@@ -119,6 +119,12 @@ def test_proposition_of_examples():
     assert proposition_of(two, P) == Proposition((("x",), ("y",), ()))
 
 
+def test_proposition_scale_is_its_cell_count():
+    assert Proposition((("w1",), (), ("w0", "w2"))).scale == 3
+    model = random_model(2, 5, 3, ("p", "q"), 2)
+    assert {prop.scale for prop in model.relations} == {5}
+
+
 def test_proposition_cells_partition_the_worlds():
     model = random_model(7, 4, 3, ("p", "q"), 1)
     rng = Random(7)
