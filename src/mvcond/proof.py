@@ -274,7 +274,7 @@ def _cited_lines(rule: Justification) -> tuple[int, ...]:
 def _rule_name(rule: Justification) -> str:
     if isinstance(rule, Ax):
         return rule.name
-    return type(rule).__name__
+    return type(rule).__name__ if isinstance(rule, Justification) else "unknown"
 
 
 def _premise_dependence(derivation: Derivation) -> list[bool]:

@@ -1,0 +1,200 @@
+"""Pinned end-to-end runs of ``python -m mvcond``, declared once.
+
+Each row of ``RUNS`` is one command: its argv, its exit code, its stdout
+(the exact text with trailing newlines dropped, or the sha256 of the raw
+bytes) and the sha256 of each file it writes. ``check`` runs one row in a
+subprocess with ``PYTHONPATH`` set to this checkout's ``src`` and a 60 s
+limit. The rows run in order in one directory, so ``valid`` and
+``fid-check`` read the model that ``gen`` wrote before them.
+
+    python tests/golden_runs.py
+
+runs every row and exits 1 if any fails. ``tests/test_golden_runs.py``
+runs the same rows in the tier-1 suite, except those marked ``ci_only``
+(each takes seconds). Pinning another end-to-end result means adding a row.
+
+The search rows check LCR's soundness claim exhaustively at m=3 for the
+axioms A1, A2 and A3 and, under the identity frame condition (``--fid``),
+for LID; without ``--fid`` the first candidate refutes LID.
+"""
+
+import hashlib
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+class Run(NamedTuple):
+    name: str
+    argv: tuple[str, ...]
+    code: int
+    stdout: str | None = None  # exact, trailing newlines dropped
+    sha256: tuple[tuple[str, str], ...] = ()  # (a file it writes, or "-" for stdout; digest)
+    ci_only: bool = False  # takes seconds, so tier-1 leaves it out
+
+
+RUNS = (
+    Run(
+        "Exhaustive three-world search of A1 at m=3",
+        ("search", "--m", "3", "--max-worlds", "3", "--formula",
+         "(p => (q & r)) -> ((p => q) & (p => r))"),
+        0,
+        '{"status":"no_countermodel","candidates":387479619}',
+    ),
+    Run(
+        "Exhaustive four-world search of A1 at m=3",
+        ("search", "--m", "3", "--max-worlds", "4", "--formula",
+         "(p => (q & r)) -> ((p => q) & (p => r))"),
+        0,
+        '{"status":"no_countermodel","candidates":22877179934580}',
+        ci_only=True,
+    ),
+    Run(
+        "Exhaustive four-world search of A2 at m=3",
+        ("search", "--m", "3", "--max-worlds", "4", "--formula",
+         "((p => q) & (p => r)) -> (p => (q & r))"),
+        0,
+        '{"status":"no_countermodel","candidates":22877179934580}',
+        ci_only=True,
+    ),
+    Run(
+        "Exhaustive four-world search of A3 at m=3",
+        ("search", "--m", "3", "--max-worlds", "4", "--formula", "p => T"),
+        0,
+        '{"status":"no_countermodel","candidates":3487316580}',
+    ),
+    Run(
+        "Exhaustive four-world search of LID at m=3 under the identity frame condition",
+        ("search", "--fid", "--m", "3", "--max-worlds", "4", "--formula", "p => p"),
+        0,
+        '{"status":"no_countermodel","candidates":3487316580}',
+    ),
+    Run(
+        "LID at m=3 without the frame condition, refuted by the first candidate",
+        ("search", "--m", "3", "--max-worlds", "4", "--formula", "p => p"),
+        1,
+        '{"status":"countermodel","candidates":1,"value":0,"m":3,"worlds":["w0"],'
+        '"vars":["p"],"valuation":{"p":{"w0":0}},"relations":[{"prop":[["w0"],[],[]],'
+        '"matrix":{"w0":{"w0":2}}}],"default_relation":0,"witness_world":"w0"}',
+    ),
+    Run(
+        "A 59,049-row truth table in several slabs that holds",
+        ("taut", "--m", "3", "--formula",
+         "(a & b & c & d & e & f & g & h & i & j) -> (j | i | h | g | f | e | d | c | b | a)"),
+        0,
+        '{"status":"holds","m":3,"formula":'
+        '"a & b & c & d & e & f & g & h & i & j -> j | i | h | g | f | e | d | c | b | a"}',
+    ),
+    Run(
+        "A 59,049-row truth table falsified only in its last row",
+        ("taut", "--m", "3", "--formula",
+         "(a & b & c & d & e & f & g & h & i & j) -> ~(a & b & c & d & e & f & g & h & i & j)"),
+        1,
+        '{"status":"fails","m":3,"formula":'
+        '"a & b & c & d & e & f & g & h & i & j -> ~(a & b & c & d & e & f & g & h & i & j)",'
+        '"assignment":{"a":2,"b":2,"c":2,"d":2,"e":2,"f":2,"g":2,"h":2,"i":2,"j":2}}',
+    ),
+    Run(
+        "A 48,828,125-row truth table at m=5 in packed slabs that holds",
+        ("taut", "--m", "5", "--formula",
+         "(a & b & c & d & e & f & g & h & i & j & k) -> (k | j | i | h | g | f | e | d | c | b | a)"),
+        0,
+        '{"status":"holds","m":5,"formula":'
+        '"a & b & c & d & e & f & g & h & i & j & k -> k | j | i | h | g | f | e | d | c | b | a"}',
+    ),
+    Run(
+        "A one-variable truth table at m = 10^5",
+        ("taut", "--m", "100000", "--formula", "p -> p"),
+        0,
+        '{"status":"holds","m":100000,"formula":"p -> p"}',
+    ),
+    Run(
+        "Nested-conditional search through the CLI, to three worlds at m=4",
+        ("search", "--m", "4", "--max-worlds", "3", "--budget", "10000",
+         "--formula", "p => (p => (p -> p))"),
+        4,
+        '{"status":"budget_exhausted","candidates":10000}',
+    ),
+    Run(
+        "The same nested search under the identity frame condition",
+        ("search", "--fid", "--m", "4", "--max-worlds", "3", "--budget", "10000",
+         "--formula", "p => (p => (p -> p))"),
+        4,
+        '{"status":"budget_exhausted","candidates":10000}',
+    ),
+    Run(
+        "Exhaustive nested search under the identity frame condition, to three worlds at m=3",
+        ("search", "--fid", "--m", "3", "--max-worlds", "3", "--formula",
+         "(p => (p => q)) -> (p => (p => q))"),
+        0,
+        '{"status":"no_countermodel","candidates":14355495}',
+        ci_only=True,
+    ),
+    Run(
+        "A 64-world model through the CLI: gen",
+        ("gen", "--seed", "7", "--m", "5", "--worlds", "64", "--vars", "p,q,r,s",
+         "--extra-relations", "4", "--out", "model64.json"),
+        0,
+        '{"status":"ok","out":"model64.json","m":5,"worlds":64,"vars":["p","q","r","s"],'
+        '"relations":8}',
+        sha256=(("model64.json",
+                "2cb5f8bcd664a0a823d40acd55f926715d04fef0af3ac1e2840175e3c16098d5"),),
+    ),
+    Run(
+        "A 64-world model through the CLI: valid",
+        ("valid", "--model", "model64.json", "--formula", "p -> p"),
+        0,
+        '{"status":"valid"}',
+    ),
+    Run(
+        "A 64-world model through the CLI: fid-check",
+        ("fid-check", "--model", "model64.json"),
+        1,
+        sha256=(("-", "e468418484b4a6c3713591391aeacd5524bde5d55999b18d6951802fd3e88c20"),),
+    ),
+    Run(
+        "A one-world model document at m = 10^6, byte for byte",
+        ("gen", "--seed", "1", "--m", "1000000", "--worlds", "1", "--vars", "p",
+         "--out", "model1m.json"),
+        0,
+        '{"status":"ok","out":"model1m.json","m":1000000,"worlds":1,"vars":["p"],'
+        '"relations":1}',
+        sha256=(("model1m.json",
+                "5416e4b5ed7f1343e06dbc061d30dd70329d5cc57bd3bbea787a2a1108e6404b"),),
+    ),
+)
+
+
+def check(run: Run, cwd: Path) -> list[str]:
+    """Run one row in cwd; return how it differs from its pins (empty when it holds)."""
+    try:
+        done = subprocess.run([sys.executable, "-m", "mvcond", *run.argv], cwd=cwd,
+                              env={"PYTHONPATH": str(SRC)}, capture_output=True, timeout=60)
+        problems = [] if done.returncode == run.code else [
+            f"exit {done.returncode}: {done.stderr[-200:]!r}"]
+        if run.stdout is not None and done.stdout.decode().rstrip("\n") != run.stdout:
+            problems.append(f"stdout {done.stdout[:200]!r}")
+        for name, digest in run.sha256:
+            data = done.stdout if name == "-" else (cwd / name).read_bytes()
+            if hashlib.sha256(data).hexdigest() != digest:
+                problems.append(f"sha256 of {name} changed")
+        return problems
+    except (subprocess.TimeoutExpired, OSError) as exc:  # no exit within the limit, or no file
+        return [str(exc)]
+
+
+def main() -> int:
+    problems = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for run in RUNS:
+            problems[run.name] = check(run, Path(tmp))
+            print(f"{run.name}: {'; '.join(problems[run.name]) or 'ok'}", flush=True)
+    return 1 if any(problems.values()) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

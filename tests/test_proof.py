@@ -175,7 +175,7 @@ def test_forward_citation_is_rejected():
 def test_a_rule_that_is_not_a_justification_is_unknown():
     derivation = Derivation(m=3, premises=(), lines=(Line(parse("p -> p"), "LTaut"),))
     problem = check_line(derivation, 1)
-    assert (problem.line, problem.message) == (1, "unknown rule 'LTaut'")
+    assert (problem.line, problem.rule, problem.message) == (1, "unknown", "unknown rule 'LTaut'")
     assert not check_derivation(derivation, parse("p -> p")).ok
 
 
