@@ -3,9 +3,10 @@
 Every subcommand prints one JSON document to stdout with a top-level
 "status" key; diagnostics go to stderr. Exit codes: 0 when the query
 holds (or plain success), 1 when it fails or a countermodel was found,
-2 for usage errors, 3 for malformed input, 4 when a search budget ran
-out, 5 for an internal error (a fault in mvcond; the traceback goes to
-stderr). Input nested too deeply to process counts as malformed input.
+2 for usage errors (a shortened flag too), 3 for malformed input or an
+unwritable stdout, 4 when a search budget ran out, 5 for an internal
+error (a fault in mvcond; the traceback goes to stderr). Input nested
+too deeply to process counts as malformed input.
 Output for equal inputs is byte-identical across runs; --pretty only
 toggles indentation.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from fractions import Fraction
@@ -326,6 +328,7 @@ _COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     root = argparse.ArgumentParser(
         prog="mvcond",
+        allow_abbrev=False,
         description=(
             "Many-valued conditional logic: parsing, evaluation, tautology "
             "checking, countermodel search, filtration, and proof checking. "
@@ -334,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = root.add_subparsers(dest="command", required=True)
     for command, (summary, flags) in _COMMANDS.items():
-        p = sub.add_parser(command, help=summary)
+        p = sub.add_parser(command, help=summary, allow_abbrev=False)
         p.add_argument("--pretty", action="store_true", help="indent the JSON output")
         for flag, keywords in flags:
             p.add_argument(flag, **keywords)
@@ -361,5 +364,12 @@ def main(argv=None) -> int:
         error = f"internal error: {type(exc).__name__}: {exc}"
         text = json.dumps({"status": "error", "error": error}, **layout)
         code = 5
-    print(text)
-    return code
+    if sys.stdout is not None:  # None when the process started with stdout closed
+        try:
+            print(text, flush=True)
+            return code
+        except OSError:  # its reader has gone: let the flush at exit write nowhere
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+    print("cannot write the result to stdout", file=sys.stderr)
+    return 3

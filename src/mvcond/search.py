@@ -110,12 +110,12 @@ def _truth_table_slots(phi: Formula, abstract: bool, advice: str):
     inputs: dict[str, list[int]] = {}
     conditionals = 0
     order: list[int] = []
-    stack: list[tuple[int, bool]] = [(root, False)]
+    stack = [root]  # ~slot: slot's children are ordered
     seen: set[int] = set()
     while stack:
-        slot, built = stack.pop()
-        if built:
-            order.append(slot)
+        slot = stack.pop()
+        if slot < 0:
+            order.append(~slot)
             continue
         if slot in seen:
             continue
@@ -129,8 +129,8 @@ def _truth_table_slots(phi: Formula, abstract: bool, advice: str):
         elif isinstance(node, Var):
             name = node.name
         else:
-            stack.append((slot, True))
-            stack.extend((kid, False) for kid in reversed(kids[slot]))
+            stack.append(~slot)
+            stack.extend(kids[slot][::-1])
             continue
         inputs.setdefault(name, []).append(slot)
     return table, root, inputs, order
@@ -179,6 +179,9 @@ def _columns(m: int, j: int) -> tuple[int, ...]:
     return tuple(columns)
 
 
+# Kept like _columns, each entry shared and only read: three ints of at most
+# max(_SLAB_BITS, m * w) bits (see _chain_program), so 8 take 12 MiB while m * w <= 2^22.
+@lru_cache(maxsize=8)
 def _packed(m: int, rows: int) -> dict:
     """semantics.operations for truth tables on packed ints: row r's value
     in the field of w = _field_width(m) bits at bit w*r, of which the top

@@ -184,14 +184,20 @@ def _fold(phi: Formula, build: Callable[..., T], memo: dict[int, tuple[Formula, 
     is never reused, so a node shared by identity is built once. The walk
     keeps its own stack, so any depth works, and reads each node's children
     from _KIDS by its type: a leaf is built when first met, any other node
-    once its children are.
+    once its children are. Every inner node has one or two children, and
+    the walk calls build with exactly that many results; a node type of
+    another arity must extend it.
     """
     stack: list = [phi]
+    pop, push = stack.pop, stack.append
     while stack:
-        node = stack.pop()
+        node = pop()
         if type(node) is tuple:  # (node, its children), all of them built
             node, kids = node
-            memo[id(node)] = (node, build(node, *[memo[id(kid)][1] for kid in kids]))
+            if len(kids) == 1:
+                memo[id(node)] = (node, build(node, memo[id(kids[0])][1]))
+            else:
+                memo[id(node)] = (node, build(node, memo[id(kids[0])][1], memo[id(kids[1])][1]))
             continue
         if id(node) in memo:
             continue
@@ -203,8 +209,10 @@ def _fold(phi: Formula, build: Callable[..., T], memo: dict[int, tuple[Formula, 
             memo[id(node)] = (node, build(node))
             continue
         kids = get(node)
-        stack.append((node, kids))
-        stack.extend(reversed(kids))
+        push((node, kids))
+        if len(kids) == 2:
+            push(kids[1])
+        push(kids[0])
     return memo[id(phi)][1]
 
 

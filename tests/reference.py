@@ -30,6 +30,13 @@ the lockstep walk: hash-consing into one node table, iterative, so it is
 the oracle for deep and DAG-shaped pairs that reference_rule_eq cannot
 reach.
 
+reference_fold is syntax._fold as it was before it read its children by
+arity: every inner node is built through a *args call with a list of its
+children's results, so it is the oracle for the node tables, normalize
+results and AST documents the fold builds, and table_rule_eq folds through
+it. identity_shape lists a formula's nodes as that fold meets them, so it
+compares two DAGs, sharing included, at any depth.
+
 pairwise_columns is the truth tables' slab columns as they were built
 before the closed form: every column joined from shifted copies in pairs,
 over m-long lists at the first level too, so it is the oracle for
@@ -53,7 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import le
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from mvcond.parser import ParseError, SourceSpan, print_formula
 from mvcond.proof import (
@@ -121,8 +128,8 @@ from mvcond.syntax import (
     Top,
     UnrepresentableIndexError,
     Var,
+    _KIDS,
     _PARAM,
-    _fold,
     children,
     free_vars,
     imp_chain,
@@ -566,6 +573,59 @@ def reference_rule_eq(x: Formula, y: Formula) -> bool:
     return _expand_constants(x) == _expand_constants(y)
 
 
+T = TypeVar("T")
+
+
+def reference_fold(
+    phi: Formula, build: Callable[..., T], memo: dict[int, tuple[Formula, T]]
+) -> T:
+    """build(node, *kid_results) for each node of phi not yet in memo, children
+    first, and phi's result.
+
+    memo maps id(node) to (node, result); it holds each node so that its id
+    is never reused, so a node shared by identity is built once. The walk
+    keeps its own stack, so any depth works, and reads each node's children
+    from _KIDS by its type: a leaf is built when first met, any other node
+    once its children are.
+    """
+    stack: list = [phi]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:  # (node, its children), all of them built
+            node, kids = node
+            memo[id(node)] = (node, build(node, *[memo[id(kid)][1] for kid in kids]))
+            continue
+        if id(node) in memo:
+            continue
+        try:
+            get = _KIDS[type(node)]
+        except KeyError:
+            raise TypeError(f"not a formula node: {node!r}") from None
+        if get is None:
+            memo[id(node)] = (node, build(node))
+            continue
+        kids = get(node)
+        stack.append((node, kids))
+        stack.extend(reversed(kids))
+    return memo[id(phi)][1]
+
+
+def identity_shape(phi: Formula) -> list[tuple]:
+    """phi's distinct nodes by identity, in the order reference_fold builds
+    them, each as its type, its name or index, and its children's positions
+    in this list. Two formulas have equal shapes exactly when they are equal
+    trees whose subtrees are shared alike."""
+    shape: list[tuple] = []
+
+    def build(node: Formula, *kids: int) -> int:
+        param = _PARAM.get(type(node))
+        shape.append((type(node), param and param(node), kids))
+        return len(shape) - 1
+
+    reference_fold(phi, build, {})
+    return shape
+
+
 def table_rule_eq(x: Formula, y: Formula) -> bool:
     """rule_eq as the proof checker had it before the lockstep walk: both
     formulas hash-consed into one table of shapes, in which T and F take
@@ -580,9 +640,9 @@ def table_rule_eq(x: Formula, y: Formula) -> bool:
 
     memo: dict = {}
     truth = Imp(_RESERVED, _RESERVED)
-    shapes[(Top, None, ())] = _fold(truth, slot, memo)
-    shapes[(Bot, None, ())] = _fold(Not(truth), slot, memo)
-    return _fold(x, slot, memo) == _fold(y, slot, memo)
+    shapes[(Top, None, ())] = reference_fold(truth, slot, memo)
+    shapes[(Bot, None, ())] = reference_fold(Not(truth), slot, memo)
+    return reference_fold(x, slot, memo) == reference_fold(y, slot, memo)
 
 
 def _match_a1(phi: Formula) -> bool:

@@ -2,8 +2,11 @@
 
 import argparse
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -465,6 +468,18 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_an_abbreviated_flag_is_a_usage_error(capsys):
+    """A flag counts only when spelled in full, so --max-world is not taken
+    for --max-worlds and a flag added later cannot make a prefix ambiguous."""
+    argv = ["search", "--m", "2", "--formula", "p => p", "--fid"]
+    assert main([*argv, "--max-worlds", "1"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--max-world", "1"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --max-world 1" in capsys.readouterr().err
+
+
 def test_main_builds_its_parser_once(capsys, monkeypatch):
     """Repeated calls, usage errors among them, print the same; build_parser
     still returns a new parser, and main does not call it again."""
@@ -559,8 +574,9 @@ _PARSER_SHAPE = {
 def test_parser_shape_is_pinned():
     """The root, its subcommands in order with their help, and every
     subcommand action's option strings, dest, required, default, type,
-    class and help."""
+    class and help; neither the root nor a subcommand takes a shortened flag."""
     root = build_parser()
+    assert root.allow_abbrev is False
     assert (root.prog, root.description) == (
         "mvcond",
         "Many-valued conditional logic: parsing, evaluation, tautology "
@@ -574,7 +590,7 @@ def test_parser_shape_is_pinned():
     ]
     assert list(sub.choices) == list(_PARSER_SHAPE)
     for name, parser in sub.choices.items():
-        assert parser.prog == f"mvcond {name}"
+        assert (parser.prog, parser.allow_abbrev) == (f"mvcond {name}", False)
         got = [
             (tuple(a.option_strings), a.dest, a.required, a.default, a.type, type(a).__name__, a.help)
             for a in parser._actions
@@ -680,6 +696,38 @@ def test_internal_error_exits_5_with_json(capsys, monkeypatch):
         "error": "internal error: RuntimeError: boom",
     }
     assert "Traceback" in captured.err and "RuntimeError: boom" in captured.err
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("argv", [
+    ("parse", "--formula", "p"),
+    ("search", "--formula", "(p => q) -> (p => (p -> q))", "--m", "3", "--max-worlds", "2",
+     "--fid"),
+])
+def test_a_pipe_without_a_reader_exits_3_without_a_traceback(argv):
+    """The read end is closed before the process starts, so its one write
+    fails with EPIPE every time; the flush at exit then has nothing to say."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "mvcond", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env={"PYTHONPATH": str(SRC)},
+                              text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert done.returncode == 3
+    assert done.stderr == "cannot write the result to stdout\n"
+
+
+def test_a_closed_stdout_exits_3_without_a_traceback():
+    done = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m mvcond parse --formula p >&-', sys.executable],
+        stderr=subprocess.PIPE, env={"PYTHONPATH": str(SRC)}, text=True, timeout=60,
+    )
+    assert done.returncode == 3
+    assert done.stderr == "cannot write the result to stdout\n"
 
 
 README = Path(__file__).parent.parent / "README.md"

@@ -9,6 +9,7 @@ import ast
 import json
 import sys
 import time
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -24,8 +25,10 @@ from mvcond.search import (
     random_model,
 )
 from mvcond.semantics import Evaluator
-from mvcond.syntax import And, Cond, Imp, NodeTable, Var, imp_chain, normalize
+from mvcond.syntax import _CORE, And, Cond, Imp, NodeTable, Var, imp_chain, normalize
 from mvcond.truthvalues import TruthValue
+
+from reference import identity_shape, reference_fold
 
 DEPTH = 10_000
 NAMES = ("p", "q", "r")
@@ -71,6 +74,34 @@ def test_deep_formula_under_the_default_recursion_limit(name):
     if name == "conjunctions":
         assert tautology
         assert falsifying_assignment(phi, 3) == {v: TruthValue(0, 3) for v in NAMES}
+
+
+def test_fold_of_deep_and_chains_matches_the_reference_fold():
+    """&-chains 10,000 deep, nested to the left and to the right, go into a
+    node table and through normalize as through the fold _fold replaced; a
+    non-formula at the bottom of such a chain is still a TypeError."""
+    assert sys.getrecursionlimit() <= 1000
+    leaves = [Var(v) for v in LEAVES]
+
+    def expand(node, *kids):
+        return _CORE[type(node)](node, 3, *kids)
+
+    for phi in (reduce(And, leaves), reduce(lambda out, leaf: And(leaf, out), leaves)):
+        start = time.perf_counter()
+        table = NodeTable()
+        slot = table.add(phi)
+        normal = normalize(phi, 3)
+        assert time.perf_counter() - start < 2
+        expected = NodeTable()
+        assert slot == reference_fold(phi, expected._slot, expected._slots)
+        assert slot == len(NAMES) + DEPTH - 2  # one slot per variable and per &
+        assert list(map(id, table.nodes)) == list(map(id, expected.nodes))
+        assert table.kids == expected.kids
+        assert identity_shape(normal) == identity_shape(reference_fold(phi, expand, {}))
+    bad = reduce(And, leaves, "x")
+    for fold in (NodeTable().add, lambda phi: normalize(phi, 3)):
+        with pytest.raises(TypeError, match="^not a formula node: 'x'$"):
+            fold(bad)
 
 
 def test_proofcheck_of_a_deep_tautology_line(tmp_path, capsys):

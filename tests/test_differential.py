@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvcond.cli import main
+from mvcond.cli import _ast, main
 from mvcond.parser import ParseError, parse, print_formula
 from mvcond.search import (
     _SLAB_BITS,
@@ -51,16 +51,19 @@ from mvcond.semantics import (
     save_model,
 )
 from mvcond.syntax import (
+    _CORE,
     RESERVED_VAR,
     And,
     Cond,
     Iff,
     Imp,
     J,
+    NodeTable,
     Not,
     Or,
     UnrepresentableIndexError,
     Var,
+    _fold,
     free_vars,
     normalize,
     subformula_closure,
@@ -73,12 +76,14 @@ from reference import (
     _cond_depth,
     entrywise_model_from_json,
     enumerated_search,
+    identity_shape,
     pairwise_columns,
     reference_abstract_conditionals,
     reference_check_fid,
     reference_check_preservation,
     reference_falsifying_assignment,
     reference_filtrate,
+    reference_fold,
     reference_model_from_json,
     reference_normalize,
     reference_parse,
@@ -588,6 +593,30 @@ def test_truth_tables_match_reference(seed):
         assert new == ref and list(new[1].items()) == list(ref[1].items())
 
 
+def test_truth_tables_match_reference_while_the_packed_cache_evicts():
+    """Fifteen (m, rows) pairs, twice over, through the 8 entries _packed
+    keeps, so that tables are compiled from evicted and rebuilt operations;
+    the last formula abstracts the conditional met first to _c0, although
+    its subformula p => q has the lower slot."""
+    texts = ("p | ~p", "(p -> q) -> (q -> p)", "(p -> q) -> ((q -> r) -> (p -> r))")
+    pinned = And(Cond(Cond(Var("p"), Var("q")), Var("r")), Cond(Var("p"), Var("q")))
+    assert abstract_conditionals(pinned) == (
+        And(Var("_c0"), Var("_c1")),
+        {pinned.left: Var("_c0"), pinned.right: Var("_c1")},
+    )
+    formulas = (*map(parse, texts), pinned)
+    for phi in formulas:
+        new, ref = abstract_conditionals(phi), reference_abstract_conditionals(phi)
+        assert new == ref and list(new[1].items()) == list(ref[1].items())
+    _packed.cache_clear()
+    for m in (2, 3, 4, 5, 9) * 2:
+        for phi in formulas:
+            want = reference_falsifying_assignment(phi, m, True)
+            assert falsifying_assignment(phi, m, True) == want
+    info = _packed.cache_info()
+    assert (info.maxsize, info.currsize, info.misses) == (8, 8, 30)
+
+
 def test_truth_tables_skip_what_lies_inside_an_abstracted_conditional():
     off_chain = J(Fraction(1, 2), Var("p"))  # not on the 4-element chain
     inside = Imp(Cond(off_chain, Var("q")), Cond(Var("_c0"), off_chain))
@@ -788,15 +817,17 @@ def test_slab_columns_match_the_pairwise_build(m, monkeypatch):
 
 
 def test_slab_column_cache_holds_what_its_comment_states():
-    """The columns kept after the 48,828,125-row table over 11 variables at
-    m=5 and p -> p at m=100,000 stay within the bound by _columns: 8
-    entries, 8 MiB in all while m * w <= 2^22."""
+    """The columns and packed operations kept after the 48,828,125-row table
+    over 11 variables at m=5 and p -> p at m=100,000 stay within the bound
+    by _columns: 8 entries, 8 MiB in all while m * w <= 2^22 (_packed's
+    8 entries may take 12 MiB more)."""
     phi = parse(
         "(a & b & c & d & e & f & g & h & i & j & k) -> (k | j | i | h | g | f | e | d | c | b | a)"
     )
     assert _columns.cache_info().maxsize == 8
     assert 100_000 * _field_bits(100_000) <= _SLAB_BITS
     _columns.cache_clear()
+    _packed.cache_clear()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -805,7 +836,7 @@ def test_slab_column_cache_holds_what_its_comment_states():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert _columns.cache_info().currsize == 2
+    assert _columns.cache_info().currsize == _packed.cache_info().currsize == 2
     assert held <= 8 << 20
 
 
@@ -833,6 +864,31 @@ def test_normalize_matches_reference_on_random_formulas(m):
     for _ in range(60):
         phi = chain_formula(rng, 4, m, allow_cond=True)
         assert normalize(phi, m) == reference_normalize(phi, m)
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_fold_matches_the_reference_fold(m):
+    """One NodeTable, normalize and the parse command's AST document, built
+    through _fold and through the fold it replaced, on seeded formulas with
+    J and I on the m-element chain. Every third formula reuses the one
+    before by identity, and the tables take every formula in turn, so the
+    fold meets nodes it has already built."""
+    def expand(node, *kids):
+        return _CORE[type(node)](node, m, *kids)
+
+    rng = Random(100 + m)
+    table, expected = NodeTable(), NodeTable()
+    phi = Var("p")
+    for k in range(150):
+        prev, phi = phi, chain_formula(rng, rng.randrange(1, 7), m, allow_cond=True)
+        if k % 3 == 2:
+            phi = Iff(Imp(phi, prev), And(prev, phi))
+        assert table.add(phi) == reference_fold(phi, expected._slot, expected._slots)
+        assert list(map(id, table.nodes)) == list(map(id, expected.nodes))
+        assert table.kids == expected.kids
+        shape = identity_shape(normalize(phi, m))
+        assert shape == identity_shape(reference_fold(phi, expand, {}))
+        assert _fold(phi, _ast, {}) == reference_fold(phi, _ast, {})
 
 
 def test_printer_and_parser_match_reference_on_random_formulas():
