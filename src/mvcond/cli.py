@@ -18,17 +18,13 @@ import json
 import os
 import sys
 import traceback
-from fractions import Fraction
+from contextlib import suppress
 from functools import cache
 from itertools import groupby
 from operator import attrgetter
 
-from .parser import ParseError, parse, print_formula
-from .proof import (
-    DerivationFormatError,
-    check_derivation,
-    load_derivation,
-)
+from .parser import parse, print_formula
+from .proof import check_derivation, load_derivation
 from .search import (
     SearchBounds,
     countermodel_search,
@@ -347,6 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = cache(build_parser)  # main's parser, built once: parsing leaves it as it is
 
 
+def _diagnose(text: str) -> None:
+    """text on stderr, if it can be written: a closed stderr changes neither
+    stdout nor the exit code."""
+    if sys.stderr is not None:  # None when the process started with stderr closed
+        with suppress(OSError):
+            print(text, file=sys.stderr, flush=True)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     layout = {"indent": 2} if args.pretty else {"separators": (",", ":")}
@@ -358,9 +362,9 @@ def main(argv=None) -> int:
         error = f"input nested too deeply: {exc}" if isinstance(exc, RecursionError) else str(exc)
         text = json.dumps({"status": "error", "error": error}, **layout)
         code = 3
-        print(error, file=sys.stderr)
+        _diagnose(error)
     except Exception as exc:  # the last boundary: report, never leave with exit 1
-        traceback.print_exc()
+        _diagnose(traceback.format_exc().rstrip("\n"))
         error = f"internal error: {type(exc).__name__}: {exc}"
         text = json.dumps({"status": "error", "error": error}, **layout)
         code = 5
@@ -371,5 +375,5 @@ def main(argv=None) -> int:
         except OSError:  # its reader has gone: let the flush at exit write nowhere
             with open(os.devnull, "w") as devnull:
                 os.dup2(devnull.fileno(), sys.stdout.fileno())
-    print("cannot write the result to stdout", file=sys.stderr)
+    _diagnose("cannot write the result to stdout")
     return 3

@@ -18,7 +18,7 @@ another, a formula's value at world x reads only row x of each
 relation, so each tuple of rows is evaluated once per valuation and the
 first countermodel, and the count of candidates before it, follow in
 closed form. With nesting, the nodes above a conditional run once per
-relation candidate; each candidate matrix is a tuple of the same rows.
+candidate, drawn lazily from the product of the same rows, n per matrix.
 Either way the identity frame condition holds when every row lies within
 its key, entry by entry.
 
@@ -377,7 +377,7 @@ def countermodel_search(
     the rows are kept per world count, keyed by its consequent's values
     (and its antecedent's under require_fid), as are each key's rows
     under require_fid. Nested conditionals are enumerated candidate by
-    candidate, each matrix a tuple of shared rows.
+    candidate, each round's matrices n consecutive rows of one lazy product.
 
     Either way only the least valuation of each orbit under permutations
     of the worlds is evaluated. Renaming the worlds maps a valuation's
@@ -410,6 +410,7 @@ def countermodel_search(
                 )
     var_slot = {node.name: s for s, (node, _) in enumerate(code) if isinstance(node, Var)}
     names = tuple(sorted(var_slot))
+    antecedents = sorted({kids[0] for node, kids in code if isinstance(node, Cond)})
     # a node with depth[s] > 0 has a conditional at or below it, so its
     # value depends on the relations; one inside an antecedent (inner) can
     # change which propositions need relations. Depth-0 (base) nodes are
@@ -417,15 +418,10 @@ def countermodel_search(
     # evaluates inner ones on every call and the others (outer) once a
     # candidate's relations (tuples of rows) are complete; without, there
     # are no inner nodes and by_rows evaluates the outer ones on rows.
-    in_antecedent = [False] * len(code)
-    for s in reversed(range(len(code))):
-        node, kids = code[s]
-        if isinstance(node, Cond):
-            in_antecedent[kids[0]] = True
-        if in_antecedent[s]:
-            for k in kids:
-                in_antecedent[k] = True
-    antecedents = sorted({kids[0] for node, kids in code if isinstance(node, Cond)})
+    in_antecedent = set(antecedents)
+    for s in reversed(range(len(code))):  # children have lower slots
+        if s in in_antecedent:
+            in_antecedent.update(code[s][1])
     top = m - 1
     budget = bounds.max_candidates
     count = 0
@@ -439,7 +435,7 @@ def countermodel_search(
                 values[s] = ops[type(node)]
                 continue
             step = (instruction(node, ops, m), kids[0], kids[-1], s)
-            (base if not depth[s] else inner if in_antecedent[s] else outer).append(step)
+            (base if not depth[s] else inner if s in in_antecedent else outer).append(step)
         var_at = [
             (var_slot[v], vi * n) for vi, v in enumerate(names) if v != RESERVED_VAR
         ]
@@ -452,21 +448,18 @@ def countermodel_search(
         # an orbit's least valuation, as its worlds' value tuples -> the
         # candidates of each of its valuations, none a countermodel
         orbit_spent: dict[tuple, int] = {}
-        if nested:  # |rows|^n matrices, each a tuple of the shared rows
-            matrices = list(product(rows, repeat=n))
-        else:
-            row_index = {row: j for j, row in enumerate(rows)}
-            conds = [step for step in outer if isinstance(code[step[3]][0], Cond)]
-            above = [step for step in outer if not isinstance(code[step[3]][0], Cond)]
-            tiled = {k for _, i, j, _ in above for k in (i, j) if not depth[k]}
-            points: list = [None] * len(code)  # values at (world, row of the last key)
-            # a conditional's values over its key's rows, by its consequent's
-            # values (and its key under require_fid, which picks the rows)
-            cond_values: dict = {}
+        row_index = {row: j for j, row in enumerate(rows)}
+        conds = [step for step in outer if isinstance(code[step[3]][0], Cond)]
+        above = [step for step in outer if not isinstance(code[step[3]][0], Cond)]
+        tiled = {k for _, i, j, _ in above for k in (i, j) if not depth[k]}
+        points: list = [None] * len(code)  # values at (world, row of the last key)
+        # a conditional's values over its key's rows, by its consequent's
+        # values (and its key under require_fid, which picks the rows)
+        cond_values: dict = {}
 
-            @cache
-            def within(key: tuple[int, ...]) -> list[tuple[int, ...]]:
-                return [r for r in rows if all(map(le, r, key))]
+        @cache
+        def within(key: tuple[int, ...]) -> list[tuple[int, ...]]:
+            return [r for r in rows if all(map(le, r, key))]
 
         def visit(limit: int | None):
             """The candidates counted and the first refuting world and its
@@ -490,9 +483,11 @@ def countermodel_search(
                         return 1, (x, v)
                 return 1, None
             keys = sorted(fresh, key=cells)
+            parts = [(key, slice(k * n, k * n + n)) for k, key in enumerate(keys)]
             spent = 0
-            for combo in product(matrices, repeat=len(keys)):
-                rel.update(zip(keys, combo))
+            for combo in product(rows, repeat=n * len(keys)):  # each key's n rows in turn
+                for key, part in parts:
+                    rel[key] = combo[part]
                 more, hit = visit(None if limit is None else limit - spent)
                 spent += more
                 if hit is not None or (limit is not None and spent > limit):

@@ -15,7 +15,10 @@ runs the same rows in the tier-1 suite, except those marked ``ci_only``
 
 The search rows check LCR's soundness claim exhaustively at m=3 for the
 axioms A1, A2 and A3 and, under the identity frame condition (``--fid``),
-for LID; without ``--fid`` the first candidate refutes LID.
+for LID; without ``--fid`` the first candidate refutes LID. Five more pin
+the searches behind the README's reading of the abstract's two comparative
+claims, and one pins that a nested search to four worlds stops at its
+budget.
 """
 
 import hashlib
@@ -133,6 +136,56 @@ RUNS = (
         0,
         '{"status":"no_countermodel","candidates":14355495}',
         ci_only=True,
+    ),
+    Run(
+        "A nested search to four worlds at m=3 under the identity frame condition, "
+        "stopped by its budget, not by memory",
+        ("search", "--fid", "--m", "3", "--max-worlds", "4", "--budget", "533000",
+         "--formula", "p => (p => (p -> p))"),
+        4,
+        '{"status":"budget_exhausted","candidates":533000}',
+    ),
+    Run(
+        "One world refutes (p => (p -> q)) -> (p => q) at m=3 under the identity frame "
+        "condition",
+        ("search", "--fid", "--m", "3", "--max-worlds", "3", "--formula",
+         "(p => (p -> q)) -> (p => q)"),
+        1,
+        '{"status":"countermodel","candidates":11,"value":1,"m":3,"worlds":["w0"],'
+        '"vars":["p","q"],"valuation":{"p":{"w0":1},"q":{"w0":0}},"relations":[{"prop":'
+        '[[],["w0"],[]],"matrix":{"w0":{"w0":1}}}],"default_relation":0,"witness_world":"w0"}',
+    ),
+    Run(
+        "(p => (p -> q)) -> (p => q) holds to three worlds at m=2 under the identity frame "
+        "condition",
+        ("search", "--fid", "--m", "2", "--max-worlds", "3", "--formula",
+         "(p => (p -> q)) -> (p => q)"),
+        0,
+        '{"status":"no_countermodel","candidates":33032}',
+    ),
+    Run(
+        "(p => q) -> (p => (p -> q)) holds to three worlds at m=3 under the identity frame "
+        "condition",
+        ("search", "--fid", "--m", "3", "--max-worlds", "3", "--formula",
+         "(p => q) -> (p => (p -> q))"),
+        0,
+        '{"status":"no_countermodel","candidates":14355495}',
+    ),
+    Run(
+        "One world refutes (p => q) -> (p -> q) at m=3",
+        ("search", "--m", "3", "--max-worlds", "2", "--formula", "(p => q) -> (p -> q)"),
+        1,
+        '{"status":"countermodel","candidates":12,"value":1,"m":3,"worlds":["w0"],'
+        '"vars":["p","q"],"valuation":{"p":{"w0":1},"q":{"w0":0}},"relations":[{"prop":'
+        '[[],["w0"],[]],"matrix":{"w0":{"w0":0}}}],"default_relation":0,"witness_world":"w0"}',
+    ),
+    Run(
+        "The first candidate refutes (p -> q) -> (p => q) at m=3",
+        ("search", "--m", "3", "--max-worlds", "2", "--formula", "(p -> q) -> (p => q)"),
+        1,
+        '{"status":"countermodel","candidates":1,"value":0,"m":3,"worlds":["w0"],'
+        '"vars":["p","q"],"valuation":{"p":{"w0":0},"q":{"w0":0}},"relations":[{"prop":'
+        '[["w0"],[],[]],"matrix":{"w0":{"w0":2}}}],"default_relation":0,"witness_world":"w0"}',
     ),
     Run(
         "A 64-world model through the CLI: gen",

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, JSON payloads, determinism."""
 
 import argparse
+import io
 import json
 import os
 import re
@@ -730,7 +731,34 @@ def test_a_closed_stdout_exits_3_without_a_traceback():
     assert done.stderr == "cannot write the result to stdout\n"
 
 
-README = Path(__file__).parent.parent / "README.md"
+def test_a_closed_stderr_changes_neither_stdout_nor_the_exit_code():
+    """fd 2 is closed before exec, so the diagnostic of an input error has
+    nowhere to go; the JSON and exit 3 are as with stderr open."""
+    done = subprocess.run([sys.executable, "-m", "mvcond", "parse", "--formula", "p &"],
+                          stdout=subprocess.PIPE, env={"PYTHONPATH": str(SRC)}, text=True,
+                          timeout=60, preexec_fn=lambda: os.close(2))
+    assert done.returncode == 3
+    assert done.stdout == '{"status":"error","error":"unexpected token \'\' at 3..3"}\n'
+
+
+class _Unwritable(io.StringIO):
+    def write(self, text):
+        raise OSError("stderr is gone")
+
+
+def test_an_internal_error_exits_5_when_stderr_cannot_be_written(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("mvcond.cli._cmd_parse", broken)
+    monkeypatch.setattr(sys, "stderr", _Unwritable())
+    assert main(["parse", "--formula", "p"]) == 5
+    assert capsys.readouterr().out == (
+        '{"status":"error","error":"internal error: RuntimeError: boom"}\n'
+    )
+
+
+README =Path(__file__).parent.parent / "README.md"
 
 
 def test_readme_taut_examples_are_exact(capsys):

@@ -434,6 +434,20 @@ def test_nested_search_to_three_worlds_counts_every_candidate(fid):
     assert _same_search(phi, 2, SearchBounds(3), fid)[:3] == (33032, False, None)
 
 
+def test_nested_rounds_with_two_keys_keep_the_enumeration_order():
+    """Whenever p and q differ, the one round assigns |p| and |q| at once, n
+    rows each, from one product of the shared rows. Every budget up to the
+    first countermodel (candidate 92), and under FID (candidate 4416) the
+    edges and every 97th, give the enumerating search's fields."""
+    phi = parse("(p => (q => r)) -> (q => (p => r))")
+    for budget in range(94):
+        _same_search(phi, 2, SearchBounds(2, None, budget))
+    assert _same_search(phi, 2, SearchBounds(2))[:3] == (92, False, "w1")
+    for budget in sorted({0, 1, 4415, 4416, 4417, *range(0, 4417, 97)}):
+        _same_search(phi, 2, SearchBounds(2, None, budget), True)
+    assert _same_search(phi, 2, SearchBounds(2), True)[:3] == (4416, False, "w0")
+
+
 def test_search_matches_enumeration_when_the_first_countermodel_needs_three_worlds():
     """Each disjunct fails at x only if x reaches a world of its own kind
     of (p, q): 00, 01 and 10, so no model of two worlds refutes it."""

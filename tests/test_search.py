@@ -446,28 +446,30 @@ def test_search_without_conditionals_builds_no_relation_matrices():
 
 
 def test_nested_search_set_up_shares_the_rows():
-    """A nested search to 3 worlds at m=3 builds its 3^9 matrices as
-    triples of the 27 shared rows, not as slices of 3^9 nine-entry tuples,
-    and its identity frame test reads those rows, so with the condition or
-    without it builds nothing per matrix."""
+    """A nested search draws each round's relations from one product of the
+    shared rows, n consecutive rows per key, and keeps no list of matrices:
+    to 3 worlds at m=3 or m=4, with the identity frame condition or without
+    it, it builds nothing per matrix, and its frame test reads those rows."""
     phi = parse("p => (p => (p -> p))")
     assert countermodel_search(phi, 3, SearchBounds(2)).candidates == 738  # 3 worlds reached
-    outcomes = []
-    for require_fid in (False, True):
-        tracemalloc.start()
-        try:
-            outcomes.append(countermodel_search(phi, 3, SearchBounds(3, None, 2000), require_fid))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # 1.5 MiB; 3.9 MiB under require_fid with a column maximum kept per
-        # matrix, 7.5 MiB when sliced from one n*n-entry product
-        assert peak < 2.5 * 2**20, require_fid
-    outcome = outcomes[0]
-    assert (outcome.found, outcome.value, outcome.exhausted, outcome.candidates) == (
-        None, None, True, 2000
-    )
-    assert outcomes[1] == outcome
+    for m, budget in ((3, 2000), (4, 10000)):
+        outcomes = []
+        for require_fid in (False, True):
+            tracemalloc.start()
+            try:
+                outcomes.append(
+                    countermodel_search(phi, m, SearchBounds(3, None, budget), require_fid)
+                )
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # about 0.02 MiB; listing the 4^9 matrices at m=4 takes 20 MiB
+            assert peak < 2**20, (m, require_fid)
+        outcome = outcomes[0]
+        assert (outcome.found, outcome.value, outcome.exhausted, outcome.candidates) == (
+            None, None, True, budget
+        )
+        assert outcomes[1] == outcome
 
 
 GOLDEN = Path(__file__).parent / "data" / "search_golden.json"
