@@ -8,19 +8,19 @@ few variables, keeps row r's value at bit w*r of one int per subformula
 bits), so each connective is a few whole-int operations on all rows.
 countermodel_search enumerates finite models in a canonical order (world
 count ascending; valuations in ascending lexicographic numerator order
-over sorted variables; relation matrices row-major with entries
-descending from 1), so a given query always returns the same
-countermodel. A "none" outcome certifies only that no model within the
-given bounds refutes the formula. The search runs the
-evaluator's compiled program on integers, its conditional-free
-subformulas once per valuation. Without a conditional nested inside
-another, a formula's value at world x reads only row x of each
-relation, so each tuple of rows is evaluated once per valuation and the
-first countermodel, and the count of candidates before it, follow in
-closed form. With nesting, the nodes above a conditional run once per
-candidate, drawn lazily from the product of the same rows, n per matrix.
-Either way the identity frame condition holds when every row lies within
-its key, entry by entry.
+over the sorted variables other than the reserved _t, which is 0 at every
+world; relation matrices row-major with entries descending from 1), so a
+given query always returns the same countermodel. A "none" outcome
+certifies only that no model within the given bounds refutes the formula.
+The search runs the evaluator's compiled program on integers, its
+conditional-free subformulas once per valuation. Without a conditional
+nested inside another, a formula's value at world x reads only row x of
+each relation, so each tuple of rows is evaluated once per valuation and
+the first countermodel, and the count of candidates before it, follow in
+closed form. With nesting, to any depth, the nodes above a conditional
+run once per candidate, drawn lazily from products of the same rows, one
+round of relations per level of nesting. Either way the identity frame
+condition holds when every row lies within its key, entry by entry.
 
 The search also shares work across valuations. In the row-separated
 search a conditional's values over all rows depend only on its
@@ -376,8 +376,8 @@ def countermodel_search(
     and the count before it in closed form. A conditional's values over
     the rows are kept per world count, keyed by its consequent's values
     (and its antecedent's under require_fid), as are each key's rows
-    under require_fid. Nested conditionals are enumerated candidate by
-    candidate, each round's matrices n consecutive rows of one lazy product.
+    under require_fid. Nested conditionals, to any depth, are enumerated
+    candidate by candidate, each round's matrices n rows of a lazy product.
 
     Either way only the least valuation of each orbit under permutations
     of the worlds is evaluated. Renaming the worlds maps a valuation's
@@ -396,9 +396,6 @@ def countermodel_search(
     depth: list[int] = []
     for node, kids in code:
         depth.append(max((depth[k] for k in kids), default=0) + isinstance(node, Cond))
-    if depth[root] > 3:
-        raise SearchError("conditional nesting deeper than 3 is not supported")
-    nested = depth[root] > 1
     if bounds.relation_values is None:
         values_desc = list(range(m - 1, -1, -1))
     else:
@@ -409,15 +406,13 @@ def countermodel_search(
                     f"relation value numerator {numerator} not in [0, {m - 1}]"
                 )
     var_slot = {node.name: s for s, (node, _) in enumerate(code) if isinstance(node, Var)}
-    names = tuple(sorted(var_slot))
+    names = tuple(sorted(var_slot.keys() - {RESERVED_VAR}))  # _t keeps the constant 0
     antecedents = sorted({kids[0] for node, kids in code if isinstance(node, Cond)})
-    # a node with depth[s] > 0 has a conditional at or below it, so its
-    # value depends on the relations; one inside an antecedent (inner) can
-    # change which propositions need relations. Depth-0 (base) nodes are
-    # evaluated once per valuation. With nested conditionals, visit
-    # evaluates inner ones on every call and the others (outer) once a
-    # candidate's relations (tuples of rows) are complete; without, there
-    # are no inner nodes and by_rows evaluates the outer ones on rows.
+    # a node with depth[s] > 0 has a conditional at or below it, so its value
+    # depends on the relations; one inside an antecedent (inner) can change
+    # which propositions need relations. Depth-0 (base) nodes are evaluated
+    # once per valuation, inner ones whenever visit assigns rows, and the
+    # others (outer) per candidate in visit and on rows in by_rows.
     in_antecedent = set(antecedents)
     for s in reversed(range(len(code))):  # children have lower slots
         if s in in_antecedent:
@@ -436,9 +431,7 @@ def countermodel_search(
                 continue
             step = (instruction(node, ops, m), kids[0], kids[-1], s)
             (base if not depth[s] else inner if s in in_antecedent else outer).append(step)
-        var_at = [
-            (var_slot[v], vi * n) for vi, v in enumerate(names) if v != RESERVED_VAR
-        ]
+        var_at = [(var_slot[v], vi * n) for vi, v in enumerate(names)]
 
         @cache  # per world count; keys sort by it
         def cells(key: tuple[int, ...]):
@@ -463,38 +456,45 @@ def countermodel_search(
 
         def visit(limit: int | None):
             """The candidates counted and the first refuting world and its
-            value, or None, over every completion of the relations in rel.
-            A round stops once a child hits or its count exceeds limit (None
-            for no budget); the caller then reads the budget from the count.
-            At most 4 deep: after r calls each antecedent of depth < r has
-            its final value, already a key, and none is deeper than 2."""
-            for fn, i, j, s in inner:
-                values[s] = fn(values[i], values[j])
-            fresh = {values[a] for a in antecedents}.difference(rel)
-            if not fresh:
-                if require_fid and not all(
-                    all(map(le, row, key)) for key, matrix in rel.items() for row in matrix
-                ):
-                    return 1, None
-                for fn, i, j, s in outer:
-                    values[s] = fn(values[i], values[j])
-                for x, v in enumerate(values[root]):
-                    if v != top:
-                        return 1, (x, v)
-                return 1, None
-            keys = sorted(fresh, key=cells)
-            parts = [(key, slice(k * n, k * n + n)) for k, key in enumerate(keys)]
+            value, or None, over every completion of the relations in rel,
+            stopping once one refutes or the count exceeds limit (None for no
+            budget). A round assigns n rows to each key fresh when it opened,
+            the innermost round fastest. After r rounds each antecedent r or
+            fewer conditionals deep is final, so at most depth[root] are open."""
+            rounds: list = []  # (keys with their slices of a combo, lazy product) per open round
             spent = 0
-            for combo in product(rows, repeat=n * len(keys)):  # each key's n rows in turn
-                for key, part in parts:
-                    rel[key] = combo[part]
-                more, hit = visit(None if limit is None else limit - spent)
-                spent += more
-                if hit is not None or (limit is not None and spent > limit):
-                    return spent, hit
-            for key in keys:
-                del rel[key]
-            return spent, None
+            while True:
+                for fn, i, j, s in inner:
+                    values[s] = fn(values[i], values[j])
+                fresh = {values[a] for a in antecedents}.difference(rel)
+                if fresh:
+                    keys = sorted(fresh, key=cells)
+                    parts = [(key, slice(k * n, k * n + n)) for k, key in enumerate(keys)]
+                    rounds.append((parts, product(rows, repeat=n * len(keys))))
+                else:
+                    spent += 1
+                    if not require_fid or all(
+                        all(map(le, row, key)) for key, matrix in rel.items() for row in matrix
+                    ):
+                        for fn, i, j, s in outer:
+                            values[s] = fn(values[i], values[j])
+                        for x, v in enumerate(values[root]):
+                            if v != top:
+                                return spent, (x, v)
+                    if limit is not None and spent > limit:
+                        return spent, None
+                while rounds:  # the innermost open round's next combo, or it closes
+                    parts, combos = rounds[-1]
+                    combo = next(combos, None)
+                    if combo is not None:
+                        for key, part in parts:
+                            rel[key] = combo[part]
+                        break
+                    rounds.pop()
+                    for key, _ in parts:
+                        del rel[key]
+                else:
+                    return spent, None
 
         def by_rows():
             """What visit(None) returns, for a formula without nested conditionals.
@@ -577,7 +577,7 @@ def countermodel_search(
                     values[s] = assignment[start : start + n]
                 for fn, i, j, s in base:
                     values[s] = fn(values[i], values[j])
-                if nested:
+                if depth[root] > 1:
                     spent, hit = visit(None if budget is None else budget - count)
                 else:
                     spent, hit = by_rows()

@@ -324,23 +324,23 @@ def _product_core(phi: Formula, n: int) -> Formula:
 def mk_J(a: Fraction | int, phi: Formula, m: int) -> Formula:
     """Core formula with value 1 where phi has value a, and 0 elsewhere.
 
-    The construction recurses on the index: a = 1 is the (m-1)-fold strong
+    The construction iterates on the index: a = 1 is the (m-1)-fold strong
     product; a < 1/2 reduces to the complementary index on ~phi; for
     1/2 <= a < 1 let n be the largest k with k*(1-a) < 1 and either
     (when n = a/(1-a) exactly) close out via the index-1 test of
-    ~(phi (*) ... (*) phi) <-> phi, or recurse at the strictly larger
+    ~(phi (*) ... (*) phi) <-> phi, or go on at the strictly larger
     index n*(1-a). Each step raises the numerator, so it terminates.
     """
     a = Fraction(a)
-    k = index_numerator(a, m)
-    if k == m - 1:
-        return _product_core(phi, m - 1)
-    if 2 * k < m - 1:
-        return mk_J(1 - a, Not(phi), m)
-    n = (m - 2) // ((m - 1) - k)
-    if n == a / (1 - a):
-        return mk_J(Fraction(1), _iff_core(Not(_product_core(phi, n)), phi), m)
-    return mk_J(n * (1 - a), Not(_product_core(phi, n)), m)
+    while (k := index_numerator(a, m)) < m - 1:
+        n = (m - 2) // ((m - 1) - k)
+        if 2 * k < m - 1:
+            a, phi = 1 - a, Not(phi)
+        elif n == a / (1 - a):
+            a, phi = Fraction(1), _iff_core(Not(_product_core(phi, n)), phi)
+        else:
+            a, phi = n * (1 - a), Not(_product_core(phi, n))
+    return _product_core(phi, m - 1)
 
 
 def _value_tests(a: Fraction | int, phi: Formula, m: int) -> list[Formula]:

@@ -18,7 +18,8 @@ axioms A1, A2 and A3 and, under the identity frame condition (``--fid``),
 for LID; without ``--fid`` the first candidate refutes LID. Five more pin
 the searches behind the README's reading of the abstract's two comparative
 claims, and one pins that a nested search to four worlds stops at its
-budget.
+budget. Two search conditionals nested four deep, to the right and to the
+left, a nesting the search once refused.
 """
 
 import hashlib
@@ -186,6 +187,21 @@ RUNS = (
         '{"status":"countermodel","candidates":1,"value":0,"m":3,"worlds":["w0"],'
         '"vars":["p","q"],"valuation":{"p":{"w0":0},"q":{"w0":0}},"relations":[{"prop":'
         '[["w0"],[],[]],"matrix":{"w0":{"w0":2}}}],"default_relation":0,"witness_world":"w0"}',
+    ),
+    Run(
+        "Conditionals nested four deep to the right hold to two worlds at m=2",
+        ("search", "--m", "2", "--max-worlds", "2", "--formula",
+         "(p => (q => (p => (q => p)))) -> (p => (q => (p => (q => p))))"),
+        0,
+        '{"status":"no_countermodel","candidates":3148}',
+    ),
+    Run(
+        "Conditionals nested four deep to the left hold to two worlds at m=2",
+        ("search", "--m", "2", "--max-worlds", "2", "--formula",
+         "((((p => q) => r) => p) => q) -> ((((p => q) => r) => p) => q)"),
+        0,
+        '{"status":"no_countermodel","candidates":796066}',
+        ci_only=True,
     ),
     Run(
         "A 64-world model through the CLI: gen",

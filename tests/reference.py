@@ -337,10 +337,8 @@ def reference_search(
     """The first refutation in the canonical enumeration order."""
     if bounds is None:
         bounds = SearchBounds()
-    if _cond_depth(phi) > 3:
-        raise SearchError("conditional nesting deeper than 3 is not supported")
     conds = _cond_subformulas(phi)
-    names = tuple(sorted(free_vars(phi)))
+    names = tuple(sorted(free_vars(phi) - {RESERVED_VAR}))  # _t is 0 everywhere
     if bounds.relation_values is None:
         values_desc = [TruthValue(i, m) for i in range(m - 1, -1, -1)]
     else:
@@ -406,8 +404,6 @@ def enumerated_search(
     depth: list[int] = []
     for node, kids in code:
         depth.append(max((depth[k] for k in kids), default=0) + isinstance(node, Cond))
-    if depth[root] > 3:
-        raise SearchError("conditional nesting deeper than 3 is not supported")
     if bounds.relation_values is None:
         values_desc = list(range(m - 1, -1, -1))
     else:
@@ -418,7 +414,7 @@ def enumerated_search(
                     f"relation value numerator {numerator} not in [0, {m - 1}]"
                 )
     var_slot = {node.name: s for s, (node, _) in enumerate(code) if isinstance(node, Var)}
-    names = tuple(sorted(var_slot))
+    names = tuple(sorted(var_slot.keys() - {RESERVED_VAR}))  # _t is 0 everywhere
     # a node with depth[s] > 0 has a conditional at or below it, so its
     # value depends on the relations; one inside an antecedent (inner) can
     # change which propositions need relations. Depth-0 (base) nodes are
@@ -447,9 +443,7 @@ def enumerated_search(
                 continue
             step = (instruction(node, ops, m), kids[0], kids[-1], s)
             (base if not depth[s] else inner if in_antecedent[s] else outer).append(step)
-        var_at = [
-            (var_slot[v], vi * n) for vi, v in enumerate(names) if v != RESERVED_VAR
-        ]
+        var_at = [(var_slot[v], vi * n) for vi, v in enumerate(names)]
         # |values|^(n^2) of them, so only built when some relation is needed
         matrices = [
             tuple(entries[x * n : (x + 1) * n] for x in range(n))

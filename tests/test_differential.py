@@ -311,13 +311,32 @@ def test_search_matches_enumeration_on_seeded_formulas(m):
     assert {("nested", "found"), ("nested", "exhausted")} & seen
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_search_of_a_normalized_formula_matches_the_formula(m):
+    """normalize spells T and F over the reserved variable _t, which is 0
+    at every world, so the search does not enumerate it: seeded formulas
+    over p and q, which may nest conditionals, give the same outcome,
+    model document included, before and after normalize."""
+    rng = Random(2300 + m)
+    for _ in range(120):
+        phi = chain_formula(rng, 3, m, ("p", "q"), allow_cond=True)
+        bounds = SearchBounds(
+            rng.choice((1, 2)),
+            rng.choice((None, None, (m - 1,), (0, m - 1))),
+            rng.choice((0, 5, 50, 500, 2000)),
+        )
+        fid = rng.random() < 0.3
+        got = _fields(countermodel_search(normalize(phi, m), m, bounds, require_fid=fid))
+        assert got == _fields(countermodel_search(phi, m, bounds, require_fid=fid)), phi
+
+
 def _valuations(phi, m, n, relation_values):
     """Per n-world valuation, in search order: whether its value tuples at
     the worlds are non-decreasing, making it the least of its orbit under
     permutations of the worlds, and its candidate count when none refutes
     phi, |rows|^(n * its number of distinct antecedent propositions)."""
     closure = subformula_closure(phi)
-    names = sorted({psi.name for psi in closure if isinstance(psi, Var)})
+    names = sorted({psi.name for psi in closure if isinstance(psi, Var)} - {RESERVED_VAR})
     antecedents = {psi.left for psi in closure if isinstance(psi, Cond)}
     rows = len(set(range(m) if relation_values is None else relation_values)) ** n
     worlds = tuple(f"w{x}" for x in range(n))
@@ -537,25 +556,25 @@ def test_search_matches_enumeration_when_fid_admits_no_row(
     assert got[:3] == (candidates, False, witness)
 
 
-def _deepest_visit(search, *args, **kwargs):
-    """search's outcome fields and the deepest nesting of visit calls."""
-    depth = deepest = 0
+def _most_rounds(search, *args, **kwargs):
+    """search's outcome fields and the most relation rounds that visit held
+    open at once, read from its local rounds at every line it runs."""
+    most = 0
 
-    def profile(frame, event, arg):
-        nonlocal depth, deepest
-        if frame.f_code.co_name == "visit":
-            if event == "call":
-                depth += 1
-                deepest = max(deepest, depth)
-            elif event == "return":
-                depth -= 1
+    def in_visit(frame, event, arg):
+        nonlocal most
+        most = max(most, len(frame.f_locals.get("rounds", ())))
+        return in_visit
 
-    sys.setprofile(profile)
+    def on_call(frame, event, arg):
+        return in_visit if frame.f_code.co_name == "visit" else None
+
+    sys.settrace(on_call)
     try:
         fields = _fields(search(*args, **kwargs))
     finally:
-        sys.setprofile(None)
-    return fields, deepest
+        sys.settrace(None)
+    return fields, most
 
 
 @pytest.mark.parametrize(
@@ -572,11 +591,13 @@ def test_search_matches_enumeration_with_a_relation_round_at_every_level(
     text, m, bounds, fid, deepest
 ):
     """Antecedents 0, 1 and 2 conditionals deep: each gets its final value,
-    and so its relation, one round after the one below it."""
+    and so its relation, one round after the one below it. deepest is the
+    number of levels the enumeration reaches, its rounds and then a
+    candidate, so at most deepest - 1 rounds are open at once."""
     phi = parse(text)
-    got, reached = _deepest_visit(countermodel_search, phi, m, bounds, require_fid=fid)
+    got, most = _most_rounds(countermodel_search, phi, m, bounds, require_fid=fid)
     assert got == _fields(enumerated_search(phi, m, bounds, require_fid=fid))
-    assert reached == deepest
+    assert most == deepest - 1
 
 
 def _result(fn, *args, **kwargs):

@@ -13,7 +13,6 @@ from mvcond.parser import parse
 from mvcond.search import (
     ConditionalPresentError,
     SearchBounds,
-    SearchError,
     SigmaNotClosedError,
     abstract_conditionals,
     check_preservation,
@@ -34,6 +33,7 @@ from mvcond.syntax import Cond, Imp, Not, Or, Var, free_vars, subformula_closure
 from mvcond.truthvalues import ScaleMismatchError, TruthValue, chain
 
 from formula_gen import chain_formula
+from reference import enumerated_search
 
 P, Q, R = Var("p"), Var("q"), Var("r")
 
@@ -213,10 +213,15 @@ def test_search_is_deterministic():
     assert model_to_json(first.found[0]) == model_to_json(second.found[0])
 
 
-def test_search_rejects_deep_conditional_nesting():
+def test_search_of_conditionals_four_deep_matches_enumeration():
     deep = Cond(P, Cond(P, Cond(P, Cond(P, Q))))
-    with pytest.raises(SearchError):
-        countermodel_search(deep, 3, SearchBounds(max_worlds=1))
+    bounds = SearchBounds(max_worlds=1)
+    got = countermodel_search(deep, 3, bounds)
+    expected = enumerated_search(deep, 3, bounds)
+    assert (got.candidates, got.exhausted, got.value) == (
+        expected.candidates, expected.exhausted, expected.value)
+    assert got.found[1] == expected.found[1]
+    assert model_to_json(got.found[0]) == model_to_json(expected.found[0])
 
 
 def test_search_bounds_validation():
