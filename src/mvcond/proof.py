@@ -33,11 +33,10 @@ from .syntax import (
     I,
     Iff,
     Imp,
-    J,
     Top,
     Var,
     UnrepresentableIndexError,
-    _KIDS,
+    _equal,
     children,
     imp_chain,
     index_numerator,
@@ -166,35 +165,8 @@ _SPELLED = {kind: normalize(kind(), 2) for kind in (Top, Bot)}  # T and F as nor
 
 def rule_eq(x: Formula, y: Formula) -> bool:
     """Structural equality modulo the spelling of T and F, read as _t -> _t and
-    ~(_t -> _t) where node types differ: a lockstep walk that compares leaves
-    inline and visits each pair of other nodes once."""
-    stack, seen = [(x, y)], set()
-    pop, push, add = stack.pop, stack.extend, seen.add
-    while stack:
-        a, b = pop()
-        if a is b:
-            continue
-        kind = type(a)
-        if kind is not type(b):
-            a, b = _SPELLED.get(kind, a), _SPELLED.get(type(b), b)
-            kind = type(a)
-            if kind is not type(b):
-                return False
-        if kind is Var:
-            if a.name != b.name:
-                return False
-            continue
-        get = _KIDS.get(kind)
-        if get is None:  # T or F
-            continue
-        pair = (id(a), id(b))
-        if pair in seen:
-            continue
-        add(pair)
-        if (kind is J or kind is I) and a.index != b.index:
-            return False
-        push(zip(get(a), get(b)))
-    return True
+    ~(_t -> _t) where node types differ, on the walk that == runs."""
+    return _equal(x, y, _SPELLED)
 
 
 # The schemas: a Var is a metavariable, any other node must be matched by

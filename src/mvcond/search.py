@@ -98,11 +98,12 @@ class SigmaNotClosedError(ValueError):
 def _truth_table_slots(phi: Formula, abstract: bool, advice: str):
     """phi's node table and root slot, its inputs, and its other slots.
 
-    The inputs map each name to the slots it sets: the variables and,
-    with abstract, each maximal conditional, named _c0, _c1, ... in order
-    of first occurrence (structurally equal conditionals share a slot and
-    so a name). The other slots are those reachable from the root
-    without crossing an abstracted conditional, children first.
+    The inputs map each name to the slots it sets: the variables other
+    than the reserved _t, a constant 0 like T and F, and, with abstract,
+    each maximal conditional, named _c0, _c1, ... in order of first
+    occurrence (structurally equal conditionals share a slot and so a
+    name). The other slots are those reachable from the root without
+    crossing an abstracted conditional, children first.
     """
     table = NodeTable()
     root = table.add(phi)
@@ -126,7 +127,7 @@ def _truth_table_slots(phi: Formula, abstract: bool, advice: str):
                 raise ConditionalPresentError(f"formula contains a conditional; {advice}")
             name = f"_c{conditionals}"
             conditionals += 1
-        elif isinstance(node, Var):
+        elif isinstance(node, Var) and node.name != RESERVED_VAR:
             name = node.name
         else:
             stack.append(~slot)
@@ -214,6 +215,7 @@ def _packed(m: int, rows: int) -> dict:
         I: lambda k: lambda a, _, k=k * one: top & fill(ge(a, k)),
         Top: top,
         Bot: 0,
+        Var: 0,  # the reserved _t; other variables are inputs
     }
 
 

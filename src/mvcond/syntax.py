@@ -60,80 +60,88 @@ class UnrepresentableIndexError(ValueError):
 
 
 class Formula:
-    """Base class for formula nodes; all concrete nodes are frozen dataclasses."""
+    """Base class for formula nodes; all concrete nodes are frozen dataclasses.
+
+    == and hash are structural, and walk each shared node once at any depth."""
 
     __slots__ = ()
 
+    def __eq__(self, other: object) -> bool:
+        return _equal(self, other, {}) if isinstance(other, Formula) else NotImplemented
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        return _fold(self, lambda node, *kids: hash(_shape(node, kids)), {})
+
+
+@dataclass(frozen=True, eq=False)
 class Var(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(Formula):
     child: Formula
 
 
 # Subclasses are decorated too: a frozen dataclass's __setattr__ refuses
 # attributes that are not fields only on instances of its own class.
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Binary(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Imp(_Binary):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cond(_Binary):
     """The conditional; left is the antecedent, right the consequent."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(_Binary):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(_Binary):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OPlus(_Binary):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OTimes(_Binary):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OMinus(_Binary):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Iff(_Binary):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Graded(Formula):
     index: Fraction
     child: Formula
@@ -144,12 +152,12 @@ class _Graded(Formula):
             raise ValueError(f"graded operator index {self.index} outside [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class J(_Graded):
     """Exact-value test: value 1 where the child has value index, else 0."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class I(_Graded):
     """Threshold test: value 1 where the child has value >= index, else 0."""
 
@@ -164,6 +172,40 @@ _KIDS: dict[type, Callable[[Formula], tuple[Formula, ...]] | None] = {
 
 # Per node type that has one, the name or index that NodeTable keys it by.
 _PARAM = {Var: attrgetter("name"), J: attrgetter("index"), I: attrgetter("index")}
+
+
+def _shape(node: Formula, kids: tuple) -> tuple:
+    """node's type, its name or index, and kids: what NodeTable keys it by,
+    kids being its children's slots, and what hash hashes."""
+    param = _PARAM.get(type(node))
+    return (type(node), param and param(node), kids)
+
+
+def _equal(x: Formula, y: object, spelled: dict[type, Formula]) -> bool:
+    """Whether x and y are equal trees: a lockstep walk on its own stack that
+    visits each pair of inner nodes once. Where a pair's node types differ,
+    a node whose type is in spelled reads as its spelling; a pair that is
+    not two formulas compares with its own ==."""
+    stack, seen = [(x, y)], set()
+    pop, push, add = stack.pop, stack.extend, seen.add
+    while stack:
+        a, b = pop()
+        if a is b:
+            continue
+        kind = type(a)
+        if kind is not type(b):
+            a, b = spelled.get(kind, a), spelled.get(type(b), b)
+            kind = type(a) if type(a) is type(b) else None
+        get = _KIDS.get(kind, False)
+        if get is False:  # not two formula nodes of one type
+            if isinstance(a, Formula) and isinstance(b, Formula) or a != b:
+                return False
+        elif (param := _PARAM.get(kind)) and param(a) != param(b):
+            return False
+        elif get and (pair := (id(a), id(b))) not in seen:
+            add(pair)
+            push(zip(get(a), get(b)))
+    return True
 
 
 def children(phi: Formula) -> tuple[Formula, ...]:
@@ -236,9 +278,7 @@ class NodeTable:
         return _fold(phi, self._slot, self._slots)
 
     def _slot(self, node: Formula, *kid_slots: int) -> int:
-        param = _PARAM.get(type(node))
-        key = (type(node), param and param(node), kid_slots)
-        slot = self._shapes.setdefault(key, len(self.nodes))
+        slot = self._shapes.setdefault(_shape(node, kid_slots), len(self.nodes))
         if slot == len(self.nodes):
             self.nodes.append(node)
             self.kids.append(kid_slots)

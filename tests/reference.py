@@ -8,9 +8,9 @@ condition check and the model document loader as the library once
 shipped them. They evaluate one (world, formula) pair or one assignment
 at a time, build a KripkeModel for every candidate, rewrite trees
 without sharing, parse by recursive descent, compare formulas with the
-recursive dataclass == and build models from TruthValue entries world
-by world, so they are slow and fail on deep input, but are easy to
-check by eye. The differential tests compare the
+recursive == that the dataclasses generated and build models from
+TruthValue entries world by world, so they are slow and fail on deep
+input, but are easy to check by eye. The differential tests compare the
 library's compiled evaluator and truth tables, search, table-driven
 normalize, iterative parser and printer, schema-driven proof checker,
 the model builders that work on numerators and the loader that shares
@@ -24,6 +24,12 @@ reference_check_fid is the frame condition check as it was before rows
 were tested in one pass: it reads every entry through matrix[x][y] and
 builds each record with FidViolation's generated __init__, so a short or
 missing row raises IndexError at its first missing entry.
+
+generated is the node classes' == and hash as the dataclasses generated
+them: it rebuilds a formula from dataclasses with the same names and
+fields that generate __eq__ and __hash__, which recurse on the tree, so
+it is the oracle for Formula's == and hash, and reference_rule_eq
+compares through it.
 
 table_rule_eq is the proof checker's formula comparison as it was before
 the lockstep walk: hash-consing into one node table, iterative, so it is
@@ -56,7 +62,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, make_dataclass
 from fractions import Fraction
 from itertools import product
 from operator import le
@@ -288,11 +294,13 @@ def _relation_candidates(
     model: KripkeModel,
     conds: Sequence[Cond],
     values_desc: Sequence[TruthValue],
-    rounds_left: int = 6,
+    rounds_left: int,
 ):
     """Models with relations assigned for every antecedent proposition,
     with a new enumeration round for each proposition that appears once
-    an inner relation is fixed."""
+    an inner relation is fixed. Each round adds a proposition, and n
+    worlds have m^n of them, so the m^n + 1 rounds callers give never
+    run out."""
     ev = ReferenceEvaluator(model)
     fresh: list[Proposition] = []
     seen: set[Proposition] = set(model.relations)
@@ -368,7 +376,8 @@ def reference_search(
                 relations={},
                 default_policy=TruthValue.bottom(m),
             )
-            for candidate in _relation_candidates(base, conds, values_desc):
+            rounds = m**n + 1
+            for candidate in _relation_candidates(base, conds, values_desc, rounds):
                 if (
                     bounds.max_candidates is not None
                     and count >= bounds.max_candidates
@@ -492,7 +501,7 @@ def enumerated_search(
                 values[s] = assignment[start : start + n]
             for fn, i, j, s in base:
                 values[s] = fn(values[i], values[j])
-            hit = visit(6)
+            hit = visit(m**n + 1)  # each round adds one of the m^n keys
             if hit is True:
                 return SearchOutcome(None, None, True, count)
             if hit is not None:
@@ -562,9 +571,29 @@ def _expand_constants(phi: Formula) -> Formula:
     return type(phi)(_expand_constants(phi.left), _expand_constants(phi.right))
 
 
+# Per node type, a dataclass of the same name and fields that generates
+# __eq__ and __hash__, as the node classes once did.
+_GENERATED = {
+    kind: make_dataclass(kind.__name__, [(f.name, f.type) for f in fields(kind)], frozen=True)
+    for kind in _KIDS
+}
+
+
+def generated(phi: object, memo: dict[int, object] | None = None) -> object:
+    """phi rebuilt from _GENERATED's classes, shared subtrees kept shared;
+    anything that is not a formula node is kept as it is."""
+    memo = {} if memo is None else memo
+    kind = _GENERATED.get(type(phi))
+    if kind is None:
+        return phi
+    if id(phi) not in memo:
+        memo[id(phi)] = kind(*(generated(getattr(phi, f.name), memo) for f in fields(phi)))
+    return memo[id(phi)]
+
+
 def reference_rule_eq(x: Formula, y: Formula) -> bool:
     """Structural equality after expanding T and F over the reserved variable."""
-    return _expand_constants(x) == _expand_constants(y)
+    return generated(_expand_constants(x)) == generated(_expand_constants(y))
 
 
 T = TypeVar("T")
@@ -983,7 +1012,7 @@ def reference_justification_from_json(
 def reference_value_under(phi: Formula, env: Mapping[str, TruthValue], m: int) -> TruthValue:
     """Truth-table value of a conditional-free formula under an assignment."""
     if isinstance(phi, Var):
-        value = env.get(phi.name)
+        value = TruthValue.bottom(m) if phi.name == RESERVED_VAR else env.get(phi.name)
         if value is None:
             raise ValueError(f"assignment has no value for {phi.name!r}")
         return value
@@ -1062,7 +1091,7 @@ def reference_falsifying_assignment(
         raise ConditionalPresentError(
             "formula contains a conditional; enable abstraction"
         )
-    names = sorted(free_vars(phi))
+    names = sorted(free_vars(phi) - {RESERVED_VAR})  # _t is 0 like F
     values = chain(m)
     for combo in product(values, repeat=len(names)):
         env = dict(zip(names, combo))

@@ -2,12 +2,15 @@
 formula keeps its own stack, so each of these parses, prints, normalizes,
 evaluates, gets a truth table and is proof checked, and conditionals
 nested 3,000 deep are searched. The results are compared without
-recursion: structurally equal formulas share a NodeTable slot, and rule_eq
-walks two trees in lockstep. A static check keeps every self-calling
+recursion: structurally equal formulas share a NodeTable slot, and ==,
+hash and rule_eq walk each shared node once, so they also finish on the
+DAGs that normalize builds. A static check keeps every self-calling
 function out of src/."""
 
 import ast
 import json
+import os
+import subprocess
 import sys
 import time
 from functools import reduce
@@ -21,6 +24,7 @@ from mvcond.proof import MP, Derivation, Line, Premise, check_derivation, match_
 from mvcond.search import (
     SearchBounds,
     SigmaNotClosedError,
+    abstract_conditionals,
     countermodel_search,
     falsifying_assignment,
     filtrate,
@@ -145,6 +149,60 @@ def test_rule_eq_on_two_separately_parsed_deep_chains():
     assert not rule_eq(x, z)
     assert rule_eq(z, spelled) and rule_eq(spelled, z)
     assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("nesting", ["left", "right"])
+def test_equality_hash_and_abstraction_of_deep_chains(nesting):
+    """&-chains 10,000 deep built apart, the last pair differing only at the
+    deepest leaf, and two conditionals on them abstracted to one atom."""
+    assert sys.getrecursionlimit() <= 1000
+
+    def chain(first):
+        leaves = [Var(v) for v in [first] + LEAVES[1:]]
+        if nesting == "left":
+            return reduce(And, leaves)
+        return reduce(lambda out, leaf: And(leaf, out), leaves)
+
+    x, y, z = chain("p"), chain("p"), chain("q")
+    start = time.perf_counter()
+    assert x == y and hash(x) == hash(y)
+    assert x != z and z != x
+    rewritten, mapping = abstract_conditionals(Imp(Cond(x, Var("q")), Cond(y, Var("q"))))
+    assert mapping == {Cond(y, Var("q")): Var("_c0")}
+    assert time.perf_counter() - start < 2
+    assert rewritten == Imp(Var("_c0"), Var("_c0"))
+
+
+# normalize keeps mk_I's sharing, so these normal forms at m=9 have 355 and
+# 237 distinct subformulas, but trees far too big to walk node by node.
+SHARED_NORMAL_FORMS = """\
+import time
+from mvcond.parser import parse
+from mvcond.search import abstract_conditionals
+from mvcond.syntax import Cond, Var, normalize, subformula_closure
+x, y, z, two = (normalize(parse(text), 9) for text in (
+    "I{1/2}(I{1/2}(I{1/2}(p)))", "I{1/2}(I{1/2}(I{1/2}(p)))", "I{1/2}(I{1/2}(I{1/4}(p)))",
+    "I{1/2}(I{1/2}(p))",
+))
+assert (len(subformula_closure(x)), len(subformula_closure(two))) == (355, 237)
+start = time.perf_counter()
+assert x == y and hash(x) == hash(y) and x != z
+assert abstract_conditionals(Cond(two, Var("q"))) == (Var("_c0"), {Cond(two, Var("q")): Var("_c0")})
+print(time.perf_counter() - start < 2)
+"""
+
+
+def test_equality_hash_and_abstraction_of_shared_normal_forms():
+    """In a subprocess, so that a walk over the trees is stopped at 60 s."""
+    src = str(Path(__file__).parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", SHARED_NORMAL_FORMS],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.stdout == "True\n", done.stderr
 
 
 def test_axiom_instance_with_deep_metavariables_matches():

@@ -556,6 +556,10 @@ def test_search_matches_enumeration_when_fid_admits_no_row(
     assert got[:3] == (candidates, False, witness)
 
 
+# antecedents 0 to 6 conditionals deep, so seven relation rounds
+SEVEN_DEEP = "(((((((p => q) => q) => q) => q) => q) => q) => q)"
+
+
 def _most_rounds(search, *args, **kwargs):
     """search's outcome fields and the most relation rounds that visit held
     open at once, read from its local rounds at every line it runs."""
@@ -585,6 +589,7 @@ def _most_rounds(search, *args, **kwargs):
         ("(((p => q) => p) => q) | p", 2, SearchBounds(2), True, 4),
         ("(((p => q) => p) => q) | p", 2, SearchBounds(2), False, 2),  # the first candidate
         ("(((p => q) => p) => q) | p", 3, SearchBounds(2, None, 20000), True, 3),
+        (f"{SEVEN_DEEP} -> {SEVEN_DEEP}", 3, SearchBounds(2, None, 3000), False, 8),
     ],
 )
 def test_search_matches_enumeration_with_a_relation_round_at_every_level(
@@ -598,6 +603,15 @@ def test_search_matches_enumeration_with_a_relation_round_at_every_level(
     got, most = _most_rounds(countermodel_search, phi, m, bounds, require_fid=fid)
     assert got == _fields(enumerated_search(phi, m, bounds, require_fid=fid))
     assert most == deepest - 1
+
+
+def test_reference_search_follows_seven_relation_rounds():
+    """The seventh round first opens after 302 candidates."""
+    phi = parse(f"{SEVEN_DEEP} -> {SEVEN_DEEP}")
+    bounds = SearchBounds(2, None, 400)
+    assert _fields(countermodel_search(phi, 3, bounds)) == _fields(
+        reference_search(phi, 3, bounds)
+    ) == (400, True, None, None, None)
 
 
 def _result(fn, *args, **kwargs):
@@ -696,14 +710,16 @@ def test_truth_tables_match_reference_at_every_slab_width(seed, monkeypatch):
     count, slabs are m^i rows wide, for each i from 1 until the whole table
     is one slab. Half the formulas are implications between two random
     ones, so that more witnesses lie past the first slab and more tables
-    hold."""
+    hold. The reserved _t is a constant, not an input, so r is drawn too,
+    for tables of four inputs."""
     widths = _slab_widths(monkeypatch)
     rng = Random(seed)
     reached, later, holds = set(), 0, 0
+    names = (*TABLE_NAMES, "r")
     for _ in range(60):
-        phi = random_formula(rng, rng.randrange(1, 5), TABLE_NAMES, True, TABLE_INDICES)
+        phi = random_formula(rng, rng.randrange(1, 5), names, True, TABLE_INDICES)
         if rng.random() < 0.5:
-            phi = Imp(phi, random_formula(rng, 3, TABLE_NAMES, True, TABLE_INDICES))
+            phi = Imp(phi, random_formula(rng, 3, names, True, TABLE_INDICES))
         m = rng.choice((2, 3, 4, 5, 9))
         bits = _field_bits(m) * len(subformula_closure(phi))
         for abstract in (False, True):

@@ -29,7 +29,9 @@ from mvcond.semantics import (
     proposition_of,
     validate_model,
 )
-from mvcond.syntax import Cond, Imp, Not, Or, Var, free_vars, subformula_closure
+from mvcond.syntax import (
+    Bot, Cond, Imp, Not, Or, Top, Var, free_vars, normalize, subformula_closure,
+)
 from mvcond.truthvalues import ScaleMismatchError, TruthValue, chain
 
 from formula_gen import chain_formula
@@ -83,6 +85,29 @@ def test_falsifying_assignment_is_first_in_ascending_order():
     hit = falsifying_assignment(parse("p -> q"), 3)
     assert hit == {"p": TruthValue(1, 3), "q": TruthValue(0, 3)}
     assert falsifying_assignment(parse("p -> p"), 7) is None
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_truth_tables_read_the_reserved_variable_as_0(m):
+    """normalize writes T and F over _t, which the tables, like the
+    evaluator and the search, fix at 0: a normal form fails at the same
+    first assignment as its formula, over the same names."""
+    rng = Random(m)
+    drawn = 0
+    while drawn < 40:
+        phi = chain_formula(rng, 4, m, names=("p", "q"))
+        if not {Top(), Bot()} & set(subformula_closure(phi)):
+            continue
+        drawn += 1
+        assert falsifying_assignment(normalize(phi, m), m) == falsifying_assignment(phi, m)
+    assert falsifying_assignment(normalize(parse("(p -> T) & ~p"), m), m) == {
+        "p": TruthValue(1, m)
+    }
+    assert value_under(normalize(parse("T"), m), {}, m) == TruthValue(m - 1, m)
+    assert value_under(Var("_t"), {"_t": TruthValue(1, m)}, m) == TruthValue(0, m)
+    assert abstract_conditionals(normalize(parse("F => p"), m)) == (Var("_c0"), {
+        Cond(Not(Imp(Var("_t"), Var("_t"))), P): Var("_c0")
+    })
 
 
 def test_abstraction_shares_identical_conditionals():

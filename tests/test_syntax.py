@@ -5,15 +5,18 @@ import time
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from random import Random
+from unittest import mock
 
 import pytest
 
 from mvcond.search import value_under
 from mvcond.semantics import Evaluator, KripkeModel
 from mvcond.syntax import (
+    _KIDS,
     And,
     Bot,
     Cond,
+    Formula,
     I,
     Iff,
     Imp,
@@ -40,8 +43,8 @@ from mvcond.syntax import (
 )
 from mvcond.truthvalues import TruthValue, chain
 
-from formula_gen import chain_formula
-from reference import reference_normalize
+from formula_gen import chain_formula, random_formula
+from reference import generated, reference_normalize
 
 P, Q, R = Var("p"), Var("q"), Var("r")
 
@@ -293,3 +296,112 @@ def test_normalize_expands_shared_subtrees_once(op):
     ]
     two = _nested(op, 2, 5)
     assert normalize(two, 5) == reference_normalize(two, 5)
+
+
+def _rebuilt(phi, rng, change=-1):
+    """phi built again from new nodes, a whole J/I index now and then as an
+    int, and shared subtrees unshared; the node met change-th in pre-order,
+    if any, is put back as a different one: another name, index or
+    connective, its children swapped, or T for it."""
+    count = -1
+
+    def build(node):
+        nonlocal count
+        count += 1
+        here = count == change
+        kids = [build(kid) for kid in children(node)]
+        kind = type(node)
+        if here and rng.random() < 0.2:
+            return Top() if kind is not Top else Bot()
+        if kind is Var:
+            return Var(node.name + "'" if here else node.name)
+        if kind in (Top, Bot):
+            return (Bot if kind is Top else Top)() if here else kind()
+        if kind in (J, I):
+            index = node.index
+            if here and rng.random() < 0.5:
+                kind = I if kind is J else J
+            elif here:
+                index = 1 - index if index != Fraction(1, 2) else Fraction(1, 3)
+            whole = index.denominator == 1 and rng.random() < 0.5
+            return kind(int(index) if whole else index, *kids)
+        if here and len(kids) == 2 and rng.random() < 0.5:
+            kids.reverse()
+        elif here and len(kids) == 2:
+            kind = rng.choice([other for other in BINARY if other is not kind])
+        elif here:  # Not becomes J{1}
+            kind, kids = J, [1, *kids]
+        return kind(*kids)
+
+    return build(phi)
+
+
+def _agree(x, y, hashable=True):
+    """== and != against the dataclasses' generated ones, both ways, and
+    hash wherever x == y."""
+    same = generated(x) == generated(y)
+    assert (x == y, y == x, x != y) == (same, same, not same)
+    if same and hashable:
+        assert hash(x) == hash(y)
+    return same
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_equality_matches_the_generated_one_on_random_pairs(seed):
+    """Equal copies built apart, one-node changes, int and Fraction indices,
+    shared subtrees (normalize's J/I expansions) against shared and
+    unshared copies, and independent pairs."""
+    rng = Random(seed)
+    verdicts = []
+    for _ in range(60):
+        x = random_formula(rng, rng.randrange(1, 5), names=("p", "q"), allow_cond=True)
+        size = sum(1 for _ in _preorder(x))
+        m = rng.randrange(2, 5)
+        shared = normalize(chain_formula(rng, 3, m, ("p", "q")), m)
+        pairs = [
+            (x, x),
+            (x, _rebuilt(x, rng)),
+            (x, _rebuilt(x, rng, rng.randrange(size))),
+            (x, random_formula(rng, rng.randrange(1, 5), names=("p", "q"))),
+            (shared, normalize(_rebuilt(shared, rng), m)),
+            (shared, _rebuilt(shared, rng)),
+            (shared, _rebuilt(shared, rng, rng.randrange(50))),
+        ]
+        verdicts += [_agree(a, b) for a, b in pairs]
+    assert 0.2 < sum(verdicts) / len(verdicts) < 0.8
+
+
+def _preorder(phi):
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))
+
+
+def test_equality_of_nodes_with_children_that_are_not_formulas():
+    """Such a child compares with its own ==, as the generated == had it;
+    hash is a TypeError on it, and == on a non-formula is NotImplemented."""
+    pairs = [
+        (Not("x"), Not("x")), (Not("x"), Not("y")), (Not(1), Not(1.0)), (Not(P), Not("p")),
+        (And(P, None), And(P, None)), (And(P, None), And(P, Q)), (Var(1), Var(1.0)),
+        (J(1, "x"), J(Fraction(1), "x")), (Imp(Not([1]), P), Imp(Not([1]), P)),
+    ]
+    assert [_agree(x, y, False) for x, y in pairs] == [1, 0, 1, 0, 1, 0, 1, 1, 1]
+    for bad in (Not("x"), And(P, None), J(0, "x")):
+        with pytest.raises(TypeError, match="^not a formula node: "):
+            hash(bad)
+    assert P.__eq__("p") is NotImplemented and P != "p" and P != None  # noqa: E711
+    assert P == mock.ANY and Imp(P, Q) == Imp(P, mock.ANY)
+
+
+def test_node_classes_generate_no_equality_or_hash():
+    """Every node class inherits Formula's == and hash, and stores nothing
+    beyond its fields."""
+    for kind in _KIDS:
+        assert "__eq__" not in vars(kind) and "__hash__" not in vars(kind)
+        assert kind.__eq__ is Formula.__eq__ and kind.__hash__ is Formula.__hash__
+    phi = Imp(J(1, P), Q)
+    assert phi == Imp(J(1, P), Q) and hash(phi) == hash(Imp(J(1, P), Q))
+    assert vars(phi) == {"left": J(1, P), "right": Q} and vars(P) == {"name": "p"}
+    assert pickle.dumps(phi) == pickle.dumps(Imp(J(1, P), Q))
