@@ -116,16 +116,18 @@ def _graded_index(tokens: list, i: int) -> tuple[Fraction, int]:
     i = _expect(tokens, i, "{", "'{'")
     numerator = last = tokens[i]
     i = _expect(tokens, i, "NUMBER", "index numerator")
-    denominator = 1
     if tokens[i][0] == "/":
         last = tokens[i + 1]
         i = _expect(tokens, i + 1, "NUMBER", "index denominator")
-        denominator = int(last[1])
     i = _expect(tokens, i, "}", "'}'")
     span = SourceSpan(numerator[2], last[2] + len(last[1]))
-    if denominator == 0:
+    try:  # int() refuses more than sys.get_int_max_str_digits() digits
+        denominator = 1 if last is numerator else int(last[1])
+        index = Fraction(int(numerator[1]), denominator) if denominator else None
+    except ValueError:
+        raise ParseError("malformed index: too many digits", span) from None
+    if index is None:
         raise ParseError("malformed index: zero denominator", span)
-    index = Fraction(int(numerator[1]), denominator)
     if index > 1:
         raise ParseError(f"malformed index: {index} exceeds 1", span)
     return index, i

@@ -233,47 +233,136 @@ def _graded(
     return imp_chain([test(t, part) for t, part in zip(thresholds, parts)], test(a, target))
 
 
-def _cited_lines(rule: Justification) -> tuple[int, ...]:
-    if isinstance(rule, MP):
-        return (rule.i, rule.j)
-    if isinstance(rule, (RCEA, RCEC)):
-        return (rule.i,)
-    if isinstance(rule, (Ra, RaGen)):
-        return rule.premise_lines
-    return ()
+def _check_premise(derivation: Derivation, formula: Formula, rule: Premise) -> str | None:
+    if not 1 <= rule.index <= len(derivation.premises):
+        return f"no premise {rule.index}"
+    expected = derivation.premises[rule.index - 1]
+    if not rule_eq(formula, expected):
+        return f"expected {print_formula(expected)}, found {print_formula(formula)}"
+    return None
 
 
-def _rule_name(rule: Justification) -> str:
-    if isinstance(rule, Ax):
-        return rule.name
-    return type(rule).__name__ if isinstance(rule, Justification) else "unknown"
+def _check_ltaut(derivation: Derivation, formula: Formula, rule: LTaut) -> str | None:
+    try:
+        witness = falsifying_assignment(formula, derivation.m, abstract=True)
+    except UnrepresentableIndexError as exc:
+        return str(exc)
+    if witness is None:
+        return None
+    shown = ", ".join(f"{v}={witness[v].text()}" for v in sorted(witness))
+    return f"not a chain tautology; falsified by {shown}"
+
+
+def _check_ax(derivation: Derivation, formula: Formula, rule: Ax) -> str | None:
+    schema = _AXIOMS.get(rule.name)
+    if schema is None:
+        return f"unknown axiom {rule.name!r}"
+    if not _instantiates(schema, formula, {}):
+        return f"{print_formula(formula)} does not instantiate {rule.name}"
+    return None
+
+
+def _check_mp(derivation: Derivation, formula: Formula, rule: MP) -> str | None:
+    major = derivation.lines[rule.j - 1].formula
+    expected = Imp(derivation.lines[rule.i - 1].formula, formula)
+    if not rule_eq(major, expected):
+        return f"line {rule.j} is {print_formula(major)}, expected {print_formula(expected)}"
+    return None
+
+
+def _check_congruence(derivation: Derivation, formula: Formula, rule: RCEA | RCEC) -> str | None:
+    cited = derivation.lines[rule.i - 1].formula
+    if not isinstance(cited, Iff):
+        return f"line {rule.i} is {print_formula(cited)}, expected an equivalence"
+    if not (
+        isinstance(formula, Iff)
+        and isinstance(formula.left, Cond)
+        and isinstance(formula.right, Cond)
+    ):
+        return f"{print_formula(formula)} is not an equivalence of conditionals"
+    name = type(rule).__name__
+    if not _instantiates(_CONGRUENCES[name], formula, {"a": cited.left, "b": cited.right}):
+        return f"{print_formula(formula)} does not follow from {print_formula(cited)} by {name}"
+    return None
+
+
+def _check_ra(derivation: Derivation, formula: Formula, rule: Ra) -> str | None:
+    m = derivation.m
+    if len(rule.gammas) != m:
+        return f"needs exactly {m} indexed formulas, got {len(rule.gammas)}"
+    return _check_graded(derivation, formula, rule, rule.gammas, rule.gamma, None)
+
+
+def _check_ragen(derivation: Derivation, formula: Formula, rule: RaGen) -> str | None:
+    if len(rule.a_list) != len(rule.chis):
+        return f"{len(rule.a_list)} thresholds for {len(rule.chis)} formulas"
+    return _check_graded(derivation, formula, rule, rule.chis, rule.chi, rule.a_list)
+
+
+def _check_graded(
+    derivation: Derivation,
+    formula: Formula,
+    rule: Ra | RaGen,
+    parts: Sequence[Formula],
+    target: Formula,
+    a_list: Sequence[Fraction] | None,
+) -> str | None:
+    """The steps Ra and RaGen share; RaGen's thresholds are a_list, Ra's
+    (a_list None) the chain values."""
+    m = derivation.m
+    if len(rule.premise_lines) != m:
+        return f"needs exactly {m} premise lines, got {len(rule.premise_lines)}"
+    for value in (rule.a, *(a_list or ())):
+        try:
+            index_numerator(value, m)
+        except UnrepresentableIndexError:
+            return f"threshold {value} is not on the {m}-element chain"
+    chain = [Fraction(m - 1 - t, m - 1) for t in range(m)]  # descending
+    thresholds = chain if a_list is None else a_list
+    for cited, b in zip(rule.premise_lines, chain):
+        premise = derivation.lines[cited - 1].formula
+        expected = _graded(rule.a, thresholds, parts, target, b)
+        if not rule_eq(premise, expected):
+            return (
+                f"premise for b={b} (line {cited}) is "
+                f"{print_formula(premise)}, expected {print_formula(expected)}"
+            )
+    expected = _graded(rule.a, thresholds, parts, target, phi=rule.phi)
+    if not rule_eq(formula, expected):
+        return f"conclusion is {print_formula(formula)}, expected {print_formula(expected)}"
+    return None
+
+
+# justification type: (the lines it cites, whether those lines must not
+# depend on premises unless rules_on_premises, and its check, which gives
+# the line's error message or None). Types are looked up exactly.
+_RULES = {
+    Premise: (lambda rule: (), False, _check_premise),
+    LTaut: (lambda rule: (), False, _check_ltaut),
+    Ax: (lambda rule: (), False, _check_ax),
+    MP: (lambda rule: (rule.i, rule.j), False, _check_mp),
+    RCEA: (lambda rule: (rule.i,), True, _check_congruence),
+    RCEC: (lambda rule: (rule.i,), True, _check_congruence),
+    Ra: (lambda rule: rule.premise_lines, True, _check_ra),
+    RaGen: (lambda rule: rule.premise_lines, True, _check_ragen),
+}
 
 
 def _premise_dependence(derivation: Derivation) -> list[bool]:
     """dependent[k] is True when line k+1 transitively cites a premise.
 
-    Citations out of range count as independent here; check_line
-    rejects them with a proper error before dependence matters.
+    Citations out of range, and lines of an unknown rule, count as
+    independent here; check_line rejects them before dependence matters.
     """
     dependent: list[bool] = []
     for k, line in enumerate(derivation.lines):
-        if isinstance(line.rule, Premise):
-            dependent.append(True)
-            continue
-        cited = _cited_lines(line.rule)
+        entry = _RULES.get(type(line.rule))
+        cited = entry[0](line.rule) if entry else ()
         dependent.append(
-            any(1 <= c <= k and dependent[c - 1] for c in cited)
+            type(line.rule) is Premise
+            or any(1 <= c <= k and dependent[c - 1] for c in cited)
         )
     return dependent
-
-
-def _off_chain(values: Sequence[Fraction], m: int) -> str | None:
-    for value in values:
-        try:
-            index_numerator(value, m)
-        except UnrepresentableIndexError:
-            return f"threshold {value} is not on the {m}-element chain"
-    return None
 
 
 def check_line(
@@ -295,130 +384,28 @@ def _check_line(
         raise IndexError(f"no line {index}")
     line = derivation.lines[index - 1]
     rule = line.rule
-    name = _rule_name(rule)
-    m = derivation.m
-
-    def err(message: str) -> LineError:
-        return LineError(index, name, message)
-
-    for cited in _cited_lines(rule):
-        if not 1 <= cited < index:
-            return err(
-                f"cites line {cited}, which does not precede line {index}"
-            )
-
-    if not rules_on_premises and isinstance(rule, (RCEA, RCEC, Ra, RaGen)):
+    entry = _RULES.get(type(rule))
+    if entry is None:
+        return LineError(index, "unknown", f"unknown rule {rule!r}")
+    cites, restricted, check = entry
+    name = rule.name if type(rule) is Ax else type(rule).__name__
+    cited = cites(rule)
+    for c in cited:
+        if not 1 <= c < index:
+            return LineError(index, name, f"cites line {c}, which does not precede line {index}")
+    if restricted and not rules_on_premises:
         if dependent is None:
             dependent = _premise_dependence(derivation)
-        for cited in _cited_lines(rule):
-            if dependent[cited - 1]:
-                return err(
-                    f"applies only to premise-independent lines, but line "
-                    f"{cited} depends on a premise"
+        for c in cited:
+            if dependent[c - 1]:
+                return LineError(
+                    index,
+                    name,
+                    f"applies only to premise-independent lines, but line {c} "
+                    "depends on a premise",
                 )
-
-    if isinstance(rule, Premise):
-        if not 1 <= rule.index <= len(derivation.premises):
-            return err(f"no premise {rule.index}")
-        expected = derivation.premises[rule.index - 1]
-        if not rule_eq(line.formula, expected):
-            return err(
-                f"expected {print_formula(expected)}, "
-                f"found {print_formula(line.formula)}"
-            )
-        return None
-
-    if isinstance(rule, LTaut):
-        try:
-            witness = falsifying_assignment(line.formula, m, abstract=True)
-        except UnrepresentableIndexError as exc:
-            return err(str(exc))
-        if witness is not None:
-            shown = ", ".join(
-                f"{v}={witness[v].text()}" for v in sorted(witness)
-            )
-            return err(f"not a chain tautology; falsified by {shown}")
-        return None
-
-    if isinstance(rule, Ax):
-        schema = _AXIOMS.get(rule.name)
-        if schema is None:
-            return err(f"unknown axiom {rule.name!r}")
-        if not _instantiates(schema, line.formula, {}):
-            return err(
-                f"{print_formula(line.formula)} does not instantiate {rule.name}"
-            )
-        return None
-
-    if isinstance(rule, MP):
-        minor = derivation.lines[rule.i - 1].formula
-        major = derivation.lines[rule.j - 1].formula
-        expected = Imp(minor, line.formula)
-        if not rule_eq(major, expected):
-            return err(
-                f"line {rule.j} is {print_formula(major)}, "
-                f"expected {print_formula(expected)}"
-            )
-        return None
-
-    if isinstance(rule, (RCEA, RCEC)):
-        cited = derivation.lines[rule.i - 1].formula
-        if not isinstance(cited, Iff):
-            return err(
-                f"line {rule.i} is {print_formula(cited)}, "
-                "expected an equivalence"
-            )
-        if not isinstance(line.formula, Iff) or not (
-            isinstance(line.formula.left, Cond)
-            and isinstance(line.formula.right, Cond)
-        ):
-            return err(
-                f"{print_formula(line.formula)} is not an equivalence "
-                "of conditionals"
-            )
-        bound = {"a": cited.left, "b": cited.right}
-        if not _instantiates(_CONGRUENCES[name], line.formula, bound):
-            return err(
-                f"{print_formula(line.formula)} does not follow from "
-                f"{print_formula(cited)} by {name}"
-            )
-        return None
-
-    if isinstance(rule, (Ra, RaGen)):
-        if isinstance(rule, Ra):
-            parts, target, indices = rule.gammas, rule.gamma, [rule.a]
-            if len(parts) != m:
-                return err(f"needs exactly {m} indexed formulas, got {len(parts)}")
-        else:
-            parts, target, indices = rule.chis, rule.chi, [rule.a, *rule.a_list]
-            if len(rule.a_list) != len(parts):
-                return err(f"{len(rule.a_list)} thresholds for {len(parts)} formulas")
-        if len(rule.premise_lines) != m:
-            return err(
-                f"needs exactly {m} premise lines, got {len(rule.premise_lines)}"
-            )
-        problem = _off_chain(indices, m)
-        if problem:
-            return err(problem)
-        chain = [Fraction(m - 1 - t, m - 1) for t in range(m)]  # descending
-        thresholds = chain if isinstance(rule, Ra) else rule.a_list
-        for cited, b in zip(rule.premise_lines, chain):
-            formula = derivation.lines[cited - 1].formula
-            expected = _graded(rule.a, thresholds, parts, target, b)
-            if not rule_eq(formula, expected):
-                return err(
-                    f"premise for b={b} (line {cited}) is "
-                    f"{print_formula(formula)}, expected {print_formula(expected)}"
-                )
-        expected = _graded(rule.a, thresholds, parts, target, phi=rule.phi)
-        if not rule_eq(line.formula, expected):
-            return err(
-                f"conclusion is {print_formula(line.formula)}, "
-                f"expected {print_formula(expected)}"
-            )
-        return None
-
-    return err(f"unknown rule {rule!r}")
+    message = check(derivation, line.formula, rule)
+    return None if message is None else LineError(index, name, message)
 
 
 def check_derivation(

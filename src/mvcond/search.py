@@ -439,7 +439,8 @@ def countermodel_search(
         def cells(key: tuple[int, ...]):
             return tuple(tuple(y for y in range(n) if key[y] == c) for c in range(m))
 
-        rows = list(product(values_desc, repeat=n))
+        # every row of a relation; without a conditional no key reads them
+        rows = list(product(values_desc, repeat=n)) if antecedents else []
         # an orbit's least valuation, as its worlds' value tuples -> the
         # candidates of each of its valuations, none a countermodel
         orbit_spent: dict[tuple, int] = {}

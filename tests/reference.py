@@ -48,6 +48,12 @@ before the closed form: every column joined from shifted copies in pairs,
 over m-long lists at the first level too, so it is the oracle for
 search._columns.
 
+_cited_lines, _rule_name and _premise_dependence are the line checker's
+citation, rule name and premise dependence as they were before the
+checker read its rules from one table: isinstance chains over the
+justification types, so reference_check_line does not share them with
+the code it checks.
+
 reference_justification_from_json is the derivation reader's rule
 decoder as it was before its rules were read through tables: one branch
 per rule name, so it is the oracle for the justification or error text
@@ -83,12 +89,9 @@ from mvcond.proof import (
     Ra,
     RaGen,
     Verdict,
-    _cited_lines,
     _parse_formula,
     _parse_fraction,
     _parse_int_list,
-    _premise_dependence,
-    _rule_name,
 )
 from mvcond.search import (
     ConditionalPresentError,
@@ -158,23 +161,26 @@ from mvcond.truthvalues import (
 
 
 class ReferenceEvaluator:
-    """Evaluates formulas in one model, caching per (world, formula)."""
+    """Evaluates formulas in one model, caching per (world, formula).
+
+    The caches are keyed by id(phi), so that a lookup does not hash the
+    whole subformula, and hold phi so that its id is not reused."""
 
     def __init__(self, model: KripkeModel):
         self.model = model
         self._index = model.world_index()
-        self._values: dict[tuple[str, Formula], TruthValue] = {}
-        self._props: dict[Formula, Proposition] = {}
+        self._values: dict[tuple[str, int], tuple[Formula, TruthValue]] = {}
+        self._props: dict[int, tuple[Formula, Proposition]] = {}
 
     def value(self, world: str, phi: Formula) -> TruthValue:
         if world not in self._index:
             raise UnknownWorldError(f"unknown world {world!r}")
-        key = (world, phi)
+        key = (world, id(phi))
         cached = self._values.get(key)
         if cached is not None:
-            return cached
+            return cached[1]
         result = self._compute(world, phi)
-        self._values[key] = result
+        self._values[key] = (phi, result)
         return result
 
     def _relation_entry(self, prop: Proposition, xi: int, yi: int) -> TruthValue:
@@ -237,14 +243,14 @@ class ReferenceEvaluator:
         raise TypeError(f"not a formula node: {phi!r}")
 
     def proposition(self, phi: Formula) -> Proposition:
-        cached = self._props.get(phi)
+        cached = self._props.get(id(phi))
         if cached is not None:
-            return cached
+            return cached[1]
         cells: list[list[str]] = [[] for _ in range(self.model.m)]
         for w in self.model.worlds:
             cells[self.value(w, phi).numerator].append(w)
         prop = Proposition(tuple(tuple(cell) for cell in cells))
-        self._props[phi] = prop
+        self._props[id(phi)] = (phi, prop)
         return prop
 
     def failing_world(self, phi: Formula) -> tuple[str, TruthValue] | None:
@@ -781,6 +787,40 @@ def _check_thresholds_on_chain(
         except ValueError:
             return f"threshold {value} is not on the {m}-element chain"
     return None
+
+
+def _cited_lines(rule: Justification) -> tuple[int, ...]:
+    if isinstance(rule, MP):
+        return (rule.i, rule.j)
+    if isinstance(rule, (RCEA, RCEC)):
+        return (rule.i,)
+    if isinstance(rule, (Ra, RaGen)):
+        return rule.premise_lines
+    return ()
+
+
+def _rule_name(rule: Justification) -> str:
+    if isinstance(rule, Ax):
+        return rule.name
+    return type(rule).__name__ if isinstance(rule, Justification) else "unknown"
+
+
+def _premise_dependence(derivation: Derivation) -> list[bool]:
+    """dependent[k] is True when line k+1 transitively cites a premise.
+
+    Citations out of range count as independent here; check_line
+    rejects them with a proper error before dependence matters.
+    """
+    dependent: list[bool] = []
+    for k, line in enumerate(derivation.lines):
+        if isinstance(line.rule, Premise):
+            dependent.append(True)
+            continue
+        cited = _cited_lines(line.rule)
+        dependent.append(
+            any(1 <= c <= k and dependent[c - 1] for c in cited)
+        )
+    return dependent
 
 
 def reference_check_line(

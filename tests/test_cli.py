@@ -50,6 +50,13 @@ def test_parse_error_exits_3(capsys):
     assert err.strip()
 
 
+def test_an_index_with_too_many_digits_exits_3_with_its_span(capsys):
+    text = "J{" + "1" * 5000 + "}(p)"
+    code, payload, _ = run(capsys, "parse", "--formula", text)
+    assert code == 3
+    assert payload == {"status": "error", "error": "malformed index: too many digits at 2..5002"}
+
+
 def test_parse_reports_graded_indices(capsys):
     code, payload, _ = run(capsys, "parse", "--formula", "J{1/2}(p) -> I{1}(q)")
     assert code == 0

@@ -125,6 +125,16 @@ def test_malformed_graded_index_messages():
         parse("I{3/2}(p)")
 
 
+@pytest.mark.parametrize(
+    "text", ["J{" + "1" * 5000 + "}(p)", "I{1/" + "2" * 5000 + "}(p)"]
+)
+def test_an_index_with_too_many_digits_is_a_parse_error_over_its_digits(text):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert info.value.message == "malformed index: too many digits"
+    assert (info.value.span.start, info.value.span.end) == (2, text.index("}"))
+
+
 def test_unbalanced_parens_message():
     with pytest.raises(ParseError, match="unbalanced"):
         parse("((p -> q) | r")

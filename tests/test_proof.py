@@ -179,6 +179,10 @@ def test_a_rule_that_is_not_a_justification_is_unknown():
     assert not check_derivation(derivation, parse("p -> p")).ok
 
 
+def test_every_justification_has_exactly_one_rule_table_entry():
+    assert set(proof._RULES) == set(proof.Justification.__args__)
+
+
 def test_ltaut_rejects_non_tautologies_with_a_witness():
     derivation = Derivation(
         m=3, premises=(), lines=(Line(parse("p | ~p"), LTaut()),)
