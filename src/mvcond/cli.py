@@ -229,6 +229,13 @@ def _cmd_gen(args) -> tuple[int, dict]:
     names = tuple(piece.strip() for piece in args.vars.split(",") if piece.strip())
     if not names:
         raise ValueError("--vars must name at least one variable")
+    for name in names:  # only a name that a formula reads as that variable
+        with suppress(ValueError):
+            if parse(name) == Var(name):
+                continue
+        raise ValueError(
+            f"--vars: {name!r} is not a variable name (names match [a-z][A-Za-z0-9_]*)"
+        )
     model = random_model(
         seed=args.seed,
         m=args.m,

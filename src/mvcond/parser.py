@@ -139,9 +139,11 @@ def parse(text: str) -> Formula:
     An operator-precedence loop over _PREC with explicit stacks, so any
     depth works. pending holds, innermost last, each operator not yet
     applied as (precedence, associativity, node type) and each open
-    group as (0, "(", its token) or (0, "J" or "I", the index).
+    group as (0, "(", its token) or (0, "J" or "I", the index). Each
+    distinct name, and T and F, is one leaf object however often it occurs.
     """
     tokens = _tokenize(text)
+    leaves: dict[str, Formula] = {}  # token -> its leaf
     operands: list[Formula] = []
     pending: list[tuple] = []
     i = 0
@@ -159,12 +161,15 @@ def parse(text: str) -> Formula:
                 i = _expect(tokens, i, "(", "'(' after graded operator index")
                 pending.append((0, kind, index))
             kind, token, _ = tokens[i]
-        if kind == "IDENT":
-            operands.append(Var(token))
-        elif kind in _ATOMS:
-            operands.append(_ATOMS[kind]())
-        else:
-            raise _error(f"unexpected token {token!r}", tokens[i])
+        leaf = leaves.get(token)  # only names, T and F are keys
+        if leaf is None:
+            if kind == "IDENT":
+                leaf = leaves[token] = Var(token)
+            elif kind in _ATOMS:
+                leaf = leaves[token] = _ATOMS[kind]()
+            else:
+                raise _error(f"unexpected token {token!r}", tokens[i])
+        operands.append(leaf)
         i += 1
         while True:  # infix operators and closing parentheses
             kind, token, _ = tokens[i]

@@ -62,9 +62,17 @@ class UnrepresentableIndexError(ValueError):
 class Formula:
     """Base class for formula nodes; all concrete nodes are frozen dataclasses.
 
-    == and hash are structural, and walk each shared node once at any depth."""
+    Each node class declares its own __slots__ in its body, so no node has
+    a __dict__; dataclass(slots=True) is not used, because the class it
+    rebuilds leaves the frozen __setattr__ naming the old one. == and hash
+    are structural, and walk each shared node once at any depth."""
 
     __slots__ = ()
+
+    def __reduce__(self) -> tuple:
+        # Rebuild through __init__: the default restores slots by setattr,
+        # which a frozen node refuses.
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
     def __eq__(self, other: object) -> bool:
         return _equal(self, other, {}) if isinstance(other, Formula) else NotImplemented
@@ -75,21 +83,23 @@ class Formula:
 
 @dataclass(frozen=True, eq=False)
 class Var(Formula):
+    __slots__ = ("name",)
     name: str
 
 
 @dataclass(frozen=True, eq=False)
 class Top(Formula):
-    pass
+    __slots__ = ()
 
 
 @dataclass(frozen=True, eq=False)
 class Bot(Formula):
-    pass
+    __slots__ = ()
 
 
 @dataclass(frozen=True, eq=False)
 class Not(Formula):
+    __slots__ = ("child",)
     child: Formula
 
 
@@ -97,52 +107,56 @@ class Not(Formula):
 # attributes that are not fields only on instances of its own class.
 @dataclass(frozen=True, eq=False)
 class _Binary(Formula):
+    __slots__ = ("left", "right")
     left: Formula
     right: Formula
 
 
 @dataclass(frozen=True, eq=False)
 class Imp(_Binary):
-    pass
+    __slots__ = ()
 
 
 @dataclass(frozen=True, eq=False)
 class Cond(_Binary):
     """The conditional; left is the antecedent, right the consequent."""
 
+    __slots__ = ()
+
 
 @dataclass(frozen=True, eq=False)
 class And(_Binary):
-    pass
+    __slots__ = ()
 
 
 @dataclass(frozen=True, eq=False)
 class Or(_Binary):
-    pass
+    __slots__ = ()
 
 
 @dataclass(frozen=True, eq=False)
 class OPlus(_Binary):
-    pass
+    __slots__ = ()
 
 
 @dataclass(frozen=True, eq=False)
 class OTimes(_Binary):
-    pass
+    __slots__ = ()
 
 
 @dataclass(frozen=True, eq=False)
 class OMinus(_Binary):
-    pass
+    __slots__ = ()
 
 
 @dataclass(frozen=True, eq=False)
 class Iff(_Binary):
-    pass
+    __slots__ = ()
 
 
 @dataclass(frozen=True, eq=False)
 class _Graded(Formula):
+    __slots__ = ("index", "child")
     index: Fraction
     child: Formula
 
@@ -156,10 +170,14 @@ class _Graded(Formula):
 class J(_Graded):
     """Exact-value test: value 1 where the child has value index, else 0."""
 
+    __slots__ = ()
+
 
 @dataclass(frozen=True, eq=False)
 class I(_Graded):
     """Threshold test: value 1 where the child has value >= index, else 0."""
+
+    __slots__ = ()
 
 
 # Per node type, its children as a tuple, or None for a leaf. _fold and
@@ -398,12 +416,15 @@ def mk_I(a: Fraction | int, phi: Formula, m: int) -> Formula:
     return reduce(Or, _value_tests(a, phi, m))
 
 
+# The one leaf that normalize spells T and F with.
+_RESERVED = Var(RESERVED_VAR)
+
 # normalize's table: per node type, the core formula for a node (phi) on
 # the m-element chain, given its children already normalized.
 _CORE: dict[type, Callable[..., Formula]] = {
     Var: lambda phi, m: phi,
-    Top: lambda phi, m: Imp(Var(RESERVED_VAR), Var(RESERVED_VAR)),
-    Bot: lambda phi, m: Not(Imp(Var(RESERVED_VAR), Var(RESERVED_VAR))),
+    Top: lambda phi, m: Imp(_RESERVED, _RESERVED),
+    Bot: lambda phi, m: Not(Imp(_RESERVED, _RESERVED)),
     Not: lambda phi, m, x: Not(x),
     Imp: lambda phi, m, x, y: Imp(x, y),
     Cond: lambda phi, m, x, y: Cond(x, y),

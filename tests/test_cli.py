@@ -430,6 +430,22 @@ def test_gen_rejects_duplicate_vars(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["T", "_t", "P", "x y"])
+def test_gen_rejects_names_no_formula_reads_as_a_variable(capsys, tmp_path, name):
+    """T reads as the constant, _t is reserved, and P and x y do not parse:
+    a model valuing them could not be queried by name."""
+    out = tmp_path / "x.json"
+    code, payload, _ = run(
+        capsys, "gen", "--seed", "1", "--m", "3", "--worlds", "2", "--vars", f"p,{name},q",
+        "--out", str(out),
+    )
+    assert (code, payload) == (3, {
+        "status": "error",
+        "error": f"--vars: {name!r} is not a variable name (names match [a-z][A-Za-z0-9_]*)",
+    })
+    assert not out.exists()
+
+
 def test_gen_rejects_a_negative_relation_count(capsys, tmp_path):
     out = tmp_path / "x.json"
     code, payload, _ = run(

@@ -2,7 +2,7 @@
 
 import pickle
 import time
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 from random import Random
 from unittest import mock
@@ -397,11 +397,17 @@ def test_equality_of_nodes_with_children_that_are_not_formulas():
 
 def test_node_classes_generate_no_equality_or_hash():
     """Every node class inherits Formula's == and hash, and stores nothing
-    beyond its fields."""
+    beyond its fields: no node has a __dict__, and each class's slots, over
+    its MRO, are exactly its fields."""
     for kind in _KIDS:
         assert "__eq__" not in vars(kind) and "__hash__" not in vars(kind)
         assert kind.__eq__ is Formula.__eq__ and kind.__hash__ is Formula.__hash__
+        assert all("__slots__" in vars(cls) for cls in kind.__mro__ if cls is not object)
+        slots = [slot for cls in kind.__mro__ for slot in vars(cls).get("__slots__", ())]
+        assert sorted(slots) == sorted(field.name for field in fields(kind))
     phi = Imp(J(1, P), Q)
     assert phi == Imp(J(1, P), Q) and hash(phi) == hash(Imp(J(1, P), Q))
-    assert vars(phi) == {"left": J(1, P), "right": Q} and vars(P) == {"name": "p"}
+    assert (phi.left, phi.right, P.name) == (J(1, P), Q, "p")
+    for node in (phi, phi.left, P, Top()):
+        assert not hasattr(node, "__dict__")
     assert pickle.dumps(phi) == pickle.dumps(Imp(J(1, P), Q))
