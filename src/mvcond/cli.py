@@ -23,7 +23,7 @@ from functools import cache
 from itertools import groupby
 from operator import attrgetter
 
-from .parser import parse, print_formula
+from .parser import name_problem, parse, print_formula
 from .proof import check_derivation, load_derivation
 from .search import (
     SearchBounds,
@@ -229,13 +229,9 @@ def _cmd_gen(args) -> tuple[int, dict]:
     names = tuple(piece.strip() for piece in args.vars.split(",") if piece.strip())
     if not names:
         raise ValueError("--vars must name at least one variable")
-    for name in names:  # only a name that a formula reads as that variable
-        with suppress(ValueError):
-            if parse(name) == Var(name):
-                continue
-        raise ValueError(
-            f"--vars: {name!r} is not a variable name (names match [a-z][A-Za-z0-9_]*)"
-        )
+    problem = next(filter(None, map(name_problem, names)), None)
+    if problem:
+        raise ValueError(f"--vars: {problem}")
     model = random_model(
         seed=args.seed,
         m=args.m,

@@ -32,7 +32,7 @@ from .syntax import (
     Var,
 )
 
-__all__ = ["SourceSpan", "ParseError", "parse", "print_formula"]
+__all__ = ["SourceSpan", "ParseError", "parse", "print_formula", "name_problem"]
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         tokens.append((_KINDS[group] if group < 3 else token, token, match.start(group)))
     tokens.append(("EOF", "", len(text)))
     return tokens
+
+
+def name_problem(name: str) -> str | None:
+    """None when a formula reads name as the variable of that name; else why
+    it does not, as a message. T and F are constants, and _t is reserved."""
+    token = _TOKEN.fullmatch(name)
+    if token is not None and token.group(1) == name:
+        return None
+    return f"{name!r} is not a variable name (names match [a-z][A-Za-z0-9_]*)"
 
 
 def _error(message: str, token: tuple[str, str, int]) -> ParseError:

@@ -640,7 +640,10 @@ def filtrate(
     for x, sig in enumerate(zip(*columns)):
         members.setdefault(first.setdefault(sig, x), []).append(x)
     reps = list(members)
-    column_of = {phi.name: col for phi, col in zip(ordered, columns) if isinstance(phi, Var)}
+    column_of = {  # _t keeps the constant 0, so the quotient does not value it
+        phi.name: col for phi, col in zip(ordered, columns)
+        if isinstance(phi, Var) and phi.name != RESERVED_VAR
+    }
     names = sorted(column_of)
     relations: dict[Values, list[list[int]]] = {}
     for alpha in (phi.left for phi in ordered if isinstance(phi, Cond)):

@@ -13,13 +13,14 @@ The evaluator compiles a formula once into a syntax.NodeTable and runs
 that post-order program at every world at once: a node's value is a tuple
 of integer numerators, one per world. A conditional costs O(worlds^2)
 integer steps; each distinct antecedent's relation is looked up once, by
-the proposition its values form, and kept as integer rows. TruthValue
-appears only at the API boundary; countermodel_search runs on the same
-program, and the truth tables on their own over packed integers
-(search._packed). A model built here, whether loaded by
-model_from_json or made from numerators by model_of, shares one
-TruthValue per numerator it uses, built on first use rather than for the
-whole chain.
+the proposition its values form, and kept as integer rows. A query about
+a formula object compiled before walks nothing: its slot comes from the
+table's id map. TruthValue appears only at the API boundary;
+countermodel_search runs on the same program, and the truth tables on
+their own over packed integers (search._packed). A model built here,
+whether loaded by model_from_json or made from numerators by model_of,
+and the answers of one Evaluator, each share one TruthValue per
+numerator used, built on first use rather than for the whole chain.
 
 Model documents move a row at a time. model_from_json reads each matrix
 row, and each variable's valuation, in one pass when every entry is a
@@ -42,6 +43,7 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
+from .parser import name_problem
 from .syntax import (
     And,
     Bot,
@@ -265,9 +267,12 @@ def model_of(
 class Evaluator:
     """Evaluates formulas in one model at every world at once.
 
-    Each subformula is compiled and evaluated once, its numerators cached
-    by node identity; build a fresh Evaluator after any change to the
-    model. A variable without a value at some world raises
+    Each subformula is compiled and evaluated once, its numerators kept by
+    node identity: a later query about a formula object compiled before
+    is a lookup in the node table's id map, with no walk, and every
+    TruthValue handed out is the one this Evaluator shares per numerator.
+    Nothing outlives the Evaluator; build a fresh one after any change to
+    the model. A variable without a value at some world raises
     UndeclaredVariableError whichever world is asked about.
     """
 
@@ -278,10 +283,12 @@ class Evaluator:
         default = None if policy is None else policy.numerator
         self._ops = operations(model.m, len(model.worlds), self.relation, default)
         self._relations: dict[Values, tuple[Values, ...] | None] = {}
+        self._shared = _SharedValues(model.m)
         self._reset()
 
     def _reset(self) -> None:
         self._table = NodeTable()
+        self._held = self._table._slots  # id -> (node, slot), for every node compiled
         self._values: list[Values] = []
 
     def relation(self, key: Values) -> tuple[Values, ...] | None:
@@ -306,6 +313,9 @@ class Evaluator:
 
     def numerators(self, phi: Formula) -> Values:
         """phi's value numerator at every world, in model order."""
+        held = self._held.get(id(phi))
+        if held is not None:  # compiled before: its stored values
+            return self._values[held[1]]
         table, values = self._table, self._values
         try:
             slot = table.add(phi)
@@ -326,7 +336,7 @@ class Evaluator:
         xi = self._index.get(world)
         if xi is None:
             raise UnknownWorldError(f"unknown world {world!r}")
-        return TruthValue(self.numerators(phi)[xi], self.model.m)
+        return self._shared[self.numerators(phi)[xi]]
 
     def proposition(self, phi: Formula) -> Proposition:
         return proposition_from(self.numerators(phi), self.model.worlds, self.model.m)
@@ -350,7 +360,7 @@ class Evaluator:
             values = self.numerators(phi)
             for x in alive:
                 if values[x] != top:
-                    return self.model.worlds[x], TruthValue(values[x], self.model.m)
+                    return self.model.worlds[x], self._shared[values[x]]
         return None
 
 
@@ -452,6 +462,9 @@ def validate_model(model: KripkeModel) -> list[str]:
         out.append("duplicate variable names")
     world_set = set(model.worlds)
     for v in model.vars:
+        problem = name_problem(v)
+        if problem:  # no formula could ask about v by its name
+            out.append(problem)
         per_world = model.valuation.get(v)
         if per_world is None:
             out.append(f"variable {v!r} missing from valuation")

@@ -282,7 +282,10 @@ class NodeTable:
     nodes[slot] is a subformula and kids[slot] its children's slots.
     Nodes are found by identity; structurally equal subformulas share one
     slot through their children's slots, so no formula is hashed. add is
-    iterative, so any depth works.
+    iterative, so any depth works. _slots maps the id of every object
+    added, as a formula or a subformula, to (that object, its slot): an
+    object added before answers add from it without a walk, and a caller
+    that must not pay for a method call may read it directly.
     """
 
     def __init__(self) -> None:
@@ -293,7 +296,8 @@ class NodeTable:
 
     def add(self, phi: Formula) -> int:
         """Add phi's subformulas not yet in the table; return phi's slot."""
-        return _fold(phi, self._slot, self._slots)
+        held = self._slots.get(id(phi))
+        return _fold(phi, self._slot, self._slots) if held is None else held[1]
 
     def _slot(self, node: Formula, *kid_slots: int) -> int:
         slot = self._shapes.setdefault(_shape(node, kid_slots), len(self.nodes))

@@ -19,7 +19,8 @@ for LID; without ``--fid`` the first candidate refutes LID. Five more pin
 the searches behind the README's reading of the abstract's two comparative
 claims, and one pins that a nested search to four worlds stops at its
 budget. Two search conditionals nested four deep, to the right and to the
-left, a nesting the search once refused.
+left, a nesting the search once refused. One loads a model document from
+``tests/data`` whose variable no formula can name, which is refused.
 """
 
 import hashlib
@@ -30,6 +31,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 class Run(NamedTuple):
@@ -224,6 +226,14 @@ RUNS = (
         ("fid-check", "--model", "model64.json"),
         1,
         sha256=(("-", "e468418484b4a6c3713591391aeacd5524bde5d55999b18d6951802fd3e88c20"),),
+    ),
+    Run(
+        "A model document that values a variable T, which formulas read as the constant, "
+        "is refused",
+        ("eval", "--model", str(DATA / "model_var_T.json"), "--world", "w0", "--formula", "T"),
+        3,
+        '{"status":"error","error":"\'T\' is not a variable name '
+        '(names match [a-z][A-Za-z0-9_]*)"}',
     ),
     Run(
         "A one-world model document at m = 10^6, byte for byte",

@@ -1475,7 +1475,7 @@ def reference_filtrate(
         class_map[w] = cid
     reps = {cid: members[cid][0] for cid in class_ids}
 
-    names = sorted({phi.name for phi in ordered if isinstance(phi, Var)})
+    names = sorted({phi.name for phi in ordered if isinstance(phi, Var)} - {RESERVED_VAR})
     valuation = {
         v: {cid: ev.value(reps[cid], Var(v)) for cid in class_ids} for v in names
     }

@@ -143,6 +143,71 @@ def test_a_failed_evaluation_leaves_the_evaluator_usable():
     assert evaluator.value("w", Var("p")) == TruthValue(1, 3)
 
 
+def _ask(evaluator, query):
+    """query's answer from evaluator, or the class of the ModelError it
+    raised; numerators of the reference are its values' numerators."""
+    method, *args = query
+    try:
+        if method == "numerators" and isinstance(evaluator, ReferenceEvaluator):
+            phi, worlds = args[0], evaluator.model.worlds
+            return tuple(evaluator.value(w, phi).numerator for w in worlds)
+        return getattr(evaluator, method)(*args)
+    except ModelError as exc:
+        return type(exc)
+
+
+def _queries(rng, model, m, count):
+    """Seeded queries of every kind an Evaluator answers. Each formula is a
+    new one, one asked before (the same object), an equal but distinct
+    copy of one, or a subformula of one; some read a variable the model
+    does not declare."""
+    asked = []
+    for _ in range(count):
+        roll = rng.random()
+        if not asked or roll < 0.3:
+            phi = chain_formula(rng, 4, m, names=NAMES, allow_cond=True)
+            if rng.random() < 0.15:
+                phi = Or(phi, Var("u"))
+        elif roll < 0.55:
+            phi = rng.choice(asked)
+        elif roll < 0.75:
+            phi = parse(print_formula(rng.choice(asked)))
+        else:
+            phi = rng.choice(subformula_closure(rng.choice(asked)))
+        asked.append(phi)
+        kind = rng.choice(("value", "value", "numerators", "proposition", "entailment_witness"))
+        if kind == "value":
+            yield kind, rng.choice(model.worlds), phi
+        elif kind == "entailment_witness":
+            yield kind, [rng.choice(asked) for _ in range(rng.randrange(3))], phi
+        else:
+            yield kind, phi
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_repeated_queries_on_one_evaluator_match_fresh_ones_and_the_reference(m):
+    """One Evaluator asked many times, in any order and after calls that
+    raised, answers as a fresh Evaluator and the reference do; each
+    every-world pass over a formula asked before is one more case."""
+    rng = Random(2900 + m)
+    raised = set()
+    for n in (1, 3, 16, 64):
+        base = random_model(290 * m + n, m, n, NAMES, n % 3)
+        for policy in (None, TruthValue(m // 2, m)):
+            model = replace(base, default_policy=policy)
+            evaluator, ref = Evaluator(model), ReferenceEvaluator(model)
+            for query in _queries(rng, model, m, 40 if n < 64 else 12):
+                want = _ask(ref, query)
+                assert _ask(evaluator, query) == _ask(Evaluator(model), query) == want
+                if isinstance(want, type):
+                    raised.add(want)
+                elif query[0] in ("numerators", "proposition"):  # every world, in any order
+                    phi = query[-1]
+                    for w in rng.sample(model.worlds, n):
+                        assert evaluator.value(w, phi) == ref.value(w, phi)
+    assert raised == {MissingRelationError, UndeclaredVariableError}
+
+
 def test_variable_missing_at_another_world_raises_for_every_world():
     model = KripkeModel(
         3,
@@ -1294,12 +1359,14 @@ SIGMAS = [
 
 def _filtration_cases(m):
     """Seeded models with m 2-5, 1-6 worlds and every default policy,
-    each with the subformula closures of SIGMAS and two random formulas."""
+    each with the subformula closures of SIGMAS, two random formulas and
+    one spelled over the reserved variable."""
     rng = Random(m)
     for n in range(1, 7):
         base = random_model(50 * m + n, m, n, NAMES, n % 3)
         formulas = [parse(text) for text in SIGMAS]
         formulas += [chain_formula(rng, 3, m, names=NAMES, allow_cond=True) for _ in range(2)]
+        formulas.append(normalize(parse("(p => T) & (F => q)"), m))
         for policy in _policies(m):
             model = replace(base, default_policy=policy)
             for phi in formulas:

@@ -336,6 +336,17 @@ def test_filtrate_requires_subformula_closure():
         filtrate(random_model(1, 3, 2, ("p",), 0), [])
 
 
+def test_filtrate_leaves_the_reserved_variable_out_of_the_quotient():
+    """T and F normalize over _t, which every world values 0 and no model
+    may declare, so the quotient of their closure values only p."""
+    model = random_model(4, 3, 5, ("p",), 1)
+    sigma = subformula_closure(normalize(parse("(p => T) & (F => p)"), 3))
+    quotient, class_map = filtrate(model, sigma)
+    assert quotient.vars == ("p",) and set(quotient.valuation) == {"p"}
+    assert validate_model(quotient) == []
+    assert check_preservation(model, quotient, class_map, sigma) == []
+
+
 def test_filtrate_keeps_default_policy_and_drops_foreign_vars():
     model = random_model(21, 3, 4, ("p", "q", "r"), 1)
     sigma = subformula_closure(parse("p => q"))

@@ -354,6 +354,28 @@ def test_validate_model_names_each_defect(defect, message):
     assert validate_model(model) == [message]
 
 
+@pytest.mark.parametrize("name", ["T", "F", "_t", "P", "x y", "", "p\n"])
+def test_validate_model_names_each_variable_no_formula_can_read(name):
+    """T reads as the constant, _t is reserved, and the rest do not parse
+    as one variable: eval --formula T would read the constant, not the
+    model's T."""
+    model = random_model(1, 3, 2, ("p", name))
+    assert validate_model(model) == [
+        f"{name!r} is not a variable name (names match [a-z][A-Za-z0-9_]*)"
+    ]
+
+
+def test_load_model_rejects_the_names_of_a_generated_model_no_formula_can_read(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(random_model(1, 3, 2, ("T", "_t", "x y")), str(path))
+    with pytest.raises(ModelFormatError) as caught:
+        load_model(str(path))
+    assert str(caught.value) == "; ".join(
+        f"{name!r} is not a variable name (names match [a-z][A-Za-z0-9_]*)"
+        for name in ("T", "_t", "x y")
+    )
+
+
 def test_validate_model_names_the_first_bad_entry_of_each_bad_row():
     model = build_model(3, ["x", "y", "z"], {"p": {"x": 0, "y": 1, "z": 2}})
     ok = TruthValue(0, 3)
@@ -538,7 +560,8 @@ def _entries(model):
 
 def test_models_share_one_value_per_numerator(monkeypatch):
     """Loading or generating a model at m = 10**6 builds one TruthValue per
-    numerator it uses, not one per entry and not the whole chain."""
+    numerator it uses, not one per entry and not the whole chain; and an
+    Evaluator hands out one TruthValue per numerator, however often asked."""
     built = []
     check = TruthValue.__post_init__
 
@@ -569,3 +592,15 @@ def test_models_share_one_value_per_numerator(monkeypatch):
         for tv in _entries(model):
             assert shared.setdefault(tv.numerator, tv) is tv
         assert len(built) <= len(shared)
+    model = random_model(5, 5, 16, ("p", "q"), 2)
+    evaluator = Evaluator(model)
+    phis = [parse(text) for text in ("p => q", "(p => q) -> ~q", "p (+) q", "~(p => p)")]
+    built.clear()
+    answers = [evaluator.value(w, phi) for _ in range(3) for phi in phis for w in model.worlds]
+    answers += [hit[1] for phi in phis if (hit := evaluator.failing_world(phi))]
+    hit = evaluator.entailment_witness(phis[:1], phis[1])
+    answers += [hit[1]] if hit else []
+    shared = {}
+    for tv in answers:
+        assert shared.setdefault(tv.numerator, tv) is tv
+    assert len(built) <= len(shared) < len(answers)

@@ -1,5 +1,6 @@
 """Formula trees, derived-connective expansion, graded-test constructions."""
 
+import operator
 import pickle
 import time
 from dataclasses import FrozenInstanceError, fields
@@ -21,6 +22,7 @@ from mvcond.syntax import (
     Iff,
     Imp,
     J,
+    NodeTable,
     Not,
     OMinus,
     OPlus,
@@ -201,6 +203,24 @@ def test_subformula_closure_order_and_dedup():
 def test_subformula_closure_keeps_derived_nodes_unexpanded():
     phi = And(J(Fraction(1, 2), P), Q)
     assert subformula_closure(phi) == [P, J(Fraction(1, 2), P), Q, phi]
+
+
+def test_node_table_adds_an_added_formula_without_a_walk():
+    """The same object again, or any of its subformulas, answers its slot
+    from the id map and leaves nodes and kids as they were; an equal but
+    distinct copy walks and shares the slots."""
+    table = NodeTable()
+    phi = Imp(P, Cond(J(Fraction(1, 2), Q), Not(P)))
+    slot = table.add(phi)
+    nodes, kids = list(table.nodes), list(table.kids)
+    with mock.patch("mvcond.syntax._fold", side_effect=AssertionError("walked")):
+        assert table.add(phi) == slot
+        assert [table.add(node) for node in nodes] == list(range(len(nodes)))
+    copy = Imp(Var("p"), Cond(J(Fraction(1, 2), Var("q")), Not(Var("p"))))
+    assert copy is not phi and table.add(copy) == slot
+    assert table.add(copy.right.left) == table.add(phi.right.left)
+    assert table.kids == kids
+    assert len(table.nodes) == len(nodes) and all(map(operator.is_, table.nodes, nodes))
 
 
 def test_children_and_free_vars():
