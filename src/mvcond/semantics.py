@@ -327,7 +327,7 @@ class Evaluator:
                     values.append(self._variable(node.name))
                 else:
                     values.append(self._ops[type(node)])
-        except Exception:
+        except BaseException:  # an interrupt too: every node held must have values
             self._reset()  # drop the nodes compiled but not evaluated
             raise
         return values[slot]

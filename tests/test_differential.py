@@ -143,6 +143,25 @@ def test_a_failed_evaluation_leaves_the_evaluator_usable():
     assert evaluator.value("w", Var("p")) == TruthValue(1, 3)
 
 
+def test_an_interrupted_evaluation_leaves_the_evaluator_usable(monkeypatch):
+    """An interrupt in the middle of a walk leaves no node held without its
+    values, so asking again, by the same object, evaluates afresh."""
+    model = random_model(3, 3, 4, NAMES, 0)
+    evaluator = Evaluator(model)
+    phi = parse("(p & q) -> ~(q => p)")
+    variable = evaluator._variable
+
+    def interrupted(name):
+        monkeypatch.setattr(evaluator, "_variable", variable)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(evaluator, "_variable", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        evaluator.numerators(phi)
+    assert evaluator.numerators(phi) == Evaluator(model).numerators(phi)
+    assert evaluator.proposition(phi.right) == ReferenceEvaluator(model).proposition(phi.right)
+
+
 def _ask(evaluator, query):
     """query's answer from evaluator, or the class of the ModelError it
     raised; numerators of the reference are its values' numerators."""
