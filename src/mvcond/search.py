@@ -32,7 +32,12 @@ changing whether one refutes the formula, so only a valuation whose
 per-world value tuples are non-decreasing, the least of its orbit, is
 searched. Any other comes after its least permutation, which found no
 countermodel (the search would have stopped there), and adds that one's
-count.
+count. A formula without nesting and with at most one antecedent has one
+key per valuation, so a whole world count is first screened on packed
+ints (see _packed): every valuation at once, each row once per slab, and
+the nodes above the conditionals at world 0 only and for rows
+non-decreasing from world 1 on, which renaming the worlds makes enough. A
+world count with no refutation adds its total in closed form unvisited.
 
 filtrate quotients a model by agreement on a subformula-closed set,
 taking the pointwise supremum of the evaluator's integer relation rows
@@ -158,10 +163,10 @@ def _side_by_side(parts: list[int], bits: int) -> int:
 
 
 # Kept for the next table at the same m and slab width. An entry is j + 1
-# ints of m^j * w bits; past j = 1, m^j * w times the slot count (at least
-# j) fits in _SLAB_BITS, so an entry is at most 2 * max(_SLAB_BITS, m * w)
-# bits, and the 8 entries at most 8 MiB while m * w <= 2^22 (m up to about
-# 220,000).
+# ints of m^j * w bits; past j = 1, m^j * w times the slot count (a search
+# screen's live ints; either at least j) fits in _SLAB_BITS, so an entry is
+# at most 2 * max(_SLAB_BITS, m * w) bits, and the 8 entries at most 8 MiB
+# while m * w <= 2^22 (m up to about 220,000).
 @lru_cache(maxsize=8)
 def _columns(m: int, j: int) -> tuple[int, ...]:
     """The last j names' packed columns over m^j rows, the first name's
@@ -356,6 +361,72 @@ class SearchOutcome:
     candidates: int
 
 
+def _screen_refutes(code, depth, root, inputs, n: int, m: int, values, fid: bool) -> bool:
+    """Whether some n-world candidate refutes a formula with no conditional
+    inside another and at most one antecedent (code and depth as in
+    countermodel_search, inputs the slots of its valuated variables, values
+    the relation entries), whose one key picks each valuation's rows.
+
+    Slabs pack every valuation of the first (variable, world) pairs, the
+    last j varying within a slab. In each the conditional-free nodes run at
+    every world, each conditional as the min over y of row[y] ->
+    consequent(y), a row's prefix shared by the rows extending it, and the
+    nodes above at world 0 only, for rows non-decreasing from world 1 on.
+    Renaming the worlds takes any refutation to one of these, since every
+    valuation is covered. Under fid a row counts only within the key.
+    """
+    w = _field_width(m)
+    conds = [s for s, (node, _) in enumerate(code) if isinstance(node, Cond)]
+    coords = [(s, x) for s in inputs for x in range(n)]
+    live = n * (len(code) + len(conds) * len(values))  # ints held at once, about
+    j = 0
+    while j < len(coords) and m ** (j + 1) * w * live <= _SLAB_BITS:
+        j += 1
+    ops = _packed(m, m**j)
+    *columns, one = _columns(m, j)
+    top, meet, imp, values = (m - 1) * one, ops[And], ops[Imp], sorted(values)
+    entries = [v * one for v in values]
+    at_least = fid and [ops[I](v) for v in values]  # top where the key is at least v
+    key, thens = code[conds[0]][1][0] if conds else None, [code[s][1][1] for s in conds]
+    at = [[None if kids else ops[type(node)] for node, kids in code] for _ in range(n)]
+    base, above = [], []
+    for s, (node, kids) in enumerate(code):
+        if kids and not isinstance(node, Cond):
+            (above if depth[s] else base).append((instruction(node, ops, m), kids[0], kids[-1], s))
+
+    for prefix in product(range(m), repeat=len(coords) - j):
+        for (s, x), column in zip(coords, [c * one for c in prefix] + columns):
+            at[x][s] = column
+        for vals in at:
+            for fn, a, b, s in base:
+                vals[s] = fn(vals[a], vals[b])
+        if conds:  # per world y and entry v: v -> each consequent(y); top where v fits the key
+            imps = [list(zip(*[[top if not e else psi if e == top else imp(e, psi) for e in entries]
+                               for psi in [vals[s] for s in thens]])) for vals in at]
+            oks = fid and [[f(vals[key], 0) for f in at_least] for vals in at]
+        # rows depth first: (world y, the least entry index at y, each
+        # conditional's min over the entries before y, top where they fit the key)
+        stack = [(0, 0, (), top)]
+        while stack:
+            y, low, mins, ok = stack.pop()
+            if y == n or not conds:
+                for s, value in zip(conds, mins):
+                    at[0][s] = value
+                for fn, a, b, s in above:
+                    at[0][s] = fn(at[0][a], at[0][b])
+                if (at[0][root] ^ top) & ok:
+                    return True
+                continue
+            for v in range(low, len(entries)):
+                within = ok & oks[y][v] if fid else ok
+                if within:
+                    stack.append((y + 1, v if y else 0, imps[0][v] if not y else [
+                        b if a is top else a if b is top else meet(a, b)
+                        for a, b in zip(mins, imps[y][v])
+                    ], within))
+    return False
+
+
 def countermodel_search(
     phi: Formula,
     m: int,
@@ -387,6 +458,13 @@ def countermodel_search(
     keeping which keys each round assigns, the frame test and whether a
     candidate refutes; so any other valuation adds that one's count and,
     like it, has no countermodel.
+
+    Before a world count n whose total, m^(k*n) valuations of |values|^(n^2)
+    matrices each (one without a conditional), fits the budget, a formula
+    without nesting and with at most one antecedent is screened: if no
+    candidate of n worlds refutes it (_screen_refutes), the total is added
+    and n is skipped; otherwise n is enumerated as above, so every field of
+    the outcome is the enumeration's.
     """
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")
@@ -422,7 +500,15 @@ def countermodel_search(
     top = m - 1
     budget = bounds.max_candidates
     count = 0
+    screened = depth[root] <= 1 and len(antecedents) <= 1
+    inputs = [var_slot[v] for v in names]
     for n in range(1, bounds.max_worlds + 1):
+        total = m ** (len(names) * n) * len(values_desc) ** (n * n * len(antecedents))
+        if screened and (budget is None or count + total <= budget) and not _screen_refutes(
+            code, depth, root, inputs, n, m, values_desc, require_fid
+        ):
+            count += total  # what the valuations below would add, none refuting
+            continue
         rel: dict[tuple[int, ...], Sequence[tuple[int, ...]]] = {}
         ops = operations(m, n, rel.get, 0)
         values: list = [None] * len(code)

@@ -77,3 +77,18 @@ def chain_formula(rng: Random, depth: int, m: int,
     """Like random_formula but every J/I index lies on the m-valued chain."""
     on_chain = tuple(Fraction(k, m - 1) for k in range(m))
     return random_formula(rng, depth, names, allow_cond, on_chain)
+
+
+def one_antecedent_formula(rng: Random, m: int,
+                           names: tuple[str, ...] = DEFAULT_NAMES) -> Formula:
+    """One to three conditionals on one antecedent, none inside another,
+    joined by other connectives and sometimes to a conditional-free formula,
+    with every J/I index on the m-valued chain."""
+    antecedent = chain_formula(rng, 1, m, names)
+    conds = [Cond(antecedent, chain_formula(rng, 2, m, names)) for _ in range(rng.randint(1, 3))]
+    phi = conds.pop()
+    while conds:
+        phi = rng.choice((Imp, Imp, And, Or, Iff))(conds.pop(), phi)
+    if rng.random() < 0.4:
+        phi = rng.choice((Imp, Or, And))(phi, chain_formula(rng, 2, m, names))
+    return phi

@@ -9,13 +9,15 @@ limit. The rows run in order in one directory, so ``valid`` and
 
     python tests/golden_runs.py
 
-runs every row and exits 1 if any fails. ``tests/test_golden_runs.py``
-runs the same rows in the tier-1 suite, except those marked ``ci_only``
-(each takes seconds). Pinning another end-to-end result means adding a row.
+runs every row, printing each one's outcome and wall seconds, and exits 1
+if any fails. ``tests/test_golden_runs.py`` runs the same rows in the
+tier-1 suite, except those marked ``ci_only`` (each takes seconds).
+Pinning another end-to-end result means adding a row.
 
 The search rows check LCR's soundness claim exhaustively at m=3 for the
 axioms A1, A2 and A3 and, under the identity frame condition (``--fid``),
-for LID; without ``--fid`` the first candidate refutes LID. Five more pin
+for LID; without ``--fid`` the first candidate refutes LID. One more
+searches A1 at m=4 under ``--fid`` to four worlds. Five more pin
 the searches behind the README's reading of the abstract's two comparative
 claims, and one pins that a nested search to four worlds stops at its
 budget. Two search conditionals nested four deep, to the right and to the
@@ -27,6 +29,7 @@ import hashlib
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -57,7 +60,6 @@ RUNS = (
          "(p => (q & r)) -> ((p => q) & (p => r))"),
         0,
         '{"status":"no_countermodel","candidates":22877179934580}',
-        ci_only=True,
     ),
     Run(
         "Exhaustive four-world search of A2 at m=3",
@@ -65,6 +67,13 @@ RUNS = (
          "((p => q) & (p => r)) -> (p => (q & r))"),
         0,
         '{"status":"no_countermodel","candidates":22877179934580}',
+    ),
+    Run(
+        "Exhaustive four-world search of A1 at m=4 under the identity frame condition",
+        ("search", "--fid", "--m", "4", "--max-worlds", "4", "--formula",
+         "(p => (q & r)) -> ((p => q) & (p => r))"),
+        0,
+        '{"status":"no_countermodel","candidates":72057662758453504}',
         ci_only=True,
     ),
     Run(
@@ -270,8 +279,10 @@ def main() -> int:
     problems = {}
     with tempfile.TemporaryDirectory() as tmp:
         for run in RUNS:
+            start = time.perf_counter()
             problems[run.name] = check(run, Path(tmp))
-            print(f"{run.name}: {'; '.join(problems[run.name]) or 'ok'}", flush=True)
+            seconds = time.perf_counter() - start
+            print(f"{run.name}: {'; '.join(problems[run.name]) or 'ok'} ({seconds:.2f} s)", flush=True)
     return 1 if any(problems.values()) else 0
 
 

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvcond import search
 from mvcond.cli import _ast, main
 from mvcond.parser import ParseError, parse, print_formula
 from mvcond.search import (
@@ -70,7 +71,7 @@ from mvcond.syntax import (
 )
 from mvcond.truthvalues import TruthValue
 
-from formula_gen import chain_formula, random_formula
+from formula_gen import chain_formula, one_antecedent_formula, random_formula
 from reference import (
     ReferenceEvaluator,
     _cond_depth,
@@ -640,6 +641,216 @@ def test_search_matches_enumeration_when_fid_admits_no_row(
     assert got[:3] == (candidates, False, witness)
 
 
+def _screen_results(monkeypatch):
+    """(n, whether some candidate refutes) for each packed screen of an
+    n-world count from now on, in order."""
+    results = []
+    screen = search._screen_refutes
+
+    def recording(code, depth, root, inputs, n, *args):
+        results.append((n, screen(code, depth, root, inputs, n, *args)))
+        return results[-1][1]
+
+    monkeypatch.setattr("mvcond.search._screen_refutes", recording)
+    return results
+
+
+def _world_total(phi, m, n, values):
+    """The candidates of n worlds: m^(k*n) valuations of the k variables
+    other than _t, each with |values|^(n^2) matrices if phi has a conditional."""
+    closure = subformula_closure(phi)
+    k = len({psi.name for psi in closure if isinstance(psi, Var)} - {RESERVED_VAR})
+    conditional = any(isinstance(psi, Cond) for psi in closure)
+    return m ** (k * n) * len(set(values or range(m))) ** (n * n * conditional)
+
+
+def _screened_bounds(phi, m, values):
+    """Up to 3 worlds (4 at m=2), fewer where the enumerating search could
+    otherwise walk more than 6,000 candidates; and the total through them."""
+    worlds, total = 1, _world_total(phi, m, 1, values)
+    while worlds < (4 if m == 2 else 3) and total + _world_total(phi, m, worlds + 1, values) <= 6000:
+        worlds += 1
+        total += _world_total(phi, m, worlds, values)
+    return SearchBounds(worlds, values), total
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_screened_search_matches_enumeration_on_seeded_formulas(m, monkeypatch):
+    """Unnested formulas with one antecedent over p, q and _t, half of them
+    drawn until one world cannot refute them, with and without FID, with
+    relation values that leave out 0 and budgets at and one short of the
+    total: every field is the enumerating search's. The screen settles
+    world counts past the first and finds refutations."""
+    results = _screen_results(monkeypatch)
+    rng = Random(3000 + m)
+    for i in range(40):
+        fid = rng.random() < 0.4
+        values = rng.choice((None, None, (m - 1,), tuple(range(1, m)), (0, m - 1)))
+        phi = one_antecedent_formula(rng, m, SEARCH_NAMES)
+        while i % 2 and enumerated_search(phi, m, SearchBounds(1, values), fid).found:
+            phi = one_antecedent_formula(rng, m, SEARCH_NAMES)
+        bounds, total = _screened_bounds(phi, m, values)
+        for budget in (None, total, total - 1)[: 1 + i % 3]:
+            _same_search(phi, m, replace(bounds, max_candidates=budget), fid)
+    assert {refutes for _, refutes in results} == {False, True}
+    assert any(n > 1 and not refutes for n, refutes in results)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p -> p",  # no conditional
+        "(p -> q) | (q -> p) | (p (*) ~q)",
+        "T => F",  # no variable
+        "(T => T) (+) F",
+        "(F => p) -> (T => p) | ~p",
+        "(J{1}(p) => I{0}(q)) | J{0}(q)",  # J/I on every chain
+        "(J{1/2}(p) => I{1/2}(q)) <-> (J{1/2}(p) => q)",  # on the chain at m=3
+    ],
+)
+@pytest.mark.parametrize("fid", [False, True])
+def test_screened_search_matches_enumeration_on_edge_formulas(text, fid):
+    """Formulas without a conditional or without a variable, with T and F,
+    and with J/I indices on the chain, and their normal forms, which spell
+    T and F over _t: every field is the enumerating search's, for the full
+    chain and for relation values without 0."""
+    phi = parse(text)
+    for m in (3,) if "1/2" in text else (2, 3, 4):
+        for values in (None, tuple(range(1, m))):
+            bounds, _ = _screened_bounds(phi, m, values)
+            got = _same_search(phi, m, bounds, fid)
+            assert _same_search(normalize(phi, m), m, bounds, fid) == got
+
+
+@pytest.mark.parametrize(
+    "fid,values", [(False, None), (True, None), (True, (1,)), (False, (0,))]
+)
+def test_screened_search_matches_enumeration_at_budgets_around_each_total(
+    fid, values, monkeypatch
+):
+    """A1 at m=2 has no countermodel. A budget one short of a world count's
+    total keeps the screen out and binds in the enumeration; at the total
+    and one past it the screen settles that world count."""
+    results = _screen_results(monkeypatch)
+    phi = parse("(p => (p & ~p)) -> ((p => p) & (p => ~p))")
+    start = 0
+    for n in (1, 2, 3):
+        total = start + _world_total(phi, 2, n, values)
+        for budget in (total - 1, total, total + 1):
+            results.clear()
+            got = _same_search(phi, 2, SearchBounds(n, values, budget), fid)
+            assert got[:3] == (min(budget, total), budget < total, None)
+            assert ((n, False) in results) == (budget >= total)
+        start = total
+
+
+# At m=2, refuted at x only where p(x) is 1 and x sees a world where p is 0.
+PAST_W0 = "(T => p) | ~p"
+# At m=3, refuted at x only where p(x) is 0 and x sees a world where p is 1
+# fully and one where p is 2 to degree 1/2, but none fully: p is 0, 1, 2 at
+# w0, w1, w2 and the row's numerators at w1 and w2 are 2 and 1.
+PAST_SORTED_TAIL = "~(J{0}(T => ~J{1/2}(p)) & J{1/2}(T => ~J{1}(p))) | I{1/2}(p)"
+# The same where p(x) is 1: x sees itself fully, so p is 1, 2 at w0, w1 and
+# the row's numerators are 2, 1.
+PAST_SORTED_ROW = "~(J{0}(T => ~J{1/2}(p)) & J{1/2}(T => ~J{1}(p))) | ~J{1/2}(p)"
+
+
+@pytest.mark.parametrize("fid", [False, True])
+def test_screened_search_matches_enumeration_over_many_slabs(fid, monkeypatch):
+    """With the bit cap at 2^7, every slab is a row or a chain of rows wide,
+    so a world count spans up to m^(2n-1) slabs. Seeded formulas as above
+    and the three above: the first countermodel, or none, is the
+    enumerating search's."""
+    monkeypatch.setattr("mvcond.search._SLAB_BITS", 1 << 7)
+    widths, results = _slab_widths(monkeypatch), _screen_results(monkeypatch)
+    rng = Random(3100 + fid)
+    for i in range(16):
+        m = (2, 3)[i % 2]
+        phi = one_antecedent_formula(rng, m, SEARCH_NAMES)
+        while i % 4 < 2 and enumerated_search(phi, m, SearchBounds(1), fid).found:
+            phi = one_antecedent_formula(rng, m, SEARCH_NAMES)
+        _same_search(phi, m, _screened_bounds(phi, m, None)[0], fid)
+    assert widths and max(widths) <= 3
+    assert any(n > 1 and not refutes for n, refutes in results)
+    results.clear()  # refutations that need more than one world, as below
+    for text, m, n in [(PAST_W0, 2, 2), (PAST_SORTED_ROW, 3, 2), (PAST_SORTED_TAIL, 3, 3)]:
+        _same_search(parse(text), m, SearchBounds(n), fid)
+    assert results == [(1, False), (2, True)] * 2 + [(1, False), (2, False), (3, True)]
+
+
+def _refutes_at_w0_of_a_least_valuation(phi, m, n, sorted_from):
+    """Whether a row whose entries are non-decreasing from w<sorted_from> on
+    refutes phi (one antecedent, no nesting) at w0 of an n-world valuation
+    whose per-world value tuples are non-decreasing."""
+    closure = subformula_closure(phi)
+    names = sorted({psi.name for psi in closure if isinstance(psi, Var)} - {RESERVED_VAR})
+    (alpha,) = {psi.left for psi in closure if isinstance(psi, Cond)}
+    worlds = tuple(f"w{x}" for x in range(n))
+    for assignment in product(range(m), repeat=n * len(names)):
+        columns = [assignment[k * n : (k + 1) * n] for k in range(len(names))]
+        if list(zip(*columns)) != sorted(zip(*columns)):
+            continue
+        key = Evaluator(model_of(m, worlds, names, columns, {}, 0)).numerators(alpha)
+        for row in product(range(m), repeat=n):
+            if row[sorted_from:] == tuple(sorted(row[sorted_from:])):
+                model = model_of(m, worlds, names, columns, {key: [row] * n}, 0)
+                if Evaluator(model).numerators(phi)[0] != m - 1:
+                    return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "text,m,n,witness,sorted_from",
+    [(PAST_W0, 2, 2, "w1", 2), (PAST_SORTED_TAIL, 3, 3, "w0", 1), (PAST_SORTED_ROW, 3, 2, "w0", 0)],
+)
+def test_screen_finds_refutations_past_its_world_and_row_order(
+    text, m, n, witness, sorted_from, monkeypatch
+):
+    """The screen evaluates the nodes above the conditionals at w0 only and
+    for rows whose entries from w1 on are non-decreasing. A valuation whose
+    per-world values are non-decreasing refutes the first formula at no
+    world but w0, the second at w0 only with a row that decreases after w0,
+    and the third only with a row that decreases from w0 to w1, so the
+    screen must reach the first two through other valuations, and keep
+    every row's entry at w0 free for the third. At n worlds it finds each
+    refutation, and the first countermodel is the enumerating search's."""
+    phi = parse(text)
+    assert not _refutes_at_w0_of_a_least_valuation(phi, m, n, sorted_from)
+    assert sorted_from == n or _refutes_at_w0_of_a_least_valuation(phi, m, n, sorted_from + 1)
+    results = _screen_results(monkeypatch)
+    got = _same_search(phi, m, SearchBounds(n))
+    assert got[2] == witness and results == [*((k, False) for k in range(1, n)), (n, True)]
+
+
+def test_screen_stays_out_of_nested_and_two_antecedent_formulas_and_large_totals(
+    monkeypatch,
+):
+    """Only a formula without nesting and with at most one antecedent is
+    screened, and only at a world count whose total fits the budget."""
+    results = _screen_results(monkeypatch)
+    for text in ("p => (p => q)", "(p => q) -> (q => p)", "((p => q) => p) -> p"):
+        _same_search(parse(text), 2, SearchBounds(2, None, 300))
+    assert results == []
+    # 3 * 3 candidates at one world, 3^2 * 3^4 at two: the budget of 100 binds there
+    got = _same_search(parse("p => p"), 3, SearchBounds(2, None, 100), True)
+    assert got[:2] == (100, True) and results == [(1, False)]
+
+
+def test_screened_search_rejects_an_off_chain_index_as_the_enumeration_does(monkeypatch):
+    """J{1/3} is not on the 3-element chain: the screen compiles it first,
+    and raises what the enumeration raises, with or without a budget."""
+    results = _screen_results(monkeypatch)
+    phi = parse("(p => J{1/3}(q)) & (p => p)")
+    for budget in (None, 0):
+        bounds = SearchBounds(2, None, budget)
+        with pytest.raises(UnrepresentableIndexError) as raised:
+            countermodel_search(phi, 3, bounds)
+        with pytest.raises(UnrepresentableIndexError) as expected:
+            enumerated_search(phi, 3, bounds)
+        assert str(raised.value) == str(expected.value) == "index 1/3 is not on the 3-element chain"
+    assert results == []
+
+
 # antecedents 0 to 6 conditionals deep, so seven relation rounds
 SEVEN_DEEP = "(((((((p => q) => q) => q) => q) => q) => q) => q)"
 
@@ -972,6 +1183,27 @@ def test_slab_column_cache_holds_what_its_comment_states():
     finally:
         tracemalloc.stop()
     assert _columns.cache_info().currsize == _packed.cache_info().currsize == 2
+    assert held <= 8 << 20
+
+
+def test_slab_column_cache_holds_its_bound_once_screened_searches_fill_it():
+    """The screen of one-antecedent searches caps its slabs by _SLAB_BITS
+    as the tables do, so the entries it leaves in _columns and _packed keep
+    within the bound above: after exhaustive four-world searches at m = 2,
+    3 and 4, which fill both caches, they hold less than 8 MiB."""
+    phi = parse("(p => (q & r)) -> ((p => q) & (p => r))")
+    _columns.cache_clear()
+    _packed.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert countermodel_search(phi, 3, SearchBounds(4)).candidates == 22877179934580
+        assert countermodel_search(phi, 2, SearchBounds(4)).found is None
+        assert countermodel_search(parse("p => p"), 4, SearchBounds(4), True).found is None
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert _columns.cache_info().currsize == _packed.cache_info().currsize == 8
     assert held <= 8 << 20
 
 
