@@ -32,12 +32,15 @@ changing whether one refutes the formula, so only a valuation whose
 per-world value tuples are non-decreasing, the least of its orbit, is
 searched. Any other comes after its least permutation, which found no
 countermodel (the search would have stopped there), and adds that one's
-count. A formula without nesting and with at most one antecedent has one
-key per valuation, so a whole world count is first screened on packed
-ints (see _packed): every valuation at once, each row once per slab, and
-the nodes above the conditionals at world 0 only and for rows
-non-decreasing from world 1 on, which renaming the worlds makes enough. A
-world count with no refutation adds its total in closed form unvisited.
+count. A world count of a formula without nesting is first screened on
+packed ints (see _packed), every valuation at once: a refutation at a
+world x reads only x's row of each antecedent's relation, whose entries
+are digits of the table too when it is small, or are set depth first
+with x = 0 and the other worlds sorted by their row entries, which
+renaming the worlds makes enough. The screen names the least valuation
+with a refuting candidate, or none; the candidates before it, or of the
+whole world count, follow in closed form, and only that one valuation is
+searched.
 
 filtrate quotients a model by agreement on a subformula-closed set,
 taking the pointwise supremum of the evaluator's integer relation rows
@@ -49,9 +52,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, reduce
 from itertools import chain, product
-from operator import gt, le
+from operator import and_, gt, le
 from typing import Callable, Mapping, Sequence
 
 from .parser import print_formula
@@ -162,12 +165,14 @@ def _side_by_side(parts: list[int], bits: int) -> int:
     return parts[0]
 
 
-# Kept for the next table at the same m and slab width. An entry is j + 1
+# Kept for the next table at the same m and slab width; a search screens
+# each world count at a width of its own, and a run that cycles through
+# more widths than the cache holds rebuilds every one. An entry is j + 1
 # ints of m^j * w bits; past j = 1, m^j * w times the slot count (a search
 # screen's live ints; either at least j) fits in _SLAB_BITS, so an entry is
-# at most 2 * max(_SLAB_BITS, m * w) bits, and the 8 entries at most 8 MiB
+# at most 2 * max(_SLAB_BITS, m * w) bits, and the 16 entries at most 16 MiB
 # while m * w <= 2^22 (m up to about 220,000).
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=16)
 def _columns(m: int, j: int) -> tuple[int, ...]:
     """The last j names' packed columns over m^j rows, the first name's
     first, then 1 in every field. Over m rows the last name's column is the
@@ -361,70 +366,211 @@ class SearchOutcome:
     candidates: int
 
 
-def _screen_refutes(code, depth, root, inputs, n: int, m: int, values, fid: bool) -> bool:
-    """Whether some n-world candidate refutes a formula with no conditional
-    inside another and at most one antecedent (code and depth as in
-    countermodel_search, inputs the slots of its valuated variables, values
-    the relation entries), whose one key picks each valuation's rows.
+def _differ(pairs, one: int, w: int, top: int) -> int:
+    """Top in the fields where the packed ints of some pair differ."""
+    flag, f = one << w - 1, 0
+    for a, b in pairs:  # the flag bit where they differ, and below it what the borrow left
+        f |= ((a ^ b) | flag) - one
+    f &= flag
+    return top & (f << 1) - (f >> w - 1)
 
-    Slabs pack every valuation of the first (variable, world) pairs, the
-    last j varying within a slab. In each the conditional-free nodes run at
-    every world, each conditional as the min over y of row[y] ->
-    consequent(y), a row's prefix shared by the rows extending it, and the
-    nodes above at world 0 only, for rows non-decreasing from world 1 on.
-    Renaming the worlds takes any refutation to one of these, since every
-    valuation is covered. Under fid a row counts only within the key.
+
+def _key_classes(keys: list[int], at: list, one: int, w: int, top: int) -> tuple[list, list]:
+    """For a screen's antecedent slots and its values per world: per key b,
+    for each key a before it, top in the fields where a and b differ at
+    some world; and spread, spread[d] top in the fields whose antecedents
+    take d + 1 distinct values."""
+    apart, spread = [()], [top]
+    for b in keys[1:]:
+        apart.append([_differ([(vals[a], vals[b]) for vals in at], one, w, top) for a in keys[: len(apart)]])
+        new = reduce(and_, apart[-1])
+        spread = [x & ~new | y & new for x, y in zip(spread + [0], [0] + spread)]
+    return apart, spread
+
+
+def _candidates(spread: list[int], fields: int, m: int, per: int) -> int:
+    """The candidates of the fields under the mask, spread as from
+    _key_classes, with per^d for d distinct antecedents."""
+    return sum((x & fields).bit_count() // (m - 1).bit_count() * per**d for d, x in enumerate(spread, 1))
+
+
+def _screen(code, depth, root, inputs, m: int, values, fid: bool):
+    """The packed screen of a formula with no conditional inside another
+    (code and depth as in countermodel_search, inputs the slots of its
+    valuated variables, values the relation entries): a function from a
+    world count n to the least n-world valuation with a refuting
+    candidate, as its numerators in enumeration order, and the candidates
+    of the valuations before it; or to None and the candidates of them all.
+
+    Fields hold valuations in enumeration order, and the conditional-free
+    nodes run at every world. A refutation at world x reads only x's row
+    in the relation of each of the k antecedents, each conditional at x
+    being the min over y of its key's entry -> consequent(y). An entry
+    counts only in the fields where it fits: under fid within its key, and
+    where two antecedents take equal values at every world (one key, so
+    one relation) equal to the other's.
+
+    If every valuation with every choice of those rows fits in one table,
+    the rows' entries are its lowest digits (entry i standing for the i-th
+    of values, and past them for none), and the nodes above run with x =
+    each world in turn: the lowest refuted field is the answer. Otherwise
+    slabs pack the valuations of the last j (variable, world) pairs, and
+    the rows are set key by key and entry by entry, depth first, a row's
+    prefix shared by the rows extending it, keeping only the fields below
+    the lowest refuted so far. Slab by slab x is 0 and worlds 1 on are
+    sorted by their tuples of k entries, which renaming the worlds makes
+    enough: the first slab with a refuted field holds the least
+    permutation of that valuation or comes after it. At one world that
+    field is the answer, and at two x = 0 had no sort to drop; otherwise
+    the slabs up to it are searched again at every x, unsorted, and the
+    lowest field refuted in the first slab with one is the answer. A
+    valuation with d distinct keys has |values|^(n^2 * d) candidates; with
+    several keys the fields of each d are counted on packed key masks.
     """
-    w = _field_width(m)
-    conds = [s for s, (node, _) in enumerate(code) if isinstance(node, Cond)]
-    coords = [(s, x) for s in inputs for x in range(n)]
-    live = n * (len(code) + len(conds) * len(values))  # ints held at once, about
-    j = 0
-    while j < len(coords) and m ** (j + 1) * w * live <= _SLAB_BITS:
-        j += 1
-    ops = _packed(m, m**j)
-    *columns, one = _columns(m, j)
-    top, meet, imp, values = (m - 1) * one, ops[And], ops[Imp], sorted(values)
-    entries = [v * one for v in values]
-    at_least = fid and [ops[I](v) for v in values]  # top where the key is at least v
-    key, thens = code[conds[0]][1][0] if conds else None, [code[s][1][1] for s in conds]
-    at = [[None if kids else ops[type(node)] for node, kids in code] for _ in range(n)]
-    base, above = [], []
+    w, values = _field_width(m), sorted(values)
+    spans: dict[int, list[int]] = {}  # antecedent slot -> its conditionals' slots
+    inner = []  # the other nodes with children
     for s, (node, kids) in enumerate(code):
-        if kids and not isinstance(node, Cond):
-            (above if depth[s] else base).append((instruction(node, ops, m), kids[0], kids[-1], s))
+        if isinstance(node, Cond):
+            spans.setdefault(kids[0], []).append(s)
+        elif kids:
+            inner.append((node, kids[0], kids[-1], s))
+    keys = sorted(spans)
+    thens = [[code[s][1][1] for s in spans[a]] for a in keys]
+    last = spans[keys[-1]] if keys else ()  # the conditionals set at the leaves
+    live = len(code) + sum(map(len, thens)) * len(values)  # ints held at once per world, about
 
-    for prefix in product(range(m), repeat=len(coords) - j):
-        for (s, x), column in zip(coords, [c * one for c in prefix] + columns):
-            at[x][s] = column
-        for vals in at:
-            for fn, a, b, s in base:
-                vals[s] = fn(vals[a], vals[b])
-        if conds:  # per world y and entry v: v -> each consequent(y); top where v fits the key
-            imps = [list(zip(*[[top if not e else psi if e == top else imp(e, psi) for e in entries]
-                               for psi in [vals[s] for s in thens]])) for vals in at]
-            oks = fid and [[f(vals[key], 0) for f in at_least] for vals in at]
-        # rows depth first: (world y, the least entry index at y, each
-        # conditional's min over the entries before y, top where they fit the key)
-        stack = [(0, 0, (), top)]
-        while stack:
-            y, low, mins, ok = stack.pop()
-            if y == n or not conds:
-                for s, value in zip(conds, mins):
-                    at[0][s] = value
+    def screen(n: int) -> tuple[int, tuple | None]:
+        coords = [(s, x) for s in inputs for x in range(n)]
+        block = m ** (n * len(keys))  # world x's rows per valuation, their entries as digits
+        whole = m ** len(coords) * block * w * n * live <= _SLAB_BITS
+        j = len(coords) + n * len(keys) if whole else 0
+        while not whole and j < len(coords) and m ** (j + 1) * w * n * live <= _SLAB_BITS:
+            j += 1
+        ops = _packed(m, m**j)
+        *columns, one = _columns(m, j)
+        top, meet, imp = (m - 1) * one, ops[And], ops[Imp]
+        at = [[None if kids else ops[type(node)] for node, kids in code] for _ in range(n)]
+        base, above = [], []
+        for node, a, b, s in inner:
+            (above if depth[s] else base).append((instruction(node, ops, m), a, b, s))
+        per = len(values) ** (n * n)
+        if whole:  # one field per valuation and rows of x, x = each world in turn
+            for (s, x), column in zip(coords, columns):
+                at[x][s] = column
+            for vals in at:
+                for fn, a, b, s in base:
+                    vals[s] = fn(vals[a], vals[b])
+            apart, spread = _key_classes(keys, at, one, w, top)
+            rows, ok = columns[len(coords) :], top  # per key and world y: x's entry; top where they fit
+            if len(values) < m:  # digit i stands for values[i], and one past them for none
+                ok = reduce(and_, [~ops[I](len(values))(d, 0) for d in rows], top)
+                rows = [sum(v * (ops[J](i)(d, 0) // (m - 1)) for i, v in enumerate(values)) for d in rows]
+            rows = [rows[i : i + n] for i in range(0, len(rows), n)]
+            flag = one << w - 1
+            for a, row, differs in zip(keys, rows, apart):  # within the key under fid, and
+                if fid:  # equal to the row of a key before it wherever the keys are equal
+                    f = reduce(and_, [(vals[a] | flag) - e for e, vals in zip(row, at)]) & flag
+                    ok &= (f << 1) - (f >> w - 1)
+                for mask, other in zip(differs, rows):
+                    ok &= mask | ~_differ(zip(row, other), one, w, top)
+            miss = 0
+            for vals in at:
+                for a, row, then in zip(keys, rows, thens):
+                    for s, psi in zip(spans[a], then):
+                        vals[s] = reduce(meet, [imp(e, ys[psi]) for e, ys in zip(row, at)])
                 for fn, a, b, s in above:
-                    at[0][s] = fn(at[0][a], at[0][b])
-                if (at[0][root] ^ top) & ok:
-                    return True
-                continue
-            for v in range(low, len(entries)):
-                within = ok & oks[y][v] if fid else ok
-                if within:
-                    stack.append((y + 1, v if y else 0, imps[0][v] if not y else [
-                        b if a is top else a if b is top else meet(a, b)
-                        for a, b in zip(mins, imps[y][v])
-                    ], within))
-    return False
+                    vals[s] = fn(vals[a], vals[b])
+                miss |= vals[root] ^ top
+            miss &= ok
+            if not miss:
+                total = m ** len(coords) * per ** len(keys)
+                return (_candidates(spread, -1, m, per) // block if len(keys) > 1 else total), None
+            field = ((miss & -miss).bit_length() - 1) // w // block
+            first = tuple(field // m**i % m for i in reversed(range(len(coords))))
+            if len(keys) > 1:
+                return _candidates(spread, (1 << w * field * block) - 1, m, per) // block, first
+            return field * per ** len(keys), first
+        entries = [v * one for v in values]
+        at_least = fid and [ops[I](v) for v in values]  # top where the key is at least v
+        slabs = list(product(range(m), repeat=len(coords) - j))
+        # each slab's candidates with several keys, as far as screened; the
+        # runs, as (world x, worlds 1 on sorted); a slab's fields to search
+        counts, runs, seeds, slab, loaded, redo = [], [(0, n > 2)], {}, 0, -1, n > 1
+        while slab < len(slabs):
+            if slab != loaded:  # the slab's inputs, the nodes below the conditionals at every world
+                loaded, prefix = slab, slabs[slab]
+                for (s, x), column in zip(coords, [c * one for c in prefix] + columns):
+                    at[x][s] = column
+                for vals in at:
+                    for fn, a, b, s in base:
+                        vals[s] = fn(vals[a], vals[b])
+                # per world y, key and entry: the key's conditionals' entry ->
+                # consequent(y), and under fid top where the entry lies within the key
+                picks = [[list(zip(*[[top if not e else psi if e == top else imp(e, psi) for e in entries]
+                                     for psi in [vals[s] for s in then]])) for then in thens] for vals in at]
+                fits = fid and [[[f(vals[a], 0) for f in at_least] for a in keys] for vals in at]
+                apart, spread = _key_classes(keys, at, one, w, top)
+                if slab == len(counts) and len(keys) > 1:
+                    counts.append(_candidates(spread, -1, m, per))
+            below = seeds.get(slab, -1)  # the fields below the lowest refuted
+            for x, cut in runs:  # world x's rows depth first
+                vals = at[x]
+                if not keys:
+                    miss = (vals[root] ^ top) & below
+                    below = (1 << ((miss & -miss).bit_length() - 1) // w * w) - 1 if miss else below
+                    continue
+                # (key k, world y, k's entries before y, at y = 0 the conditionals
+                # of the key before k, else k's: their min over the entries so
+                # far; top where all fit, the rows of the keys before k)
+                stack = [(0, 0, (), (), top, ())]
+                while stack:
+                    k, y, row, mins, ok, rows = stack.pop()
+                    ok &= below
+                    if not ok:
+                        continue
+                    if not y:  # the key before k is set, and so are its conditionals
+                        for s, value in zip(spans[keys[k - 1]] if k else (), mins):
+                            vals[s] = value
+                    low = row[-1] if cut and y > 1 and all(r[y - 1] == r[y] for r in rows) else 0
+                    pick, fit, differs = picks[y][k], fits and fits[y][k], apart[k]
+                    for v in range(low, len(entries)):
+                        within = ok & fit[v] if fid else ok
+                        if k:
+                            for r, mask in zip(rows, differs):
+                                if r[y] != v:
+                                    within &= mask
+                        if not within:
+                            continue
+                        got = pick[v] if not y else [
+                            b if a is top else a if b is top else meet(a, b) for a, b in zip(mins, pick[v])
+                        ]
+                        if y + 1 < n:
+                            stack.append((k, y + 1, (*row, v), got, within, rows))
+                        elif k + 1 < len(keys):
+                            stack.append((k + 1, 0, (), got, within, (*rows, (*row, v))))
+                        else:  # every row set: the nodes above, at x
+                            for s, value in zip(last, got):
+                                vals[s] = value
+                            for fn, a, b, s in above:
+                                vals[s] = fn(vals[a], vals[b])
+                            miss = (vals[root] ^ top) & within & below
+                            if miss:
+                                below = (1 << ((miss & -miss).bit_length() - 1) // w * w) - 1
+            if below < 0:
+                slab += 1
+            elif redo:  # from the first slab again, at every world, unsorted
+                runs, redo = [(x, False) for x in range(n == 2, n)], False
+                seeds, slab = ({slab: below} if n == 2 else {}), 0
+            else:
+                field = below.bit_length() // w
+                first = prefix + tuple(field // m**i % m for i in reversed(range(j)))
+                if len(keys) > 1:
+                    return sum(counts[:slab]) + _candidates(spread, below, m, per), first
+                return (slab * m**j + field) * per ** len(keys), first
+        return (sum(counts) if len(keys) > 1 else m ** len(coords) * per ** len(keys)), None
+
+    return screen
 
 
 def countermodel_search(
@@ -459,12 +605,16 @@ def countermodel_search(
     candidate refutes; so any other valuation adds that one's count and,
     like it, has no countermodel.
 
-    Before a world count n whose total, m^(k*n) valuations of |values|^(n^2)
-    matrices each (one without a conditional), fits the budget, a formula
-    without nesting and with at most one antecedent is screened: if no
-    candidate of n worlds refutes it (_screen_refutes), the total is added
-    and n is skipped; otherwise n is enumerated as above, so every field of
-    the outcome is the enumeration's.
+    A formula without nesting is screened (_screen) before each world
+    count n whose largest total, m^(k*n) valuations of |values|^(n^2)
+    matrices per antecedent, fits the budget. The screen names the least
+    valuation with a refuting candidate, or none, and counts the
+    candidates of every valuation before it, or of all of them: a
+    valuation with d distinct antecedent propositions has
+    |values|^(n^2 * d). Without a refutation that count is added and n is
+    skipped; otherwise the named valuation alone is searched as above, so
+    every field of the outcome is the enumeration's. The valuation loop
+    then serves nested formulas and world counts over the budget.
     """
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")
@@ -488,27 +638,33 @@ def countermodel_search(
     var_slot = {node.name: s for s, (node, _) in enumerate(code) if isinstance(node, Var)}
     names = tuple(sorted(var_slot.keys() - {RESERVED_VAR}))  # _t keeps the constant 0
     antecedents = sorted({kids[0] for node, kids in code if isinstance(node, Cond)})
-    # a node with depth[s] > 0 has a conditional at or below it, so its value
-    # depends on the relations; one inside an antecedent (inner) can change
-    # which propositions need relations. Depth-0 (base) nodes are evaluated
-    # once per valuation, inner ones whenever visit assigns rows, and the
-    # others (outer) per candidate in visit and on rows in by_rows.
-    in_antecedent = set(antecedents)
-    for s in reversed(range(len(code))):  # children have lower slots
-        if s in in_antecedent:
-            in_antecedent.update(code[s][1])
     top = m - 1
     budget = bounds.max_candidates
     count = 0
-    screened = depth[root] <= 1 and len(antecedents) <= 1
-    inputs = [var_slot[v] for v in names]
+    screen = depth[root] <= 1 and _screen(
+        code, depth, root, [var_slot[v] for v in names], m, values_desc, require_fid
+    )
+    in_antecedent = None
     for n in range(1, bounds.max_worlds + 1):
-        total = m ** (len(names) * n) * len(values_desc) ** (n * n * len(antecedents))
-        if screened and (budget is None or count + total <= budget) and not _screen_refutes(
-            code, depth, root, inputs, n, m, values_desc, require_fid
-        ):
-            count += total  # what the valuations below would add, none refuting
-            continue
+        most = m ** (len(names) * n) * len(values_desc) ** (n * n * len(antecedents))
+        if screen and (budget is None or count + most <= budget):
+            before, first = screen(n)
+            count += before  # what the valuations before first add, none refuting
+            if first is None:
+                continue
+            valuations = [first]
+        else:
+            valuations = product(range(m), repeat=n * len(names))
+        if in_antecedent is None:  # the first world count enumerated
+            # a node with depth[s] > 0 has a conditional at or below it, so its value
+            # depends on the relations; one inside an antecedent (inner) can change
+            # which propositions need relations. Depth-0 (base) nodes are evaluated
+            # once per valuation, inner ones whenever visit assigns rows, and the
+            # others (outer) per candidate in visit and on rows in by_rows.
+            in_antecedent = set(antecedents)
+            for s in reversed(range(len(code))):  # children have lower slots
+                if s in in_antecedent:
+                    in_antecedent.update(code[s][1])
         rel: dict[tuple[int, ...], Sequence[tuple[int, ...]]] = {}
         ops = operations(m, n, rel.get, 0)
         values: list = [None] * len(code)
@@ -655,7 +811,7 @@ def countermodel_search(
                 rel[key] = tuple(t[k] if y == x else firsts[k] for y in range(n))
             return rank(x) + 1, (x, v)
 
-        for assignment in product(range(m), repeat=n * len(names)):
+        for assignment in valuations:
             orbit = [assignment[x::n] for x in range(n)]  # each world's values
             if any(map(gt, orbit, orbit[1:])):
                 # a permutation of the worlds sorts it into an earlier

@@ -282,10 +282,13 @@ class NodeTable:
     nodes[slot] is a subformula and kids[slot] its children's slots.
     Nodes are found by identity; structurally equal subformulas share one
     slot through their children's slots, so no formula is hashed. add is
-    iterative, so any depth works. _slots maps the id of every object
-    added, as a formula or a subformula, to (that object, its slot): an
-    object added before answers add from it without a walk, and a caller
-    that must not pay for a method call may read it directly.
+    iterative, so any depth works. _slots maps the id of objects added, as
+    a formula or a subformula, to (that object, its slot): an object added
+    before answers add from it without a walk, and a caller that must not
+    pay for a method call may read it directly. Once it holds more than
+    four entries per node (and 32), it keeps only the nodes' own objects
+    and the formula just added, so equal copies added one after another
+    do not grow it without bound; a copy dropped is walked again if added.
     """
 
     def __init__(self) -> None:
@@ -296,8 +299,17 @@ class NodeTable:
 
     def add(self, phi: Formula) -> int:
         """Add phi's subformulas not yet in the table; return phi's slot."""
-        held = self._slots.get(id(phi))
-        return _fold(phi, self._slot, self._slots) if held is None else held[1]
+        slots = self._slots
+        held = slots.get(id(phi))
+        if held is not None:
+            return held[1]
+        slot = _fold(phi, self._slot, slots)
+        if len(slots) > 4 * len(self.nodes) + 32:  # in place: callers may hold the map
+            kept = {id(node): (node, s) for s, node in enumerate(self.nodes)}
+            kept[id(phi)] = (phi, slot)
+            slots.clear()
+            slots.update(kept)
+        return slot
 
     def _slot(self, node: Formula, *kid_slots: int) -> int:
         slot = self._shapes.setdefault(_shape(node, kid_slots), len(self.nodes))

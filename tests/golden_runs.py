@@ -17,12 +17,15 @@ Pinning another end-to-end result means adding a row.
 The search rows check LCR's soundness claim exhaustively at m=3 for the
 axioms A1, A2 and A3 and, under the identity frame condition (``--fid``),
 for LID; without ``--fid`` the first candidate refutes LID. One more
-searches A1 at m=4 under ``--fid`` to four worlds. Five more pin
+searches A1 at m=4 under ``--fid`` to four worlds, and two a tautology
+whose conditionals have two antecedents to three and four worlds. Five more pin
 the searches behind the README's reading of the abstract's two comparative
 claims, and one pins that a nested search to four worlds stops at its
 budget. Two search conditionals nested four deep, to the right and to the
 left, a nesting the search once refused. One loads a model document from
-``tests/data`` whose variable no formula can name, which is refused.
+``tests/data`` whose variable no formula can name, which is refused. The
+last three give ``taut``, ``search`` and ``proofcheck`` an m of 2^70,
+which exits 3 as too large to compute with.
 """
 
 import hashlib
@@ -35,6 +38,10 @@ from typing import NamedTuple
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DATA = Path(__file__).resolve().parent / "data"
+
+
+TOO_LARGE = ('{"status":"error","error":"input too large to compute with: '
+             'a number in it, such as m, overflows"}')
 
 
 class Run(NamedTuple):
@@ -75,6 +82,20 @@ RUNS = (
         0,
         '{"status":"no_countermodel","candidates":72057662758453504}',
         ci_only=True,
+    ),
+    Run(
+        "Exhaustive three-world search of a tautology with two antecedents at m=3",
+        ("search", "--m", "3", "--max-worlds", "3", "--formula",
+         "((p => r) & (q => r)) -> ((p => r) & (q => r))"),
+        0,
+        '{"status":"no_countermodel","candidates":7343186555691}',
+    ),
+    Run(
+        "Exhaustive four-world search of a tautology with two antecedents at m=3",
+        ("search", "--m", "3", "--max-worlds", "4", "--formula",
+         "((p => r) & (q => r)) -> ((p => r) & (q => r))"),
+        0,
+        '{"status":"no_countermodel","candidates":972613244350170396252}',
     ),
     Run(
         "Exhaustive four-world search of A3 at m=3",
@@ -253,6 +274,24 @@ RUNS = (
         '"relations":1}',
         sha256=(("model1m.json",
                 "5416e4b5ed7f1343e06dbc061d30dd70329d5cc57bd3bbea787a2a1108e6404b"),),
+    ),
+    Run(
+        "A truth table at m = 2^70 is refused as too large",
+        ("taut", "--m", "1180591620717411303424", "--formula", "p -> p"),
+        3,
+        TOO_LARGE,
+    ),
+    Run(
+        "A search at m = 2^70 is refused as too large",
+        ("search", "--m", "1180591620717411303424", "--max-worlds", "1", "--formula", "p"),
+        3,
+        TOO_LARGE,
+    ),
+    Run(
+        "A derivation at m = 2^70 is refused as too large",
+        ("proofcheck", "--file", str(DATA / "derivations" / "huge_m.json"), "--goal", "p -> p"),
+        3,
+        TOO_LARGE,
     ),
 )
 

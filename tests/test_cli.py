@@ -705,6 +705,26 @@ def test_input_too_deep_to_print_as_json_exits_3(capsys):
     assert "Traceback" not in err
 
 
+HUGE_M = str(2**70)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("taut", "--m", HUGE_M, "--formula", "p -> p"),
+        ("search", "--m", HUGE_M, "--max-worlds", "1", "--formula", "p"),
+        ("proofcheck", "--file", str(DATA / "derivations" / "huge_m.json"), "--goal", "p -> p"),
+    ],
+)
+def test_an_m_too_large_to_compute_with_exits_3_with_one_line_on_stderr(capsys, argv):
+    """m = 2^70 overflows the packed truth tables and the search's ranges;
+    from --m or from a derivation document it is bad input, not a fault."""
+    code, payload, err = run(capsys, *argv)
+    error = "input too large to compute with: a number in it, such as m, overflows"
+    assert (code, payload) == (3, {"status": "error", "error": error})
+    assert err == error + "\n"
+
+
 def test_internal_error_exits_5_with_json(capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("boom")

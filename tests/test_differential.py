@@ -228,6 +228,24 @@ def test_repeated_queries_on_one_evaluator_match_fresh_ones_and_the_reference(m)
     assert raised == {MissingRelationError, UndeclaredVariableError}
 
 
+TEXT_6 = "(p => q) -> (r & p)"  # six distinct subformulas
+
+
+def test_an_evaluator_asked_about_fresh_copies_keeps_its_id_map_bounded():
+    """10,000 fresh parses of one formula on one Evaluator leave its node
+    table at the formula's 6 nodes and the id map within 4 entries per node
+    and 32; each answer is the reference's, and a copy asked again, or an
+    earlier one dropped from the map, still is."""
+    model = random_model(5, 3, 4, NAMES, 0)
+    evaluator, want = Evaluator(model), ReferenceEvaluator(model).value("w0", parse(TEXT_6))
+    copies = [parse(TEXT_6) for _ in range(3)]
+    for phi in copies + [parse(TEXT_6) for _ in range(10_000)]:
+        assert evaluator.value("w0", phi) == want
+        assert len(evaluator._table._slots) <= 4 * 6 + 32 + 6
+    assert len(evaluator._table.nodes) == 6
+    assert [evaluator.value("w0", phi) for phi in copies] == [want] * 3
+
+
 def test_variable_missing_at_another_world_raises_for_every_world():
     model = KripkeModel(
         3,
@@ -642,31 +660,46 @@ def test_search_matches_enumeration_when_fid_admits_no_row(
 
 
 def _screen_results(monkeypatch):
-    """(n, whether some candidate refutes) for each packed screen of an
-    n-world count from now on, in order."""
+    """(n, the valuation the screen names as the first with a refuting
+    candidate, or None) for each packed screen of an n-world count from now
+    on, in order."""
     results = []
-    screen = search._screen_refutes
+    make = search._screen
 
-    def recording(code, depth, root, inputs, n, *args):
-        results.append((n, screen(code, depth, root, inputs, n, *args)))
-        return results[-1][1]
+    def recording(*args):
+        screen = make(*args)
 
-    monkeypatch.setattr("mvcond.search._screen_refutes", recording)
+        def recorded(n):
+            got = screen(n)
+            results.append((n, got[1]))
+            return got
+
+        return recorded
+
+    monkeypatch.setattr("mvcond.search._screen", recording)
     return results
 
 
+def _refuting(results):
+    """(n, whether some candidate refutes) for each screen recorded."""
+    return [(n, first is not None) for n, first in results]
+
+
 def _world_total(phi, m, n, values):
-    """The candidates of n worlds: m^(k*n) valuations of the k variables
-    other than _t, each with |values|^(n^2) matrices if phi has a conditional."""
+    """The most candidates of n worlds: m^(k*n) valuations of the k variables
+    other than _t, each with |values|^(n^2) matrices per antecedent; exact
+    with at most one antecedent, since valuations that give two antecedents
+    equal values have one relation for both."""
     closure = subformula_closure(phi)
     k = len({psi.name for psi in closure if isinstance(psi, Var)} - {RESERVED_VAR})
-    conditional = any(isinstance(psi, Cond) for psi in closure)
-    return m ** (k * n) * len(set(values or range(m))) ** (n * n * conditional)
+    antecedents = len({psi.left for psi in closure if isinstance(psi, Cond)})
+    return m ** (k * n) * len(set(values or range(m))) ** (n * n * antecedents)
 
 
 def _screened_bounds(phi, m, values):
     """Up to 3 worlds (4 at m=2), fewer where the enumerating search could
-    otherwise walk more than 6,000 candidates; and the total through them."""
+    otherwise walk more than 6,000 candidates; and the most candidates
+    through them (_world_total)."""
     worlds, total = 1, _world_total(phi, m, 1, values)
     while worlds < (4 if m == 2 else 3) and total + _world_total(phi, m, worlds + 1, values) <= 6000:
         worlds += 1
@@ -692,8 +725,8 @@ def test_screened_search_matches_enumeration_on_seeded_formulas(m, monkeypatch):
         bounds, total = _screened_bounds(phi, m, values)
         for budget in (None, total, total - 1)[: 1 + i % 3]:
             _same_search(phi, m, replace(bounds, max_candidates=budget), fid)
-    assert {refutes for _, refutes in results} == {False, True}
-    assert any(n > 1 and not refutes for n, refutes in results)
+    assert {refutes for _, refutes in _refuting(results)} == {False, True}
+    assert any(n > 1 and not refutes for n, refutes in _refuting(results))
 
 
 @pytest.mark.parametrize(
@@ -740,8 +773,181 @@ def test_screened_search_matches_enumeration_at_budgets_around_each_total(
             results.clear()
             got = _same_search(phi, 2, SearchBounds(n, values, budget), fid)
             assert got[:3] == (min(budget, total), budget < total, None)
-            assert ((n, False) in results) == (budget >= total)
+            assert ((n, False) in _refuting(results)) == (budget >= total)
         start = total
+
+
+def test_two_key_world_counts_count_each_valuation_by_its_keys():
+    """p and q share one relation wherever they take equal values, so a
+    valuation with one key has 3^(n^2) candidates, not 3^(2 * n^2): at m=3
+    the two-key tautology counts 27 * 9 - 9 * 6 = 189 candidates at one
+    world and 4,258,089 at two (not 4,782,969), and the three-world count
+    is pinned from the enumeration. Each is the sum over valuations that
+    _valuations takes from the Evaluator."""
+    phi = parse("((p => r) & (q => r)) -> ((p => r) & (q => r))")
+    expected = 0
+    for n, candidates in [(1, 189), (2, 4258278)]:
+        expected += sum(spent for _, spent in _valuations(phi, 3, n, None))
+        assert countermodel_search(phi, 3, SearchBounds(n)).candidates == expected == candidates
+    assert countermodel_search(phi, 3, SearchBounds(3)).candidates == 7343186555691
+
+
+# antecedents that take equal values on some valuations only: p and q where
+# they are equal, p and p & q where p <= q; so a valuation has 1 to 3 keys
+KEYED = [("p", "q"), ("p", "p & q"), ("p", "q", "p & q"), ("T", "q"), ("~q", "p & q", "T")]
+
+
+def _keyed_formula(rng, m, antecedents):
+    """A conditional on each antecedent, and sometimes one more on one of
+    them, none inside another, with conditional-free consequents over p, q
+    and _t; joined by other connectives, and sometimes to a conditional-free
+    formula, every J/I index on the m-valued chain."""
+    alphas = [parse(text) for text in antecedents]
+    alphas += rng.sample(alphas, rng.randint(0, 1))
+    rng.shuffle(alphas)
+    conds = [Cond(alpha, chain_formula(rng, 2, m, SEARCH_NAMES)) for alpha in alphas]
+    phi = conds.pop()
+    while conds:
+        phi = rng.choice((Imp, Imp, And, Or, Iff))(conds.pop(), phi)
+    if rng.random() < 0.4:
+        phi = rng.choice((Imp, Or, And))(phi, chain_formula(rng, 2, m, SEARCH_NAMES))
+    return phi
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_screened_search_with_several_keys_matches_enumeration(m, monkeypatch):
+    """Formulas with two and three antecedents, some of which coincide on
+    some valuations only, half of them drawn until one world cannot refute
+    them, with and without FID and with relation values that leave out 0:
+    every field is the enumerating search's, model document included, so
+    the screen named the first refuting valuation. Some first
+    countermodels need two worlds, and at m=2 a witness other than w0."""
+    results = _screen_results(monkeypatch)
+    rng = Random(3200 + m)
+    seen = set()
+    for i in range(40):
+        fid = rng.random() < 0.4
+        values = rng.choice((None, (m - 1,), (0, m - 1), tuple(range(1, m))))
+        antecedents = KEYED[i % len(KEYED)]
+        phi = _keyed_formula(rng, m, antecedents)
+        while i % 2 and enumerated_search(phi, m, SearchBounds(1, values), fid).found:
+            phi = _keyed_formula(rng, m, antecedents)
+        got = _same_search(phi, m, _screened_bounds(phi, m, values)[0], fid)
+        if got[2] is not None:
+            seen.add((results[-1][0] > 1, got[2] != "w0", fid))
+    assert {refutes for _, refutes in _refuting(results)} == {False, True}
+    assert any(past_one for past_one, _, _ in seen)
+    assert m == 3 or {(True, True, False), (True, True, True)} <= seen
+
+
+@pytest.mark.parametrize(
+    "text,m",
+    [
+        ("((p => r) & (q => r)) -> ((p => r) & (q => r))", 2),
+        ("((p => q) | ((p & q) => ~q)) -> ((p => q) | ((p & q) => ~q))", 3),
+        ("((p => q) & (q => q) & ((p & q) => J{1}(q))) <-> ((p => q) & (q => q) & ((p & q) => J{1}(q)))", 2),
+    ],
+)
+@pytest.mark.parametrize("fid,values", [(False, None), (True, None), (True, (1,)), (False, (1,))])
+def test_several_key_searches_match_enumeration_at_budgets_around_each_total(
+    text, m, fid, values, monkeypatch
+):
+    """Formulas that hold, with two and three antecedents: world by world,
+    as far as the enumerating search stays under 20,000 candidates, the
+    count without a budget is the sum of each valuation's count, and
+    budgets at that total and one short of it give the enumerating
+    search's fields, exhausted only short of it."""
+    results = _screen_results(monkeypatch)
+    phi = parse(text)
+    total, n = 0, 1
+    while True:
+        step = sum(spent for _, spent in _valuations(phi, m, n, values))
+        if total + step > 20000:
+            break
+        total += step
+        assert _same_search(phi, m, SearchBounds(n, values), fid)[:3] == (total, False, None)
+        for budget in (total - 1, total):
+            got = _same_search(phi, m, SearchBounds(n, values, budget), fid)
+            assert got[:3] == (budget, budget < total, None)
+        n += 1
+    assert n > 2 or values is None
+    # one relation value makes one tuple of rows, fewer than the valuations
+    assert all(first is None for _, first in results) and (results or values is None)
+
+
+# At m=2, refuted at x only where p(x) is 1 and x sees a world where p is 0;
+# the relations of p and of p & q can always make their conditionals 0 there.
+PAST_W0_TWO_KEYS = "(T => p) | (p => ~p) | ~p"
+PAST_W0_THREE_KEYS = "(T => p) | (p => ~p) | ((p & q) => ~p) | ~p"
+
+
+@pytest.mark.parametrize("fid", [False, True])
+def test_screened_search_with_several_keys_matches_enumeration_over_many_slabs(
+    fid, monkeypatch
+):
+    """With the bit cap at 2^7 each slab is a few fields wide, so a world
+    count spans many slabs, its total is counted slab by slab, the first
+    refuting valuation may lie in an earlier slab than the field that shows
+    it, and the candidates before it are counted over whole slabs and part
+    of its own. Seeded formulas as above, and the two below."""
+    monkeypatch.setattr("mvcond.search._SLAB_BITS", 1 << 7)
+    widths, results = _slab_widths(monkeypatch), _screen_results(monkeypatch)
+    rng = Random(3300 + fid)
+    for i in range(16):
+        m = (2, 3)[i % 2]
+        antecedents = KEYED[i % len(KEYED)]
+        values = rng.choice(((m - 1,), None, (0, m - 1)))
+        phi = _keyed_formula(rng, m, antecedents)
+        while i % 4 < 2 and enumerated_search(phi, m, SearchBounds(1, values), fid).found:
+            phi = _keyed_formula(rng, m, antecedents)
+        _same_search(phi, m, _screened_bounds(phi, m, values)[0], fid)
+    assert widths and max(widths) <= 3
+    assert any(n > 1 and first is None for n, first in results)
+    results.clear()
+    for text in (PAST_W0_TWO_KEYS, PAST_W0_THREE_KEYS):
+        assert _same_search(parse(text), 2, SearchBounds(2), fid)[2] == "w1"
+    assert _refuting(results) == [(1, False), (2, True)] * 2
+
+
+def _refutes_at_w0(phi, m, names, assignment):
+    """Whether any rows of the relations at w0 refute phi (no nesting) at
+    w0 of the valuation, one row per distinct antecedent proposition."""
+    closure = subformula_closure(phi)
+    n = len(assignment) // len(names)
+    worlds = tuple(f"w{x}" for x in range(n))
+    columns = [assignment[k * n : (k + 1) * n] for k in range(len(names))]
+    evaluator = Evaluator(model_of(m, worlds, names, columns, {}, 0))
+    keys = sorted({evaluator.numerators(psi.left) for psi in closure if isinstance(psi, Cond)})
+    for rows in product(product(range(m), repeat=n), repeat=len(keys)):
+        model = model_of(m, worlds, names, columns, {k: [r] * n for k, r in zip(keys, rows)}, 0)
+        if Evaluator(model).numerators(phi)[0] != m - 1:
+            return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "text,fid,first",
+    [
+        (PAST_W0_TWO_KEYS, False, (0, 1)),
+        (PAST_W0_TWO_KEYS, True, (0, 1)),
+        (PAST_W0_THREE_KEYS, False, (0, 1, 0, 0)),
+        (PAST_W0_THREE_KEYS, True, (0, 1, 0, 1)),
+    ],
+)
+def test_screen_names_a_least_valuation_refuted_past_w0_with_several_keys(
+    text, fid, first, monkeypatch
+):
+    """The first valuation with a refuting candidate refutes the formula at
+    w1 and at no candidate's w0, so the screen finds it through the
+    valuation that swaps the worlds and names the least of the two, the
+    valuation of the enumerating search's first countermodel."""
+    phi = parse(text)
+    names = sorted(free_vars(phi))
+    results = _screen_results(monkeypatch)
+    got = _same_search(phi, 2, SearchBounds(2), fid)
+    assert got[2] == "w1" and results == [(1, None), (2, first)]
+    swapped = sum((first[k : k + 2][::-1] for k in range(0, len(first), 2)), ())
+    assert not _refutes_at_w0(phi, 2, names, first) and _refutes_at_w0(phi, 2, names, swapped)
 
 
 # At m=2, refuted at x only where p(x) is 1 and x sees a world where p is 0.
@@ -758,9 +964,10 @@ PAST_SORTED_ROW = "~(J{0}(T => ~J{1/2}(p)) & J{1/2}(T => ~J{1}(p))) | ~J{1/2}(p)
 @pytest.mark.parametrize("fid", [False, True])
 def test_screened_search_matches_enumeration_over_many_slabs(fid, monkeypatch):
     """With the bit cap at 2^7, every slab is a row or a chain of rows wide,
-    so a world count spans up to m^(2n-1) slabs. Seeded formulas as above
-    and the three above: the first countermodel, or none, is the
-    enumerating search's."""
+    so a world count spans up to m^(2n-1) slabs; only a one-world count
+    at m=2 small enough to pack with its two row entries is one table of
+    four fields. Seeded formulas as above and the three above: the first
+    countermodel, or none, is the enumerating search's."""
     monkeypatch.setattr("mvcond.search._SLAB_BITS", 1 << 7)
     widths, results = _slab_widths(monkeypatch), _screen_results(monkeypatch)
     rng = Random(3100 + fid)
@@ -770,12 +977,12 @@ def test_screened_search_matches_enumeration_over_many_slabs(fid, monkeypatch):
         while i % 4 < 2 and enumerated_search(phi, m, SearchBounds(1), fid).found:
             phi = one_antecedent_formula(rng, m, SEARCH_NAMES)
         _same_search(phi, m, _screened_bounds(phi, m, None)[0], fid)
-    assert widths and max(widths) <= 3
-    assert any(n > 1 and not refutes for n, refutes in results)
+    assert widths and max(widths) <= 4
+    assert any(n > 1 and not refutes for n, refutes in _refuting(results))
     results.clear()  # refutations that need more than one world, as below
     for text, m, n in [(PAST_W0, 2, 2), (PAST_SORTED_ROW, 3, 2), (PAST_SORTED_TAIL, 3, 3)]:
         _same_search(parse(text), m, SearchBounds(n), fid)
-    assert results == [(1, False), (2, True)] * 2 + [(1, False), (2, False), (3, True)]
+    assert _refuting(results) == [(1, False), (2, True)] * 2 + [(1, False), (2, False), (3, True)]
 
 
 def _refutes_at_w0_of_a_least_valuation(phi, m, n, sorted_from):
@@ -819,21 +1026,28 @@ def test_screen_finds_refutations_past_its_world_and_row_order(
     assert sorted_from == n or _refutes_at_w0_of_a_least_valuation(phi, m, n, sorted_from + 1)
     results = _screen_results(monkeypatch)
     got = _same_search(phi, m, SearchBounds(n))
-    assert got[2] == witness and results == [*((k, False) for k in range(1, n)), (n, True)]
+    assert got[2] == witness
+    assert _refuting(results) == [*((k, False) for k in range(1, n)), (n, True)]
 
 
-def test_screen_stays_out_of_nested_and_two_antecedent_formulas_and_large_totals(
-    monkeypatch,
-):
-    """Only a formula without nesting and with at most one antecedent is
-    screened, and only at a world count whose total fits the budget."""
+def test_screen_stays_out_of_nested_formulas_and_over_budget_totals(monkeypatch):
+    """Every formula without nesting is screened, one with two antecedents
+    too, but only at a world count whose largest total fits the budget."""
     results = _screen_results(monkeypatch)
-    for text in ("p => (p => q)", "(p => q) -> (q => p)", "((p => q) => p) -> p"):
+    for text in ("p => (p => q)", "((p => q) => p) -> p"):
         _same_search(parse(text), 2, SearchBounds(2, None, 300))
     assert results == []
+    # two antecedents: one world refutes this first where p is 0 and q is 1,
+    # after 2 candidates; with every entry 0 nothing refutes it
+    assert _same_search(parse("(p => q) -> (q => p)"), 2, SearchBounds(2, None, 300))[0] == 3
+    assert results == [(1, (0, 1))]
+    results.clear()
+    _same_search(parse("(p => q) -> (q => p)"), 2, SearchBounds(2, (0,), 300))
+    assert results == [(1, None), (2, None)]
+    results.clear()
     # 3 * 3 candidates at one world, 3^2 * 3^4 at two: the budget of 100 binds there
     got = _same_search(parse("p => p"), 3, SearchBounds(2, None, 100), True)
-    assert got[:2] == (100, True) and results == [(1, False)]
+    assert got[:2] == (100, True) and results == [(1, None)]
 
 
 def test_screened_search_rejects_an_off_chain_index_as_the_enumeration_does(monkeypatch):
@@ -1165,12 +1379,12 @@ def test_slab_columns_match_the_pairwise_build(m, monkeypatch):
 def test_slab_column_cache_holds_what_its_comment_states():
     """The columns and packed operations kept after the 48,828,125-row table
     over 11 variables at m=5 and p -> p at m=100,000 stay within the bound
-    by _columns: 8 entries, 8 MiB in all while m * w <= 2^22 (_packed's
-    8 entries may take 12 MiB more)."""
+    by _columns: 16 entries, 16 MiB in all while m * w <= 2^22 (_packed's
+    8 entries may take 12 MiB more); these two take less than 8 MiB."""
     phi = parse(
         "(a & b & c & d & e & f & g & h & i & j & k) -> (k | j | i | h | g | f | e | d | c | b | a)"
     )
-    assert _columns.cache_info().maxsize == 8
+    assert _columns.cache_info().maxsize == 16
     assert 100_000 * _field_bits(100_000) <= _SLAB_BITS
     _columns.cache_clear()
     _packed.cache_clear()
