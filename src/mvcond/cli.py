@@ -6,8 +6,8 @@ holds (or plain success), 1 when it fails or a countermodel was found,
 2 for usage errors (a shortened flag too), 3 for malformed input or an
 unwritable stdout, 4 when a search budget ran out, 5 for an internal
 error (a fault in mvcond; the traceback goes to stderr). Input nested
-too deeply to process counts as malformed input, and so does a number
-too large to compute with (an OverflowError, such as from m = 2^70).
+too deeply to process counts as malformed input, and so does an m above
+2^20 (search.MAX_M) for a truth table, a search or a derivation.
 Output for equal inputs is byte-identical across runs; --pretty only
 toggles indentation.
 """
@@ -362,12 +362,8 @@ def main(argv=None) -> int:
         # looked up per call, so a handler replaced on the module is the one run
         code, payload = globals()["_cmd_" + args.command.replace("-", "_")](args)
         text = json.dumps(payload, **layout)
-    except (ValueError, OSError, RecursionError, OverflowError) as exc:
-        error = str(exc)
-        if isinstance(exc, RecursionError):
-            error = f"input nested too deeply: {error}"
-        elif isinstance(exc, OverflowError):  # its text varies with where it arose
-            error = "input too large to compute with: a number in it, such as m, overflows"
+    except (ValueError, OSError, RecursionError) as exc:
+        error = f"input nested too deeply: {exc}" if isinstance(exc, RecursionError) else str(exc)
         text = json.dumps({"status": "error", "error": error}, **layout)
         code = 3
         _diagnose(error)

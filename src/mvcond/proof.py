@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .parser import ParseError, parse, print_formula
-from .search import falsifying_assignment
+from .search import MAX_M, falsifying_assignment
 from .syntax import (
     Bot,
     Cond,
@@ -517,6 +517,8 @@ def derivation_from_json(data: object) -> Derivation:
     m = data.get("m")
     if not isinstance(m, int) or isinstance(m, bool) or m < 2:
         raise DerivationFormatError("'m' must be an integer >= 2")
+    if m > MAX_M:  # truth tables, which LTaut lines build, go no further
+        raise DerivationFormatError(f"'m' must be at most {MAX_M}")
     premises_raw = data.get("premises", [])
     if not isinstance(premises_raw, list):
         raise DerivationFormatError("'premises' must be a list")

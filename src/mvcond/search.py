@@ -74,6 +74,7 @@ from .syntax import (
 from .truthvalues import ScaleMismatchError, TruthValue
 
 __all__ = [
+    "MAX_M",
     "SearchError",
     "ConditionalPresentError",
     "SigmaNotClosedError",
@@ -149,6 +150,19 @@ def _truth_table_slots(phi: Formula, abstract: bool, advice: str):
 # 0.5 MiB live, while wide rows keep the per-step overhead small. Uncapped,
 # 10,000 slots over 12 variables at m=2 would take about 15 MB.
 _SLAB_BITS = 1 << 22
+
+
+# The largest chain size that truth tables and the search compute over. A
+# packed table holds at least m rows of _field_width(m) bits, about 2.9 MB
+# an int at 2^20; a far larger m, such as 2^70, overflows Python's ints.
+MAX_M = 1 << 20
+
+
+def _check_m(m: int) -> None:
+    if m < 2:
+        raise ValueError(f"m must be at least 2, got {m}")
+    if m > MAX_M:
+        raise ValueError(f"m must be at most {MAX_M}, got {m}")
 
 
 def _field_width(m: int) -> int:
@@ -237,8 +251,7 @@ def _chain_program(
     j for m^j rows at once: 0 without slabs, else the most, up to the input
     count, whose bits over all slots fit in _SLAB_BITS, and at least 1 when
     there is an input."""
-    if m < 2:
-        raise ValueError(f"m must be at least 2, got {m}")
+    _check_m(m)
     table, root, inputs, order = _truth_table_slots(phi, abstract, advice)
     j = 1 if slabs and inputs else 0
     bits = _field_width(m) * len(table.nodes)
@@ -390,7 +403,8 @@ def _key_classes(keys: list[int], at: list, one: int, w: int, top: int) -> tuple
 
 def _candidates(spread: list[int], fields: int, m: int, per: int) -> int:
     """The candidates of the fields under the mask, spread as from
-    _key_classes, with per^d for d distinct antecedents."""
+    _key_classes, with per^d for d distinct antecedents (per = 1 without
+    an antecedent)."""
     return sum((x & fields).bit_count() // (m - 1).bit_count() * per**d for d, x in enumerate(spread, 1))
 
 
@@ -424,8 +438,9 @@ def _screen(code, depth, root, inputs, m: int, values, fid: bool):
     field is the answer, and at two x = 0 had no sort to drop; otherwise
     the slabs up to it are searched again at every x, unsorted, and the
     lowest field refuted in the first slab with one is the answer. A
-    valuation with d distinct keys has |values|^(n^2 * d) candidates; with
-    several keys the fields of each d are counted on packed key masks.
+    valuation with d distinct keys has |values|^(n^2 * d) candidates (one
+    when there is no conditional); the fields of each d are counted on
+    packed key masks (_candidates).
     """
     w, values = _field_width(m), sorted(values)
     spans: dict[int, list[int]] = {}  # antecedent slot -> its conditionals' slots
@@ -454,7 +469,7 @@ def _screen(code, depth, root, inputs, m: int, values, fid: bool):
         base, above = [], []
         for node, a, b, s in inner:
             (above if depth[s] else base).append((instruction(node, ops, m), a, b, s))
-        per = len(values) ** (n * n)
+        per = len(values) ** (n * n) if keys else 1  # candidates per valuation and key
         if whole:  # one field per valuation and rows of x, x = each world in turn
             for (s, x), column in zip(coords, columns):
                 at[x][s] = column
@@ -484,18 +499,15 @@ def _screen(code, depth, root, inputs, m: int, values, fid: bool):
                 miss |= vals[root] ^ top
             miss &= ok
             if not miss:
-                total = m ** len(coords) * per ** len(keys)
-                return (_candidates(spread, -1, m, per) // block if len(keys) > 1 else total), None
+                return _candidates(spread, -1, m, per) // block, None
             field = ((miss & -miss).bit_length() - 1) // w // block
             first = tuple(field // m**i % m for i in reversed(range(len(coords))))
-            if len(keys) > 1:
-                return _candidates(spread, (1 << w * field * block) - 1, m, per) // block, first
-            return field * per ** len(keys), first
+            return _candidates(spread, (1 << w * field * block) - 1, m, per) // block, first
         entries = [v * one for v in values]
         at_least = fid and [ops[I](v) for v in values]  # top where the key is at least v
         slabs = list(product(range(m), repeat=len(coords) - j))
-        # each slab's candidates with several keys, as far as screened; the
-        # runs, as (world x, worlds 1 on sorted); a slab's fields to search
+        # each slab's candidates, as far as screened; the runs, as (world x,
+        # worlds 1 on sorted); a slab's fields to search
         counts, runs, seeds, slab, loaded, redo = [], [(0, n > 2)], {}, 0, -1, n > 1
         while slab < len(slabs):
             if slab != loaded:  # the slab's inputs, the nodes below the conditionals at every world
@@ -511,7 +523,7 @@ def _screen(code, depth, root, inputs, m: int, values, fid: bool):
                                      for psi in [vals[s] for s in then]])) for then in thens] for vals in at]
                 fits = fid and [[[f(vals[a], 0) for f in at_least] for a in keys] for vals in at]
                 apart, spread = _key_classes(keys, at, one, w, top)
-                if slab == len(counts) and len(keys) > 1:
+                if slab == len(counts):
                     counts.append(_candidates(spread, -1, m, per))
             below = seeds.get(slab, -1)  # the fields below the lowest refuted
             for x, cut in runs:  # world x's rows depth first
@@ -565,10 +577,8 @@ def _screen(code, depth, root, inputs, m: int, values, fid: bool):
             else:
                 field = below.bit_length() // w
                 first = prefix + tuple(field // m**i % m for i in reversed(range(j)))
-                if len(keys) > 1:
-                    return sum(counts[:slab]) + _candidates(spread, below, m, per), first
-                return (slab * m**j + field) * per ** len(keys), first
-        return (sum(counts) if len(keys) > 1 else m ** len(coords) * per ** len(keys)), None
+                return sum(counts[:slab]) + _candidates(spread, below, m, per), first
+        return sum(counts), None
 
     return screen
 
@@ -616,8 +626,7 @@ def countermodel_search(
     every field of the outcome is the enumeration's. The valuation loop
     then serves nested formulas and world counts over the budget.
     """
-    if m < 2:
-        raise ValueError(f"m must be at least 2, got {m}")
+    _check_m(m)
     if bounds is None:
         bounds = SearchBounds()
     table = NodeTable()

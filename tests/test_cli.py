@@ -14,7 +14,7 @@ import pytest
 
 from mvcond.cli import _power, build_parser, main
 from mvcond.semantics import check_fid, model_from_json, save_model
-from mvcond.search import random_model
+from mvcond.search import MAX_M, random_model
 from mvcond.truthvalues import TruthValue
 
 DATA = Path(__file__).parent / "data"
@@ -709,20 +709,29 @@ HUGE_M = str(2**70)
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,error",
     [
-        ("taut", "--m", HUGE_M, "--formula", "p -> p"),
-        ("search", "--m", HUGE_M, "--max-worlds", "1", "--formula", "p"),
-        ("proofcheck", "--file", str(DATA / "derivations" / "huge_m.json"), "--goal", "p -> p"),
+        (("taut", "--m", HUGE_M, "--formula", "p -> p"), f"m must be at most 1048576, got {HUGE_M}"),
+        (("taut", "--m", str(MAX_M + 1), "--formula", "p -> p"), "m must be at most 1048576, got 1048577"),
+        (("search", "--m", HUGE_M, "--max-worlds", "1", "--formula", "p"),
+         f"m must be at most 1048576, got {HUGE_M}"),
+        (("proofcheck", "--file", str(DATA / "derivations" / "huge_m.json"), "--goal", "p -> p"),
+         "'m' must be at most 1048576"),
     ],
 )
-def test_an_m_too_large_to_compute_with_exits_3_with_one_line_on_stderr(capsys, argv):
-    """m = 2^70 overflows the packed truth tables and the search's ranges;
-    from --m or from a derivation document it is bad input, not a fault."""
+def test_an_m_above_the_largest_exits_3_with_one_line_on_stderr(capsys, argv, error):
+    """Truth tables and the search go up to m = 2^20; a larger m from --m
+    or from a derivation document is bad input, not a fault (m = 2^70
+    would overflow the packed tables and the search's ranges)."""
+    assert MAX_M == 2**20
     code, payload, err = run(capsys, *argv)
-    error = "input too large to compute with: a number in it, such as m, overflows"
     assert (code, payload) == (3, {"status": "error", "error": error})
     assert err == error + "\n"
+
+
+def test_a_truth_table_at_the_largest_m_runs(capsys):
+    code, payload, _ = run(capsys, "taut", "--m", str(MAX_M), "--formula", "p -> p")
+    assert (code, payload["status"]) == (0, "holds")
 
 
 def test_internal_error_exits_5_with_json(capsys, monkeypatch):
@@ -740,6 +749,18 @@ def test_internal_error_exits_5_with_json(capsys, monkeypatch):
         "error": "internal error: RuntimeError: boom",
     }
     assert "Traceback" in captured.err and "RuntimeError: boom" in captured.err
+
+
+def test_an_overflow_inside_mvcond_is_an_internal_error(capsys, monkeypatch):
+    """Only an m above the largest is bad input; an OverflowError from
+    anywhere else is a fault, with its traceback."""
+    def broken(args):
+        raise OverflowError("boom")
+
+    monkeypatch.setattr("mvcond.cli._cmd_taut", broken)
+    code, payload, err = run(capsys, "taut", "--m", "3", "--formula", "p")
+    assert (code, payload["error"]) == (5, "internal error: OverflowError: boom")
+    assert "Traceback" in err
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -680,6 +680,32 @@ def _screen_results(monkeypatch):
     return results
 
 
+def _screen_widths(monkeypatch):
+    """(rows, whole) for the packed table that each screened world count
+    builds from now on, in order: whole when it has more rows than the
+    world count has valuations, so that it packs a world's row entries
+    too (one table for the world count, unslabbed)."""
+    widths, make, packed = [], search._screen, search._packed
+
+    def recording(code, depth, root, inputs, m, *args):
+        screen = make(code, depth, root, inputs, m, *args)
+
+        def recorded(n):
+            got = screen(n)  # one table per world count, the last recorded
+            widths[-1] = (widths[-1], widths[-1] > m ** (len(inputs) * n))
+            return got
+
+        return recorded
+
+    def table(m, rows):
+        widths.append(rows)
+        return packed(m, rows)
+
+    monkeypatch.setattr("mvcond.search._screen", recording)
+    monkeypatch.setattr("mvcond.search._packed", table)
+    return widths
+
+
 def _refuting(results):
     """(n, whether some candidate refutes) for each screen recorded."""
     return [(n, first is not None) for n, first in results]
@@ -964,12 +990,12 @@ PAST_SORTED_ROW = "~(J{0}(T => ~J{1/2}(p)) & J{1/2}(T => ~J{1}(p))) | ~J{1/2}(p)
 @pytest.mark.parametrize("fid", [False, True])
 def test_screened_search_matches_enumeration_over_many_slabs(fid, monkeypatch):
     """With the bit cap at 2^7, every slab is a row or a chain of rows wide,
-    so a world count spans up to m^(2n-1) slabs; only a one-world count
-    at m=2 small enough to pack with its two row entries is one table of
-    four fields. Seeded formulas as above and the three above: the first
-    countermodel, or none, is the enumerating search's."""
+    so a world count spans up to m^(2n-1) slabs. (A world count whose
+    valuations fit one table with a world's row entries is screened as
+    that one table, unslabbed.) Seeded formulas as above and the three
+    above: the first countermodel, or none, is the enumerating search's."""
     monkeypatch.setattr("mvcond.search._SLAB_BITS", 1 << 7)
-    widths, results = _slab_widths(monkeypatch), _screen_results(monkeypatch)
+    widths, results = _screen_widths(monkeypatch), _screen_results(monkeypatch)
     rng = Random(3100 + fid)
     for i in range(16):
         m = (2, 3)[i % 2]
@@ -977,7 +1003,11 @@ def test_screened_search_matches_enumeration_over_many_slabs(fid, monkeypatch):
         while i % 4 < 2 and enumerated_search(phi, m, SearchBounds(1), fid).found:
             phi = one_antecedent_formula(rng, m, SEARCH_NAMES)
         _same_search(phi, m, _screened_bounds(phi, m, None)[0], fid)
-    assert widths and max(widths) <= 4
+    slabbed = [rows for rows, whole in widths if not whole]
+    assert slabbed and max(slabbed) <= 3
+    # a whole table under this cap is a one-world count at m=2 with its
+    # row entries: 2 valuations times 2 entries
+    assert all(rows <= 4 for rows, whole in widths if whole)
     assert any(n > 1 and not refutes for n, refutes in _refuting(results))
     results.clear()  # refutations that need more than one world, as below
     for text, m, n in [(PAST_W0, 2, 2), (PAST_SORTED_ROW, 3, 2), (PAST_SORTED_TAIL, 3, 3)]:
