@@ -12,35 +12,17 @@ over the sorted variables other than the reserved _t, which is 0 at every
 world; relation matrices row-major with entries descending from 1), so a
 given query always returns the same countermodel. A "none" outcome
 certifies only that no model within the given bounds refutes the formula.
-The search runs the evaluator's compiled program on integers, its
-conditional-free subformulas once per valuation. Without a conditional
-nested inside another, a formula's value at world x reads only row x of
-each relation, so each tuple of rows is evaluated once per valuation and
-the first countermodel, and the count of candidates before it, follow in
-closed form. With nesting, to any depth, the nodes above a conditional
-run once per candidate, drawn lazily from products of the same rows, one
-round of relations per level of nesting. Either way the identity frame
-condition holds when every row lies within its key, entry by entry.
-
-The search also shares work across valuations. In the row-separated
-search a conditional's values over all rows depend only on its
-consequent's values (and, under the identity frame condition, on its
-key, which picks the rows), so they are computed once per world count,
-as are the rows within each key. For every formula, nested or not,
-permuting the worlds of a valuation permutes its candidates without
-changing whether one refutes the formula, so only a valuation whose
-per-world value tuples are non-decreasing, the least of its orbit, is
-searched. Any other comes after its least permutation, which found no
-countermodel (the search would have stopped there), and adds that one's
-count. A world count of a formula without nesting is first screened on
-packed ints (see _packed), every valuation at once: a refutation at a
-world x reads only x's row of each antecedent's relation, whose entries
-are digits of the table too when it is small, or are set depth first
-with x = 0 and the other worlds sorted by their row entries, which
-renaming the worlds makes enough. The screen names the least valuation
-with a refuting candidate, or none; the candidates before it, or of the
-whole world count, follow in closed form, and only that one valuation is
-searched.
+Without a conditional nested inside another, a formula's value at world
+x reads only row x of each relation, and the search runs on packed ints
+(see _packed): a world count is screened, every valuation at once, for
+the least valuation with a refuting candidate (_screen), and that one
+valuation is finished on a table whose digits are x's rows (_finisher);
+the counts follow in closed form. With nesting, to any depth, the nodes
+above a conditional run once per candidate, drawn lazily from products of
+the same rows (_visitor). A world count walked valuation by valuation
+searches only the least of each orbit under permutations of the worlds;
+any other adds that one's count. Either way the identity frame condition
+holds when every row lies within its key, entry by entry.
 
 filtrate quotients a model by agreement on a subformula-closed set,
 taking the pointwise supremum of the evaluator's integer relation rows
@@ -51,10 +33,11 @@ by formula.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import chain, product
-from operator import and_, gt, le
+from operator import and_, gt, le, or_
 from typing import Callable, Mapping, Sequence
 
 from .parser import print_formula
@@ -408,52 +391,94 @@ def _candidates(spread: list[int], fields: int, m: int, per: int) -> int:
     return sum((x & fields).bit_count() // (m - 1).bit_count() * per**d for d, x in enumerate(spread, 1))
 
 
+def _key_order(key: Values) -> list[tuple[int, int]]:
+    """The enumeration's order of keys: by the worlds at each value, lowest
+    value first, a world tuple before its extensions ((-value, world) pairs)."""
+    return [(-v, y) for v, y in sorted(zip(key, range(len(key))))]
+
+
+def _unnested(code, depth) -> tuple[dict, list]:
+    """Each antecedent slot's conditionals, as (slot, consequent slot), and
+    the other nodes with children, as (node, first child, last child, slot)."""
+    spans: dict[int, list] = {}
+    inner = []
+    for s, (node, kids) in enumerate(code):
+        if isinstance(node, Cond):
+            spans.setdefault(kids[0], []).append((s, kids[1]))
+        elif kids:
+            inner.append((node, kids[0], kids[-1], s))
+    return spans, inner
+
+
+def _refuting(ops, m: int, at: list, groups: list, rows: list, above: list, root: int,
+              values: list, fid: bool) -> tuple[list[int], int]:
+    """One packed table over the rows of a world x: the formula's value at
+    each x in turn, and top in the fields where the rows fit (under fid,
+    within the antecedent). at holds each world's values below the
+    conditionals, groups one (antecedent slot, its conditionals) per
+    relation, and rows[k][y] the digit of the entry at y of x's row in
+    relation k: digit i for values[i] (ascending), past them none."""
+    top, meet, imp = ops[Top], ops[And], ops[Imp]
+    ok = top
+    if len(values) < m:
+        ok = reduce(and_, [~ops[I](len(values))(d, 0) for d in chain.from_iterable(rows)], top)
+        rows = [[sum(v * (ops[J](i)(d, 0) // (m - 1)) for i, v in enumerate(values)) for d in row] for row in rows]
+    if fid:
+        w = _field_width(m)
+        flag = top // (m - 1) << w - 1
+        for (a, _), row in zip(groups, rows):
+            f = flag
+            for e, vals in zip(row, at):
+                f &= (vals[a] | flag) - e
+            ok &= (f << 1) - (f >> w - 1)
+    got = [(s, reduce(meet, map(imp, row, [vals[psi] for vals in at])))  # the same at every x
+           for (_, conds), row in zip(groups, rows) for s, psi in conds]
+    roots = []
+    for vals in at:
+        for s, value in got:
+            vals[s] = value
+        for fn, a, b, s in above:
+            vals[s] = fn(vals[a], vals[b])
+        roots.append(vals[root])
+    return roots, ok
+
+
 def _screen(code, depth, root, inputs, m: int, values, fid: bool):
     """The packed screen of a formula with no conditional inside another
     (code and depth as in countermodel_search, inputs the slots of its
     valuated variables, values the relation entries): a function from a
-    world count n to the least n-world valuation with a refuting
-    candidate, as its numerators in enumeration order, and the candidates
-    of the valuations before it; or to None and the candidates of them all.
+    world count n to the least n-world valuation with a refuting candidate
+    (its numerators in enumeration order) and the candidates of the
+    valuations before it, or to None and the candidates of them all.
 
-    Fields hold valuations in enumeration order, and the conditional-free
-    nodes run at every world. A refutation at world x reads only x's row
-    in the relation of each of the k antecedents, each conditional at x
-    being the min over y of its key's entry -> consequent(y). An entry
-    counts only in the fields where it fits: under fid within its key, and
-    where two antecedents take equal values at every world (one key, so
-    one relation) equal to the other's.
+    Fields hold valuations in enumeration order. A refutation at world x
+    reads only x's row of each of the k antecedents' relations, and an
+    entry counts only where it fits: under fid within its key, and where
+    two antecedents take equal values at every world (one relation) equal
+    to the other's.
 
     If every valuation with every choice of those rows fits in one table,
-    the rows' entries are its lowest digits (entry i standing for the i-th
-    of values, and past them for none), and the nodes above run with x =
-    each world in turn: the lowest refuted field is the answer. Otherwise
-    slabs pack the valuations of the last j (variable, world) pairs, and
-    the rows are set key by key and entry by entry, depth first, a row's
-    prefix shared by the rows extending it, keeping only the fields below
-    the lowest refuted so far. Slab by slab x is 0 and worlds 1 on are
-    sorted by their tuples of k entries, which renaming the worlds makes
-    enough: the first slab with a refuted field holds the least
-    permutation of that valuation or comes after it. At one world that
-    field is the answer, and at two x = 0 had no sort to drop; otherwise
-    the slabs up to it are searched again at every x, unsorted, and the
-    lowest field refuted in the first slab with one is the answer. A
-    valuation with d distinct keys has |values|^(n^2 * d) candidates (one
-    when there is no conditional); the fields of each d are counted on
-    packed key masks (_candidates).
+    the rows' entries are its lowest digits and the table is _refuting's,
+    run with x = each world in turn: the lowest refuted field is the
+    answer. Otherwise slabs pack the valuations of the last j (variable,
+    world) pairs, and the rows are set key by key and entry by entry,
+    depth first, a row's prefix shared by the rows extending it, keeping
+    only the fields below the lowest refuted so far. Slab by slab x is 0
+    and worlds 1 on are sorted by their tuples of k entries, which
+    renaming the worlds makes enough: the first slab with a refuted field
+    holds the least permutation of that valuation or comes after it. At
+    one world that field is the answer, and at two x = 0 had no sort to
+    drop; otherwise the slabs up to it are searched again at every x,
+    unsorted, and the lowest field refuted in the first slab with one is
+    the answer. A valuation with d distinct keys has |values|^(n^2 * d)
+    candidates (one when there is no conditional); the fields of each d
+    are counted on packed key masks (_candidates).
     """
     w, values = _field_width(m), sorted(values)
-    spans: dict[int, list[int]] = {}  # antecedent slot -> its conditionals' slots
-    inner = []  # the other nodes with children
-    for s, (node, kids) in enumerate(code):
-        if isinstance(node, Cond):
-            spans.setdefault(kids[0], []).append(s)
-        elif kids:
-            inner.append((node, kids[0], kids[-1], s))
+    spans, inner = _unnested(code, depth)
     keys = sorted(spans)
-    thens = [[code[s][1][1] for s in spans[a]] for a in keys]
-    last = spans[keys[-1]] if keys else ()  # the conditionals set at the leaves
-    live = len(code) + sum(map(len, thens)) * len(values)  # ints held at once per world, about
+    groups = [(a, spans[a]) for a in keys]
+    live = len(code) + sum(map(len, spans.values())) * len(values)  # ints held at once per world, about
 
     def screen(n: int) -> tuple[int, tuple | None]:
         coords = [(s, x) for s in inputs for x in range(n)]
@@ -477,32 +502,20 @@ def _screen(code, depth, root, inputs, m: int, values, fid: bool):
                 for fn, a, b, s in base:
                     vals[s] = fn(vals[a], vals[b])
             apart, spread = _key_classes(keys, at, one, w, top)
-            rows, ok = columns[len(coords) :], top  # per key and world y: x's entry; top where they fit
-            if len(values) < m:  # digit i stands for values[i], and one past them for none
-                ok = reduce(and_, [~ops[I](len(values))(d, 0) for d in rows], top)
-                rows = [sum(v * (ops[J](i)(d, 0) // (m - 1)) for i, v in enumerate(values)) for d in rows]
-            rows = [rows[i : i + n] for i in range(0, len(rows), n)]
-            flag = one << w - 1
-            for a, row, differs in zip(keys, rows, apart):  # within the key under fid, and
-                if fid:  # equal to the row of a key before it wherever the keys are equal
-                    f = reduce(and_, [(vals[a] | flag) - e for e, vals in zip(row, at)]) & flag
-                    ok &= (f << 1) - (f >> w - 1)
+            rows = [columns[i : i + n] for i in range(len(coords), len(columns), n)]
+            roots, ok = _refuting(ops, m, at, groups, rows, above, root, values, fid)
+            for row, differs in zip(rows, apart):  # equal where the keys are equal
                 for mask, other in zip(differs, rows):
                     ok &= mask | ~_differ(zip(row, other), one, w, top)
-            miss = 0
-            for vals in at:
-                for a, row, then in zip(keys, rows, thens):
-                    for s, psi in zip(spans[a], then):
-                        vals[s] = reduce(meet, [imp(e, ys[psi]) for e, ys in zip(row, at)])
-                for fn, a, b, s in above:
-                    vals[s] = fn(vals[a], vals[b])
-                miss |= vals[root] ^ top
-            miss &= ok
+            miss = reduce(or_, [x ^ top for x in roots]) & ok
             if not miss:
                 return _candidates(spread, -1, m, per) // block, None
             field = ((miss & -miss).bit_length() - 1) // w // block
-            first = tuple(field // m**i % m for i in reversed(range(len(coords))))
+            first = tuple([field // m**i % m for i in reversed(range(len(coords)))])
             return _candidates(spread, (1 << w * field * block) - 1, m, per) // block, first
+        conds = [[s for s, _ in spans[a]] for a in keys]
+        thens = [[psi for _, psi in spans[a]] for a in keys]
+        last = conds[-1] if keys else ()  # the conditionals set at the leaves
         entries = [v * one for v in values]
         at_least = fid and [ops[I](v) for v in values]  # top where the key is at least v
         slabs = list(product(range(m), repeat=len(coords) - j))
@@ -542,7 +555,7 @@ def _screen(code, depth, root, inputs, m: int, values, fid: bool):
                     if not ok:
                         continue
                     if not y:  # the key before k is set, and so are its conditionals
-                        for s, value in zip(spans[keys[k - 1]] if k else (), mins):
+                        for s, value in zip(conds[k - 1] if k else (), mins):
                             vals[s] = value
                     low = row[-1] if cut and y > 1 and all(r[y - 1] == r[y] for r in rows) else 0
                     pick, fit, differs = picks[y][k], fits and fits[y][k], apart[k]
@@ -583,6 +596,163 @@ def _screen(code, depth, root, inputs, m: int, values, fid: bool):
     return screen
 
 
+def _finisher(code, depth, root, inputs, m: int, values, fid: bool):
+    """One valuation of a formula with no conditional inside another
+    (arguments as for _screen): a function from a world count n to one from
+    a valuation (and an unused budget) to what its enumeration gives: the
+    candidates to the first countermodel, or all of them; the refuting
+    world and its value, or None; and each key's n rows.
+
+    Candidates run key by key (_key_order), each key's rows world by world,
+    entries descending. At world x the first refuting candidate has every
+    row but x's at its key's first (under fid the first within the key),
+    and the earliest of these n is the first countermodel. x's rows are the
+    lowest digits of a _refuting table set up once per world count, n per
+    key in that order (keys sharing antecedents leave the highest unread),
+    digit i for the i-th value ascending: x's first refuting rows are its
+    highest refuted field. Past _SLAB_BITS, leading digits go in slabs.
+    """
+    values = sorted(values)
+    spans, inner = _unnested(code, depth)
+    w, size, low = _field_width(m), len(values), (1 << _field_width(m)) - 1
+
+    def at_worlds(n: int):
+        places = n * len(spans)
+        j = places
+        while j and m**j * w * (n * len(code) + places) > _SLAB_BITS:
+            j -= 1
+        ops = _packed(m, m**j)
+        *columns, one = _columns(m, j)
+        top = (m - 1) * one
+        leaves = [None if kids else ops[type(node)] for node, kids in code]
+        base, above = [], []
+        for node, a, b, s in inner:
+            (above if depth[s] else base).append((instruction(node, ops, m), a, b, s))
+        starts = [(s, k * n) for k, s in enumerate(inputs)]
+
+        def finish(valuation: tuple[int, ...], _limit=None):
+            at = []
+            for y in range(n):
+                vals = leaves.copy()
+                for s, k in starts:
+                    vals[s] = valuation[k + y] * one
+                for fn, a, b, s in base:
+                    vals[s] = fn(vals[a], vals[b])
+                at.append(vals)
+            by_key: dict[Values, tuple[int, list]] = {}
+            for a, conds in spans.items():
+                by_key.setdefault(tuple([vals[a] & low for vals in at]), (a, []))[1].extend(conds)
+            keys = sorted(by_key, key=_key_order) if len(by_key) > 1 else list(by_key)
+            groups = [by_key[key] for key in keys]
+            used = n * len(keys)  # (key, world y) entries of x's rows, in enumeration order
+            lead = max(used - j, 0)  # the leading ones, constant in each slab
+            found: dict[int, tuple] = {}  # world -> (its digits, value)
+            for prefix in product(range(size - 1, -1, -1), repeat=lead):
+                digits = [d * one for d in prefix] + columns[j - used + lead :]
+                rows = [digits[i : i + n] for i in range(0, used, n)]
+                roots, ok = _refuting(ops, m, at, groups, rows, above, root, values, fid)
+                for x, value in enumerate(roots):
+                    miss = (value ^ top) & ok
+                    if miss and x not in found:
+                        field = (miss.bit_length() - 1) // w
+                        own = [field // m**i % m for i in reversed(range(used - lead))]
+                        found[x] = (*prefix, *own), value >> w * field & low
+                if len(found) == n:
+                    break
+            if not found:
+                return size ** (n * used), None, None
+            firsts = [[bisect_right(values, v) - 1 for v in key] if fid else [size - 1] * n for key in keys]
+            ranked = []  # (index of x's candidate, x, its digits, value)
+            for x, (own, value) in found.items():
+                index = 0
+                for k, first in enumerate(firsts):
+                    for y in range(n):
+                        for d in own[k * n : k * n + n] if y == x else first:
+                            index = index * size + size - 1 - d
+                ranked.append((index, x, own, value))
+            index, x, own, value = min(ranked)
+            rel = {key: [tuple([values[d] for d in (own[k * n : k * n + n] if y == x else first)]) for y in range(n)]
+                   for k, (key, first) in enumerate(zip(keys, firsts))}
+            return index + 1, (x, value), rel
+
+        return finish
+
+    return at_worlds
+
+
+def _visitor(code, depth, root, inputs, m: int, values, fid: bool):
+    """One valuation of a nested formula, as _finisher (values descending),
+    candidate by candidate until one refutes or the count exceeds the budget
+    (None for none). Nodes below every conditional (base) run once per
+    valuation, inside an antecedent (inner) per rows assigned, others per candidate."""
+    top = m - 1
+    antecedents = sorted({kids[0] for node, kids in code if isinstance(node, Cond)})
+    in_antecedent = set(antecedents)
+    for s in reversed(range(len(code))):  # children have lower slots
+        if s in in_antecedent:
+            in_antecedent.update(code[s][1])
+
+    def at_worlds(n: int):
+        rel: dict[tuple[int, ...], Sequence[tuple[int, ...]]] = {}
+        ops = operations(m, n, rel.get, 0)
+        vals: list = [None] * len(code)
+        base, inner, outer = [], [], []
+        for s, (node, kids) in enumerate(code):
+            if not kids:
+                vals[s] = ops[type(node)]
+                continue
+            step = (instruction(node, ops, m), kids[0], kids[-1], s)
+            (base if not depth[s] else inner if s in in_antecedent else outer).append(step)
+        rows = list(product(values, repeat=n))  # every row of a relation
+
+        def visit(valuation: tuple[int, ...], limit: int | None):
+            """A round assigns n rows to each key fresh when it opened, the
+            innermost round fastest; after r rounds each antecedent r or fewer
+            conditionals deep is final, so at most depth[root] are open."""
+            for k, s in enumerate(inputs):
+                vals[s] = valuation[k * n : k * n + n]
+            for fn, i, j, s in base:
+                vals[s] = fn(vals[i], vals[j])
+            rounds: list = []  # (keys with their slices of a combo, lazy product) per open round
+            spent = 0
+            while True:
+                for fn, i, j, s in inner:
+                    vals[s] = fn(vals[i], vals[j])
+                fresh = {vals[a] for a in antecedents}.difference(rel)
+                if fresh:
+                    keys = sorted(fresh, key=_key_order)
+                    parts = [(key, slice(k * n, k * n + n)) for k, key in enumerate(keys)]
+                    rounds.append((parts, product(rows, repeat=n * len(keys))))
+                else:
+                    spent += 1
+                    if not fid or all(
+                        all(map(le, row, key)) for key, matrix in rel.items() for row in matrix
+                    ):
+                        for fn, i, j, s in outer:
+                            vals[s] = fn(vals[i], vals[j])
+                        for x, v in enumerate(vals[root]):
+                            if v != top:
+                                return spent, (x, v), rel
+                    if limit is not None and spent > limit:
+                        return spent, None, rel
+                while rounds:  # the innermost open round's next combo, or it closes
+                    parts, combos = rounds[-1]
+                    combo = next(combos, None)
+                    if combo is not None:
+                        for key, part in parts:
+                            rel[key] = combo[part]
+                        break
+                    rounds.pop()
+                    for key, _ in parts:
+                        del rel[key]
+                else:
+                    return spent, None, rel
+
+        return visit
+
+    return at_worlds
+
+
 def countermodel_search(
     phi: Formula,
     m: int,
@@ -598,33 +768,18 @@ def countermodel_search(
     integer matrices keyed by their antecedent's values; a KripkeModel is
     built only for the countermodel returned.
 
-    Without a conditional inside another, a formula's value at x reads
-    only row x of each relation, so each valuation evaluates every row
-    once per conditional and every tuple of rows once (one row per
-    antecedent proposition), and derives the first refuting candidate
-    and the count before it in closed form. A conditional's values over
-    the rows are kept per world count, keyed by its consequent's values
-    (and its antecedent's under require_fid), as are each key's rows
-    under require_fid. Nested conditionals, to any depth, are enumerated
-    candidate by candidate, each round's matrices n rows of a lazy product.
-
-    Either way only the least valuation of each orbit under permutations
-    of the worlds is evaluated. Renaming the worlds maps a valuation's
-    candidates one to one onto its least permutation's, keys renamed,
-    keeping which keys each round assigns, the frame test and whether a
-    candidate refutes; so any other valuation adds that one's count and,
-    like it, has no countermodel.
-
-    A formula without nesting is screened (_screen) before each world
-    count n whose largest total, m^(k*n) valuations of |values|^(n^2)
-    matrices per antecedent, fits the budget. The screen names the least
-    valuation with a refuting candidate, or none, and counts the
-    candidates of every valuation before it, or of all of them: a
-    valuation with d distinct antecedent propositions has
-    |values|^(n^2 * d). Without a refutation that count is added and n is
-    skipped; otherwise the named valuation alone is searched as above, so
-    every field of the outcome is the enumeration's. The valuation loop
-    then serves nested formulas and world counts over the budget.
+    A formula without a conditional inside another is screened (_screen)
+    before each world count n whose largest total, m^(k*n) valuations of
+    |values|^(n^2) matrices per antecedent, fits the budget: it names the
+    least valuation with a refuting candidate, or none, and counts the
+    candidates before it, or of them all (|values|^(n^2 * d) for a
+    valuation with d distinct antecedent propositions). Without a
+    refutation n is skipped; otherwise _finisher searches the named
+    valuation alone. Other world counts, and nested formulas, walk the
+    valuations, searching (with _finisher or _visitor) only the least of
+    each orbit under permutations of the worlds: renaming the worlds maps
+    a valuation's candidates one to one onto its least permutation's, keys
+    renamed, keeping the frame test and whether a candidate refutes.
     """
     _check_m(m)
     if bounds is None:
@@ -632,9 +787,16 @@ def countermodel_search(
     table = NodeTable()
     root = table.add(phi)
     code = list(zip(table.nodes, table.kids))
-    depth: list[int] = []
-    for node, kids in code:
-        depth.append(max((depth[k] for k in kids), default=0) + isinstance(node, Cond))
+    depth: list[int] = []  # conditionals at or below each node, on the deepest path
+    var_slot: dict[str, int] = {}
+    antecedents = set()
+    for s, (node, kids) in enumerate(code):
+        depth.append(max(depth[kids[0]], depth[kids[-1]]) if kids else 0)
+        if isinstance(node, Cond):
+            antecedents.add(kids[0])
+            depth[s] += 1
+        elif isinstance(node, Var):
+            var_slot[node.name] = s
     if bounds.relation_values is None:
         values_desc = list(range(m - 1, -1, -1))
     else:
@@ -644,16 +806,12 @@ def countermodel_search(
                 raise ValueError(
                     f"relation value numerator {numerator} not in [0, {m - 1}]"
                 )
-    var_slot = {node.name: s for s, (node, _) in enumerate(code) if isinstance(node, Var)}
     names = tuple(sorted(var_slot.keys() - {RESERVED_VAR}))  # _t keeps the constant 0
-    antecedents = sorted({kids[0] for node, kids in code if isinstance(node, Cond)})
-    top = m - 1
+    args = (code, depth, root, [var_slot[v] for v in names], m, values_desc, require_fid)
     budget = bounds.max_candidates
     count = 0
-    screen = depth[root] <= 1 and _screen(
-        code, depth, root, [var_slot[v] for v in names], m, values_desc, require_fid
-    )
-    in_antecedent = None
+    screen = depth[root] <= 1 and _screen(*args)
+    searcher = None
     for n in range(1, bounds.max_worlds + 1):
         most = m ** (len(names) * n) * len(values_desc) ** (n * n * len(antecedents))
         if screen and (budget is None or count + most <= budget):
@@ -664,162 +822,9 @@ def countermodel_search(
             valuations = [first]
         else:
             valuations = product(range(m), repeat=n * len(names))
-        if in_antecedent is None:  # the first world count enumerated
-            # a node with depth[s] > 0 has a conditional at or below it, so its value
-            # depends on the relations; one inside an antecedent (inner) can change
-            # which propositions need relations. Depth-0 (base) nodes are evaluated
-            # once per valuation, inner ones whenever visit assigns rows, and the
-            # others (outer) per candidate in visit and on rows in by_rows.
-            in_antecedent = set(antecedents)
-            for s in reversed(range(len(code))):  # children have lower slots
-                if s in in_antecedent:
-                    in_antecedent.update(code[s][1])
-        rel: dict[tuple[int, ...], Sequence[tuple[int, ...]]] = {}
-        ops = operations(m, n, rel.get, 0)
-        values: list = [None] * len(code)
-        base, inner, outer = [], [], []
-        for s, (node, kids) in enumerate(code):
-            if not kids:
-                values[s] = ops[type(node)]
-                continue
-            step = (instruction(node, ops, m), kids[0], kids[-1], s)
-            (base if not depth[s] else inner if s in in_antecedent else outer).append(step)
-        var_at = [(var_slot[v], vi * n) for vi, v in enumerate(names)]
-
-        @cache  # per world count; keys sort by it
-        def cells(key: tuple[int, ...]):
-            return tuple(tuple(y for y in range(n) if key[y] == c) for c in range(m))
-
-        # every row of a relation; without a conditional no key reads them
-        rows = list(product(values_desc, repeat=n)) if antecedents else []
-        # an orbit's least valuation, as its worlds' value tuples -> the
-        # candidates of each of its valuations, none a countermodel
-        orbit_spent: dict[tuple, int] = {}
-        row_index = {row: j for j, row in enumerate(rows)}
-        conds = [step for step in outer if isinstance(code[step[3]][0], Cond)]
-        above = [step for step in outer if not isinstance(code[step[3]][0], Cond)]
-        tiled = {k for _, i, j, _ in above for k in (i, j) if not depth[k]}
-        points: list = [None] * len(code)  # values at (world, row of the last key)
-        # a conditional's values over its key's rows, by its consequent's
-        # values (and its key under require_fid, which picks the rows)
-        cond_values: dict = {}
-
-        @cache
-        def within(key: tuple[int, ...]) -> list[tuple[int, ...]]:
-            return [r for r in rows if all(map(le, r, key))]
-
-        def visit(limit: int | None):
-            """The candidates counted and the first refuting world and its
-            value, or None, over every completion of the relations in rel,
-            stopping once one refutes or the count exceeds limit (None for no
-            budget). A round assigns n rows to each key fresh when it opened,
-            the innermost round fastest. After r rounds each antecedent r or
-            fewer conditionals deep is final, so at most depth[root] are open."""
-            rounds: list = []  # (keys with their slices of a combo, lazy product) per open round
-            spent = 0
-            while True:
-                for fn, i, j, s in inner:
-                    values[s] = fn(values[i], values[j])
-                fresh = {values[a] for a in antecedents}.difference(rel)
-                if fresh:
-                    keys = sorted(fresh, key=cells)
-                    parts = [(key, slice(k * n, k * n + n)) for k, key in enumerate(keys)]
-                    rounds.append((parts, product(rows, repeat=n * len(keys))))
-                else:
-                    spent += 1
-                    if not require_fid or all(
-                        all(map(le, row, key)) for key, matrix in rel.items() for row in matrix
-                    ):
-                        for fn, i, j, s in outer:
-                            values[s] = fn(values[i], values[j])
-                        for x, v in enumerate(values[root]):
-                            if v != top:
-                                return spent, (x, v)
-                    if limit is not None and spent > limit:
-                        return spent, None
-                while rounds:  # the innermost open round's next combo, or it closes
-                    parts, combos = rounds[-1]
-                    combo = next(combos, None)
-                    if combo is not None:
-                        for key, part in parts:
-                            rel[key] = combo[part]
-                        break
-                    rounds.pop()
-                    for key, _ in parts:
-                        del rel[key]
-                else:
-                    return spent, None
-
-        def by_rows():
-            """What visit(None) returns, for a formula without nested conditionals.
-
-            rel holds each key's rows in enumeration order (those within
-            the key under require_fid). For each world x, the first
-            refuting candidate with x's rows fixed sets every other row to
-            its key's first; the earliest of these n is the first refuting
-            candidate, and its rank in the enumeration is the count
-            before it. The last key's rows vary across one points vector,
-            the other keys' stay constant across it.
-            """
-            keys = list({values[a] for a in antecedents})
-            if len(keys) > 1:
-                keys.sort(key=cells)
-            rel.clear()
-            for key in keys:
-                rel[key] = within(key) if require_fid else rows
-            for fn, i, j, s in conds:  # one value per row of the key
-                given = (values[i], values[j]) if require_fid else values[j]
-                row_values = cond_values.get(given)
-                if row_values is None:
-                    row_values = cond_values[given] = fn(values[i], values[j])
-                values[s] = row_values
-            found: dict[int, tuple[tuple, int]] = {}  # world -> (its rows, value)
-            if not keys:
-                found = {x: ((), v) for x, v in enumerate(values[root]) if v != top}
-            elif all(rel.values()):
-                *fixed_keys, last = keys
-                size = len(rel[last])
-                for s in tiled:  # point x * size + j is world x with the last key's row j
-                    points[s] = tuple(chain.from_iterable((v,) * size for v in values[s]))
-                fixed = []
-                for _, a, _, s in conds:
-                    if values[a] == last:
-                        points[s] = values[s] * n
-                    else:
-                        fixed.append((s, keys.index(values[a])))
-                all_top = (top,) * size
-                for at in product(*[range(len(rel[key])) for key in fixed_keys]):
-                    for s, k in fixed:
-                        points[s] = (values[s][at[k]],) * (size * n)
-                    for fn, i, j, s in above:
-                        points[s] = fn(points[i], points[j])
-                    for x in range(n):
-                        at_x = points[root][x * size : (x + 1) * size]
-                        if x in found or at_x == all_top:
-                            continue
-                        j, v = next((j, v) for j, v in enumerate(at_x) if v != top)
-                        found[x] = (tuple(rel[key][w] for key, w in zip(keys, at + (j,))), v)
-                    if len(found) == n:
-                        break
-            if not found:
-                return len(rows) ** (n * len(keys)), None
-            firsts = [rel[key][0] for key in keys]
-
-            def rank(x: int) -> int:
-                """x's candidate's index, its row indices read as digits
-                in enumeration order (key by key, world by world)."""
-                t, index = found[x][0], 0
-                for k, first in enumerate(firsts):
-                    for y in range(n):
-                        index = index * len(rows) + row_index[t[k] if y == x else first]
-                return index
-
-            x = min(sorted(found), key=rank)
-            t, v = found[x]
-            for k, key in enumerate(keys):
-                rel[key] = tuple(t[k] if y == x else firsts[k] for y in range(n))
-            return rank(x) + 1, (x, v)
-
+        searcher = searcher or (_visitor if depth[root] > 1 else _finisher)(*args)
+        search = searcher(n)
+        orbit_spent: dict[tuple, int] = {}  # an orbit's least valuation -> each one's candidates
         for assignment in valuations:
             orbit = [assignment[x::n] for x in range(n)]  # each world's values
             if any(map(gt, orbit, orbit[1:])):
@@ -827,14 +832,7 @@ def countermodel_search(
                 # valuation, which had no countermodel and as many candidates
                 spent, hit = orbit_spent[tuple(sorted(orbit))], None
             else:
-                for s, start in var_at:
-                    values[s] = assignment[start : start + n]
-                for fn, i, j, s in base:
-                    values[s] = fn(values[i], values[j])
-                if depth[root] > 1:
-                    spent, hit = visit(None if budget is None else budget - count)
-                else:
-                    spent, hit = by_rows()
+                spent, hit, rel = search(assignment, None if budget is None else budget - count)
                 if hit is None:
                     orbit_spent[tuple(orbit)] = spent
             if budget is not None and count + spent > budget:
@@ -842,7 +840,7 @@ def countermodel_search(
             count += spent
             if hit is not None:
                 x, v = hit
-                worlds = tuple(f"w{i}" for i in range(n))
+                worlds = tuple([f"w{i}" for i in range(n)])
                 columns = [assignment[vi * n : (vi + 1) * n] for vi in range(len(names))]
                 model = model_of(m, worlds, names, columns, rel, 0)
                 return SearchOutcome((model, worlds[x]), TruthValue(v, m), False, count)

@@ -21,7 +21,8 @@ searches A1 at m=4 under ``--fid`` to four worlds, and two a tautology
 whose conditionals have two antecedents to three and four worlds. Five more pin
 the searches behind the README's reading of the abstract's two comparative
 claims, and one pins that a nested search to four worlds stops at its
-budget. Two search conditionals nested four deep, to the right and to the
+budget. Two pin refuted searches whole: a countermodel with two relations
+and one that needs three worlds. Two search conditionals nested four deep, to the right and to the
 left, a nesting the search once refused. One loads a model document from
 ``tests/data`` whose variable no formula can name, which is refused. The
 last three give ``taut``, ``search`` and ``proofcheck`` an m of 2^70,
@@ -215,6 +216,28 @@ RUNS = (
         '{"status":"countermodel","candidates":1,"value":0,"m":3,"worlds":["w0"],'
         '"vars":["p","q"],"valuation":{"p":{"w0":0},"q":{"w0":0}},"relations":[{"prop":'
         '[["w0"],[],[]],"matrix":{"w0":{"w0":2}}}],"default_relation":0,"witness_world":"w0"}',
+    ),
+    Run(
+        "A two-relation countermodel at m=3 under the identity frame condition: q's "
+        "relation comes first, its key higher at the one world",
+        ("search", "--fid", "--m", "3", "--max-worlds", "2", "--formula",
+         "(p => q) & (q => p) -> (p <-> q)"),
+        1,
+        '{"status":"countermodel","candidates":12,"value":1,"m":3,"worlds":["w0"],'
+        '"vars":["p","q"],"valuation":{"p":{"w0":0},"q":{"w0":1}},"relations":[{"prop":'
+        '[[],["w0"],[]],"matrix":{"w0":{"w0":0}}},{"prop":[["w0"],[],[]],"matrix":'
+        '{"w0":{"w0":0}}}],"default_relation":0,"witness_world":"w0"}',
+    ),
+    Run(
+        "A countermodel that needs three worlds at m=2",
+        ("search", "--m", "2", "--max-worlds", "3", "--formula",
+         "(T => p | q) | (T => p | ~q) | (T => ~p | q)"),
+        1,
+        '{"status":"countermodel","candidates":5385,"value":0,"m":2,"worlds":["w0","w1","w2"],'
+        '"vars":["p","q"],"valuation":{"p":{"w0":0,"w1":0,"w2":1},"q":{"w0":0,"w1":1,"w2":0}},'
+        '"relations":[{"prop":[[],["w0","w1","w2"]],"matrix":{"w0":{"w0":1,"w1":1,"w2":1},'
+        '"w1":{"w0":1,"w1":1,"w2":1},"w2":{"w0":1,"w1":1,"w2":1}}}],"default_relation":0,'
+        '"witness_world":"w0"}',
     ),
     Run(
         "Conditionals nested four deep to the right hold to two worlds at m=2",

@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -853,3 +854,109 @@ def test_readme_model_and_filtration_examples_are_exact(capsys, tmp_path, monkey
             assert out.startswith(head) and out.endswith(tail + "\n")
         else:
             assert out == expected + "\n"
+
+
+FUZZ_DATA = Path(__file__).resolve().parent / "data"
+FUZZ_FORMULAS = (
+    "p", "p => p", "(p => q) -> (q => p)", "(p => ~p) -> ~p", "J{1/2}(p) & ~q", "I{1}(p) (+) q",
+    "T => F", "p &", "(p", "=> p", "J{1/3}(p)", "p -> (q => r)", "~~~~p", "x y", "",
+)
+FUZZ_SCALARS = (0, 1, 2, -1, 1.5, "x", None, True, 10**30, 2**70, [], {})
+
+
+def _fuzz_mutated(doc, rng: Random):
+    """A copy of a JSON document with one to three random changes: two
+    values swapped, a key or element dropped, a key added, or a value
+    replaced by a huge, negative or non-integer number, a string, null,
+    a boolean or an empty container."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(rng.randint(1, 3)):
+        places = []  # (container, key or index) of every value
+        stack = [doc]
+        while stack:
+            node = stack.pop()
+            keys = list(node) if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+            for key in keys:
+                places.append((node, key))
+                stack.append(node[key])
+        if not places:
+            return doc
+        node, key = rng.choice(places)
+        action = rng.randrange(4)
+        if action == 0:
+            other, where = rng.choice(places)
+            node[key], other[where] = other[where], node[key]
+        elif action == 1:
+            del node[key]
+        elif action == 2 and isinstance(node, dict):
+            node[rng.choice(("zz", "m", "w9", "p"))] = rng.choice(FUZZ_SCALARS)
+        else:
+            node[key] = rng.choice(FUZZ_SCALARS)
+    return doc
+
+
+def _fuzz_argv(rng: Random, files: dict) -> list[str]:
+    """One random command line: a subcommand, its flags with drawn values
+    (m small or above MAX_M, small budgets and world counts for search),
+    and sometimes a flag dropped or an unknown one added."""
+    formula = rng.choice(FUZZ_FORMULAS)
+    if rng.random() < 0.3:  # a random cut of a formula
+        text = rng.choice(FUZZ_FORMULAS)
+        cut = rng.randrange(len(text) + 1)
+        formula = text[:cut] + rng.choice(("", ")", "=>", "{", "9")) + text[cut:]
+    m = str(rng.choice((2, 3, 4, 5) * 3 + (0, 1, -3, MAX_M + 1, 2**70, 10**30)))
+    if rng.random() < 0.05:
+        m = rng.choice(("x", "1.5", ""))
+    command = rng.choice(("parse", "taut", "eval", "valid", "entails", "search", "search",
+                          "filtrate", "fid-check", "proofcheck", "gen"))
+    argv = {
+        "parse": ["--formula", formula],
+        "taut": ["--m", m, "--formula", formula] + ["--abstract-conditionals"] * rng.randint(0, 1),
+        "eval": ["--model", files["model"], "--world", rng.choice(("w0", "w1", "w9")), "--formula", formula],
+        "valid": ["--model", files["model"], "--formula", formula],
+        "entails": ["--model", files["model"], "--sigma", files["sigma"], "--formula", formula],
+        "search": ["--m", m, "--formula", formula, "--max-worlds", str(rng.choice((0, 1, 2))),
+                   "--budget", str(rng.choice((-1, 0, 1, 20, 200)))]
+        + ["--fid"] * rng.randint(0, 1)
+        + (["--values", rng.choice(("0", "1,2", "0,9", "x", ""))] if rng.random() < 0.3 else []),
+        "filtrate": ["--model", files["model"], "--sigma", files["sigma"], "--out", files["out"]],
+        "fid-check": ["--model", files["model"]],
+        "proofcheck": ["--file", files["derivation"], "--goal", formula]
+        + ["--rules-on-premises"] * rng.randint(0, 1),
+        "gen": ["--seed", str(rng.randrange(5)), "--m", str(rng.choice((2, 3, 5))),
+                "--worlds", str(rng.choice((0, 1, 2, 3))),
+                "--vars", rng.choice(("p,q", "p", "T", "", "p,p", "x y")), "--out", files["out"]],
+    }[command]
+    if argv and rng.random() < 0.1:
+        del argv[rng.randrange(len(argv))]
+    if rng.random() < 0.05:
+        argv.append("--bogus")
+    return [command, *argv]
+
+
+def test_fuzzed_inputs_keep_the_exit_code_contract(tmp_path, capsys):
+    """Seeded runs of cli.main in process on mutated copies of the model and
+    derivation documents under tests/data, with random argv and formula
+    text: every run exits 0, 1, 2, 3 or 4, and none prints a traceback."""
+    rng = Random(4400)
+    models = [json.loads(path.read_text()) for path in sorted(FUZZ_DATA.glob("*.json"))
+              if path.name.startswith(("golden_model", "model_"))]
+    derivations = [json.loads(path.read_text())
+                   for path in sorted((FUZZ_DATA / "derivations").glob("*.json"))]
+    (tmp_path / "sigma.txt").write_text("p\np => p\n~p\n")
+    files = {key: str(tmp_path / f"{key}.json") for key in ("model", "derivation", "out")}
+    files["sigma"] = str(tmp_path / "sigma.txt")
+    codes = set()
+    for _ in range(1500):
+        Path(files["model"]).write_text(json.dumps(_fuzz_mutated(rng.choice(models), rng)))
+        Path(files["derivation"]).write_text(json.dumps(_fuzz_mutated(rng.choice(derivations), rng)))
+        argv = _fuzz_argv(rng, files)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3, 4) and "Traceback" not in err, (argv, code, err[-500:])
+        codes.add(code)
+    assert codes == {0, 1, 2, 3, 4}
+

@@ -684,21 +684,29 @@ def _screen_widths(monkeypatch):
     """(rows, whole) for the packed table that each screened world count
     builds from now on, in order: whole when it has more rows than the
     world count has valuations, so that it packs a world's row entries
-    too (one table for the world count, unslabbed)."""
+    too (one table for the world count, unslabbed). Tables built outside
+    a screen, such as the one that searches the named valuation, are not
+    recorded."""
     widths, make, packed = [], search._screen, search._packed
+    screening = []
 
     def recording(code, depth, root, inputs, m, *args):
         screen = make(code, depth, root, inputs, m, *args)
 
         def recorded(n):
-            got = screen(n)  # one table per world count, the last recorded
+            screening.append(n)
+            try:
+                got = screen(n)  # one table per world count
+            finally:
+                screening.clear()
             widths[-1] = (widths[-1], widths[-1] > m ** (len(inputs) * n))
             return got
 
         return recorded
 
     def table(m, rows):
-        widths.append(rows)
+        if screening:
+            widths.append(rows)
         return packed(m, rows)
 
     monkeypatch.setattr("mvcond.search._screen", recording)
@@ -1094,6 +1102,188 @@ def test_screened_search_rejects_an_off_chain_index_as_the_enumeration_does(monk
         assert str(raised.value) == str(expected.value) == "index 1/3 is not on the 3-element chain"
     assert results == []
 
+
+def _finishes(monkeypatch):
+    """(n, valuation, tables) for each valuation that the search of a
+    formula without nesting hands to _finisher from now on, in order;
+    tables counts the packed tables that valuation ran (one per slab)."""
+    calls, make, refuting = [], search._finisher, search._refuting
+
+    def recording(*args):
+        at_worlds = make(*args)
+
+        def per_count(n):
+            finish = at_worlds(n)
+
+            def recorded(valuation, limit=None):
+                calls.append([n, valuation, 0])
+                return finish(valuation, limit)
+
+            return recorded
+
+        return per_count
+
+    def counted(*args):
+        if calls:
+            calls[-1][2] += 1
+        return refuting(*args)
+
+    monkeypatch.setattr("mvcond.search._finisher", recording)
+    monkeypatch.setattr("mvcond.search._refuting", counted)
+    return calls
+
+
+def test_finisher_orders_keys_as_the_enumeration_does(monkeypatch):
+    """At one world a key with a higher value comes first in the
+    enumeration, so where p is 0 and q is 1, q's relation is enumerated
+    before p's though p's antecedent slot comes first: the first
+    countermodel, its rank and its model are the enumeration's."""
+    results, finishes = _screen_results(monkeypatch), _finishes(monkeypatch)
+    phi = parse("(p => q) & (q => p) -> (p <-> q)")
+    for m, fid in [(3, False), (3, True), (4, False), (2, True)]:
+        results.clear()
+        finishes.clear()
+        got = _same_search(phi, m, SearchBounds(2), fid)
+        assert got[2] == "w0" and results == [(1, (0, 1))] == [tuple(f[:2]) for f in finishes]
+        model = got[4]
+        keys = [sorted(r["prop"][1]) for r in model["relations"]]  # worlds at value 1/(m-1)
+        assert len(model["relations"]) == 2 and ["w0"] in keys
+
+
+def test_finisher_gives_antecedents_that_coincide_one_relation(monkeypatch):
+    """p and q take equal values only at some valuations; the first
+    refuting one, where both are 0, has one key for both antecedents,
+    so one relation of |values|^(n^2) candidates, refuting from its second
+    row at m=3 (entries descending)."""
+    results = _screen_results(monkeypatch)
+    phi = parse("((p => r) & (q => ~r)) -> ~(p <-> q)")
+    for m, fid in [(2, False), (3, False), (3, True), (4, True)]:
+        results.clear()
+        got = _same_search(phi, m, SearchBounds(2), fid)
+        assert results == [(1, (0, 0, 0))] and len(got[4]["relations"]) == 1
+    assert _same_search(phi, 3, SearchBounds(2))[0] == 2
+
+
+@pytest.mark.parametrize("m,values", [(3, (1,)), (4, (1, 2)), (4, (2,)), (5, (1, 3))])
+def test_finisher_takes_each_keys_first_row_within_it(m, values):
+    """Under fid with relation values that leave out 0 and the top, a key's
+    first row is, entry by entry, the most of the values within the key,
+    not the top row; several keys and worlds, seeded, as the enumeration."""
+    rng = Random(3400 + m + len(values))
+    seen = 0
+    for i in range(24):
+        phi = _keyed_formula(rng, m, KEYED[i % len(KEYED)])
+        got = _same_search(phi, m, SearchBounds(2, values, 20000), True)
+        seen += got[2] is not None
+    assert seen
+
+
+def _first_refutations(phi, m, valuation, fid):
+    """The index of the first candidate of an n-world valuation that refutes
+    phi (no nesting) at each world that some candidate refutes it at:
+    candidates in enumeration order, keys by their cells (the worlds at
+    each value, lowest first), each key's rows world by world, entries
+    descending; under fid a candidate with a row outside its key counts
+    but does not refute."""
+    closure = subformula_closure(phi)
+    names = sorted({psi.name for psi in closure if isinstance(psi, Var)} - {RESERVED_VAR})
+    n = len(valuation) // len(names)
+    worlds = tuple(f"w{x}" for x in range(n))
+    columns = [valuation[k * n : k * n + n] for k in range(len(names))]
+    evaluator = Evaluator(model_of(m, worlds, names, columns, {}, 0))
+    keys = sorted(
+        {evaluator.numerators(psi.left) for psi in closure if isinstance(psi, Cond)},
+        key=lambda key: tuple(tuple(y for y in range(n) if key[y] == c) for c in range(m)),
+    )
+    rows = list(product(range(m - 1, -1, -1), repeat=n))
+    first = {}
+    for index, combo in enumerate(product(rows, repeat=n * len(keys))):
+        rel = {key: combo[k * n : k * n + n] for k, key in enumerate(keys)}
+        if fid and any(r[y] > key[y] for key, matrix in rel.items() for r in matrix for y in range(n)):
+            continue
+        values = Evaluator(model_of(m, worlds, names, columns, rel, 0)).numerators(phi)
+        for x, v in enumerate(values):
+            if v != m - 1:
+                first.setdefault(x, index)
+    return first
+
+
+@pytest.mark.parametrize(
+    "text,fid,witness",
+    [
+        ("(I{0}(T) => q) -> (p => q)", True, "w1"),
+        # w0 (q = 0) refutes where it sees q; w1 (q = 1) only where its T-row
+        # leaves w0 out and its q-row takes w0 in, so never with its first rows
+        ("((T => ~q) | q) & (~q | ~(T => q) | (q => q))", False, "w0"),
+    ],
+)
+def test_finisher_ranks_each_worlds_first_refutation(text, fid, witness, monkeypatch):
+    """Two-world countermodels at m=2 whose valuation is refuted at both
+    worlds: the first candidate refuting at the witness comes before the
+    first refuting at the other world (w1 before w0, and w0 before w1),
+    checked on every candidate of the valuation, and the first
+    countermodel is the enumeration's."""
+    results = _screen_results(monkeypatch)
+    phi = parse(text)
+    got = _same_search(phi, 2, SearchBounds(2), fid)
+    (n, valuation), other = results[-1], "w1" if witness == "w0" else "w0"
+    first = _first_refutations(phi, 2, valuation, fid)
+    assert n == 2 and got[2] == witness and first[int(witness[1])] < first[int(other[1])]
+
+
+@pytest.mark.parametrize("fid", [False, True])
+def test_finisher_walks_an_over_budget_world_count_valuation_by_valuation(fid, monkeypatch):
+    """A world count whose largest total overruns the budget is walked
+    valuation by valuation, each least one through _finisher: budgets at
+    every valuation boundary and inside valuations, seeded formulas with
+    two and three antecedents, give the enumeration's fields."""
+    finishes = _finishes(monkeypatch)
+    rng = Random(3600 + fid)
+    walked = 0
+    for i in range(10):
+        m = (2, 3)[i % 2]
+        phi = _keyed_formula(rng, m, KEYED[i % len(KEYED)])
+        one = countermodel_search(phi, m, SearchBounds(1), fid).candidates
+        total = countermodel_search(phi, m, SearchBounds(2, None, 4000), fid).candidates
+        for budget in sorted({one, one + 1, (one + total) // 2, total - 1, total}):
+            finishes.clear()
+            _same_search(phi, m, SearchBounds(2, None, budget), fid)
+            walked += sum(n == 2 for n, _, _ in finishes) > 1
+    assert walked
+
+
+@pytest.mark.parametrize("fid", [False, True])
+def test_finisher_slabs_a_table_too_large_for_the_cap(fid, monkeypatch):
+    """With the bit cap at 2^6 the finisher's own table of one valuation is
+    slabbed over its leading entries: several tables per valuation, slabs
+    in enumeration order, and the first countermodel is the enumeration's."""
+    monkeypatch.setattr("mvcond.search._SLAB_BITS", 1 << 6)
+    finishes = _finishes(monkeypatch)
+    rng = Random(3700 + fid)
+    for i in range(12):
+        m = (2, 3)[i % 2]
+        phi = _keyed_formula(rng, m, KEYED[i % len(KEYED)])
+        _same_search(phi, m, _screened_bounds(phi, m, None)[0], fid)
+    for text, m in [(PAST_W0_TWO_KEYS, 2), ("(p => q) & (q => p) -> (p <-> q)", 3)]:
+        _same_search(parse(text), m, SearchBounds(2), fid)
+    assert any(tables > 1 for _, _, tables in finishes)
+
+
+def test_a_refuted_screened_search_builds_no_tuple_operations(monkeypatch):
+    """A formula without nesting that the screen refutes is searched on
+    packed ints alone: semantics.operations, which the valuation loop of
+    nested formulas uses, is never called."""
+    def refused(*args):
+        raise AssertionError("semantics.operations called")
+
+    results = _screen_results(monkeypatch)
+    monkeypatch.setattr("mvcond.search.operations", refused)
+    monkeypatch.setattr("mvcond.semantics.operations", refused)
+    for text, m, fid in [("(p => ~p) -> ~p", 3, True), ("(p => q) & (q => p) -> (p <-> q)", 3, False),
+                         ("(T => p | q) | (T => p | ~q) | (T => ~p | q)", 2, False)]:
+        results.clear()
+        got = countermodel_search(parse(text), m, SearchBounds(3), fid)
+        assert got.found is not None and results and results[-1][1] is not None
 
 # antecedents 0 to 6 conditionals deep, so seven relation rounds
 SEVEN_DEEP = "(((((((p => q) => q) => q) => q) => q) => q) => q)"

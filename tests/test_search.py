@@ -24,7 +24,10 @@ from mvcond.search import (
     value_under,
 )
 from mvcond.semantics import (
+    Evaluator,
+    check_fid,
     eval_formula,
+    model_from_json,
     model_to_json,
     proposition_of,
     validate_model,
@@ -34,7 +37,7 @@ from mvcond.syntax import (
 )
 from mvcond.truthvalues import ScaleMismatchError, TruthValue, chain
 
-from formula_gen import chain_formula
+from formula_gen import chain_formula, one_antecedent_formula
 from reference import enumerated_search
 
 P, Q, R = Var("p"), Var("q"), Var("r")
@@ -604,3 +607,47 @@ def test_identity_under_fid_at_m4_and_three_worlds_builds_no_matrices():
     assert (outcome.found, outcome.exhausted, outcome.candidates) == (None, False, total)
     assert peak < 1_000_000
     assert elapsed < 5
+
+
+def _scaled(doc: dict, k: int, m: int) -> dict:
+    """A model document moved onto the m-element chain by multiplying every
+    numerator by k: the valuation, each relation's key (its cells move from
+    i to i * k) and each relation entry."""
+    relations = []
+    for relation in doc["relations"]:
+        prop = [[] for _ in range(m)]
+        for i, cell in enumerate(relation["prop"]):
+            prop[i * k] = cell
+        matrix = {x: {y: e * k for y, e in row.items()} for x, row in relation["matrix"].items()}
+        relations.append({"prop": prop, "matrix": matrix})
+    valuation = {v: {w: e * k for w, e in column.items()} for v, column in doc["valuation"].items()}
+    return {**doc, "m": m, "valuation": valuation, "relations": relations,
+            "default_relation": doc["default_relation"] * k}
+
+
+@pytest.mark.parametrize("d,m", [(2, 3), (2, 5), (3, 5), (3, 7)])
+def test_countermodels_carry_across_chain_embeddings(d, m):
+    """Multiplying every numerator by (m-1)/(d-1) embeds the d-chain in the
+    m-chain, a subalgebra, so a countermodel that the search finds at d
+    refutes the formula at m, at the same world with the value scaled, and
+    keeps the identity frame condition. Seeded formulas whose graded
+    indices lie on the d-chain, and so on both."""
+    k = (m - 1) // (d - 1)
+    rng = Random(5000 + 10 * d + m)
+    carried = set()
+    for i in range(30):
+        fid = i % 3 == 0
+        phi = one_antecedent_formula(rng, d, ("p", "q")) if i % 2 else Imp(
+            chain_formula(rng, 2, d, ("p", "q"), allow_cond=True),
+            chain_formula(rng, 2, d, ("p", "q"), allow_cond=True),
+        )
+        out = countermodel_search(phi, d, SearchBounds(2, None, 3000), require_fid=fid)
+        if out.found is None:
+            continue
+        model, witness = out.found
+        scaled = model_from_json(_scaled(model_to_json(model), k, m))
+        assert Evaluator(scaled).value(witness, phi) == TruthValue(out.value.numerator * k, m)
+        assert not fid or check_fid(scaled) == []
+        carried.add(fid)
+    assert carried == {False, True}
+
