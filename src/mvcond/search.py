@@ -15,11 +15,12 @@ certifies only that no model within the given bounds refutes the formula.
 Without a conditional nested inside another, a formula's value at world
 x reads only row x of each relation, and the search runs on packed ints
 (see _packed): a world count is screened, every valuation at once, for
-the least valuation with a refuting candidate (_screen), and that one
-valuation is finished on a table whose digits are x's rows (_finisher);
-the counts follow in closed form. With nesting, to any depth, the nodes
-above a conditional run once per candidate, drawn lazily from products of
-the same rows (_visitor). A world count walked valuation by valuation
+the least valuation with a refuting candidate (_screen), whose first
+countermodel is read off the same table when it holds x's rows too, else
+off one more table of that valuation alone (_finisher); the counts follow
+in closed form. With nesting, to any depth, the nodes above a
+conditional run once per candidate, drawn lazily from products of the
+same rows (_visitor). A world count walked valuation by valuation
 searches only the least of each orbit under permutations of the worlds;
 any other adds that one's count. Either way the identity frame condition
 holds when every row lies within its key, entry by entry.
@@ -185,6 +186,24 @@ def _columns(m: int, j: int) -> tuple[int, ...]:
         stair = [x * columns[-1] for x in range(m)]
         columns = [_side_by_side(p, w * m**k) for p in [stair, *([c] * m for c in columns)]]
     return tuple(columns)
+
+
+# Kept like _columns. A whole-table screen asks for j = n * k (k keys) only if n
+# times its ints per world, more than k * size, fit in _SLAB_BITS at m^j * w bits
+# each; so an entry of j * size such ints does, and the 8 take at most 4 MiB.
+@lru_cache(maxsize=8)
+def _digit_masks(m: int, j: int, size: int) -> tuple[tuple[int, ...], ...]:
+    """Over m^j rows as in _columns, per name i (the first the most
+    significant digit of the row) and value d < size, top in the fields
+    where that name is d: runs of m^(j-1-i) rows, one run in every m."""
+    w = _field_width(m)
+    masks = []
+    for i in range(j):
+        run = w * m ** (j - 1 - i)
+        tops = (m - 1) * (((1 << run) - 1) // ((1 << w) - 1))
+        every = ((1 << w * m**j) - 1) // ((1 << run * m) - 1)
+        masks.append(tuple([(tops << run * d) * every for d in range(size)]))
+    return tuple(masks)
 
 
 # Kept like _columns, each entry shared and only read: three ints of at most
@@ -443,13 +462,34 @@ def _refuting(ops, m: int, at: list, groups: list, rows: list, above: list, root
     return roots, ok
 
 
+def _first_countermodel(found: dict, keys: list, values: list[int], fid: bool) -> tuple[int, tuple, dict]:
+    """From found, each refuted world x -> (x's first refuting rows, n
+    digits per key in keys' order, digit i for values[i]; x's value), what
+    _finisher gives for the valuation: the earliest of the candidates whose
+    other rows are each their key's first (under fid the most within it)."""
+    size, n = len(values), len(keys[0]) if keys else 0
+    firsts = [[bisect_right(values, v) - 1 for v in key] if fid else [size - 1] * n for key in keys]
+    ranked = []  # (index of x's candidate, x, its rows key by key, x's value)
+    for x, (own, value) in found.items():
+        rows = [[own[k * n : k * n + n] if y == x else first for y in range(n)] for k, first in enumerate(firsts)]
+        index = 0
+        for d in chain.from_iterable(chain.from_iterable(rows)):
+            index = index * size + size - 1 - d
+        ranked.append((index, x, rows, value))
+    index, x, rows, value = min(ranked)
+    rel = {key: [tuple([values[d] for d in row]) for row in matrix] for key, matrix in zip(keys, rows)}
+    return index + 1, (x, value), rel
+
+
 def _screen(code, depth, root, inputs, m: int, values, fid: bool):
     """The packed screen of a formula with no conditional inside another
     (code and depth as in countermodel_search, inputs the slots of its
     valuated variables, values the relation entries): a function from a
-    world count n to the least n-world valuation with a refuting candidate
-    (its numerators in enumeration order) and the candidates of the
-    valuations before it, or to None and the candidates of them all.
+    world count n to the candidates of the valuations before the least
+    n-world valuation with a refuting candidate, that valuation (its
+    numerators in enumeration order) and, from a whole table, what
+    _finisher gives for it, else None; or to the candidates of them all,
+    None and None.
 
     Fields hold valuations in enumeration order. A refutation at world x
     reads only x's row of each of the k antecedents' relations, and an
@@ -460,10 +500,15 @@ def _screen(code, depth, root, inputs, m: int, values, fid: bool):
     If every valuation with every choice of those rows fits in one table,
     the rows' entries are its lowest digits and the table is _refuting's,
     run with x = each world in turn: the lowest refuted field is the
-    answer. Otherwise slabs pack the valuations of the last j (variable,
-    world) pairs, and the rows are set key by key and entry by entry,
-    depth first, a row's prefix shared by the rows extending it, keeping
-    only the fields below the lowest refuted so far. Slab by slab x is 0
+    answer. Its block of fields holds every refuting choice of x's rows:
+    with keys in the enumeration's order (_key_order), each entry in turn
+    is the highest digit left refuted (_digit_masks), giving x's first
+    refuting rows for _first_countermodel.
+
+    Otherwise slabs pack the valuations of the last j (variable, world)
+    pairs, and the rows are set key by key and entry by entry, depth
+    first, a row's prefix shared by the rows extending it, keeping only
+    the fields below the lowest refuted so far. Slab by slab x is 0
     and worlds 1 on are sorted by their tuples of k entries, which
     renaming the worlds makes enough: the first slab with a refuted field
     holds the least permutation of that valuation or comes after it. At
@@ -480,7 +525,7 @@ def _screen(code, depth, root, inputs, m: int, values, fid: bool):
     groups = [(a, spans[a]) for a in keys]
     live = len(code) + sum(map(len, spans.values())) * len(values)  # ints held at once per world, about
 
-    def screen(n: int) -> tuple[int, tuple | None]:
+    def screen(n: int) -> tuple[int, tuple | None, tuple | None]:
         coords = [(s, x) for s in inputs for x in range(n)]
         block = m ** (n * len(keys))  # world x's rows per valuation, their entries as digits
         whole = m ** len(coords) * block * w * n * live <= _SLAB_BITS
@@ -507,12 +552,29 @@ def _screen(code, depth, root, inputs, m: int, values, fid: bool):
             for row, differs in zip(rows, apart):  # equal where the keys are equal
                 for mask, other in zip(differs, rows):
                     ok &= mask | ~_differ(zip(row, other), one, w, top)
-            miss = reduce(or_, [x ^ top for x in roots]) & ok
+            misses = [x ^ top for x in roots]
+            miss = reduce(or_, misses) & ok
             if not miss:
-                return _candidates(spread, -1, m, per) // block, None
+                return _candidates(spread, -1, m, per) // block, None, None
             field = ((miss & -miss).bit_length() - 1) // w // block
             first = tuple([field // m**i % m for i in reversed(range(len(coords)))])
-            return _candidates(spread, (1 << w * field * block) - 1, m, per) // block, first
+            shift, low = w * field * block, (1 << w) - 1
+            ok = ok >> shift & (1 << w * block) - 1
+            # key -> one of its antecedent slots (ok holds the others' rows equal)
+            slot_of = {tuple([vals[a] >> shift & low for vals in at]): k for k, a in enumerate(keys)}
+            order = sorted(slot_of, key=_key_order)
+            masks = _digit_masks(m, n * len(keys), len(values))
+            entries = [masks[slot_of[key] * n + y] for key in order for y in range(n)]
+            found = {}
+            for x, miss in enumerate(misses):
+                if hits := miss >> shift & ok:
+                    own = []
+                    for digit in entries:
+                        own.append(max(d for d, mask in enumerate(digit) if hits & mask))
+                        hits &= digit[own[-1]]
+                    found[x] = own, roots[x] >> shift + ((hits & -hits).bit_length() - 1) // w * w & low
+            count = _candidates(spread, (1 << w * field * block) - 1, m, per) // block
+            return count, first, _first_countermodel(found, order, values, fid)
         conds = [[s for s, _ in spans[a]] for a in keys]
         thens = [[psi for _, psi in spans[a]] for a in keys]
         last = conds[-1] if keys else ()  # the conditionals set at the leaves
@@ -590,27 +652,28 @@ def _screen(code, depth, root, inputs, m: int, values, fid: bool):
             else:
                 field = below.bit_length() // w
                 first = prefix + tuple(field // m**i % m for i in reversed(range(j)))
-                return sum(counts[:slab]) + _candidates(spread, below, m, per), first
-        return sum(counts), None
+                return sum(counts[:slab]) + _candidates(spread, below, m, per), first, None
+        return sum(counts), None, None
 
     return screen
 
 
 def _finisher(code, depth, root, inputs, m: int, values, fid: bool):
     """One valuation of a formula with no conditional inside another
-    (arguments as for _screen): a function from a world count n to one from
-    a valuation (and an unused budget) to what its enumeration gives: the
-    candidates to the first countermodel, or all of them; the refuting
+    (arguments as for _screen), where the screen slabs its world count or
+    the budget keeps the screen out: a function from a world count n to one
+    from a valuation (and an unused budget) to what its enumeration gives:
+    the candidates to the first countermodel, or all of them; the refuting
     world and its value, or None; and each key's n rows.
 
     Candidates run key by key (_key_order), each key's rows world by world,
     entries descending. At world x the first refuting candidate has every
-    row but x's at its key's first (under fid the first within the key),
-    and the earliest of these n is the first countermodel. x's rows are the
-    lowest digits of a _refuting table set up once per world count, n per
-    key in that order (keys sharing antecedents leave the highest unread),
-    digit i for the i-th value ascending: x's first refuting rows are its
-    highest refuted field. Past _SLAB_BITS, leading digits go in slabs.
+    row but x's at its key's first, and _first_countermodel takes the
+    earliest of these n. x's rows are the lowest digits of a _refuting
+    table set up once per world count, n per key in that order (keys
+    sharing antecedents leave the highest unread), digit i for the i-th
+    value ascending: x's first refuting rows are its highest refuted
+    field. Past _SLAB_BITS, leading digits go in slabs.
     """
     values = sorted(values)
     spans, inner = _unnested(code, depth)
@@ -661,19 +724,7 @@ def _finisher(code, depth, root, inputs, m: int, values, fid: bool):
                     break
             if not found:
                 return size ** (n * used), None, None
-            firsts = [[bisect_right(values, v) - 1 for v in key] if fid else [size - 1] * n for key in keys]
-            ranked = []  # (index of x's candidate, x, its digits, value)
-            for x, (own, value) in found.items():
-                index = 0
-                for k, first in enumerate(firsts):
-                    for y in range(n):
-                        for d in own[k * n : k * n + n] if y == x else first:
-                            index = index * size + size - 1 - d
-                ranked.append((index, x, own, value))
-            index, x, own, value = min(ranked)
-            rel = {key: [tuple([values[d] for d in (own[k * n : k * n + n] if y == x else first)]) for y in range(n)]
-                   for k, (key, first) in enumerate(zip(keys, firsts))}
-            return index + 1, (x, value), rel
+            return _first_countermodel(found, keys, values, fid)
 
         return finish
 
@@ -774,11 +825,12 @@ def countermodel_search(
     least valuation with a refuting candidate, or none, and counts the
     candidates before it, or of them all (|values|^(n^2 * d) for a
     valuation with d distinct antecedent propositions). Without a
-    refutation n is skipped; otherwise _finisher searches the named
-    valuation alone. Other world counts, and nested formulas, walk the
-    valuations, searching (with _finisher or _visitor) only the least of
-    each orbit under permutations of the worlds: renaming the worlds maps
-    a valuation's candidates one to one onto its least permutation's, keys
+    refutation n is skipped; otherwise the screen's whole table gives the
+    first countermodel, or _finisher searches the named valuation alone.
+    Other world counts, and nested formulas, walk the valuations,
+    searching (with _finisher or _visitor) only the least of each orbit
+    under permutations of the worlds: renaming the worlds maps a
+    valuation's candidates one to one onto its least permutation's, keys
     renamed, keeping the frame test and whether a candidate refutes.
     """
     _check_m(m)
@@ -815,15 +867,16 @@ def countermodel_search(
     for n in range(1, bounds.max_worlds + 1):
         most = m ** (len(names) * n) * len(values_desc) ** (n * n * len(antecedents))
         if screen and (budget is None or count + most <= budget):
-            before, first = screen(n)
+            before, first, finished = screen(n)
             count += before  # what the valuations before first add, none refuting
             if first is None:
                 continue
             valuations = [first]
         else:
-            valuations = product(range(m), repeat=n * len(names))
-        searcher = searcher or (_visitor if depth[root] > 1 else _finisher)(*args)
-        search = searcher(n)
+            valuations, finished = product(range(m), repeat=n * len(names)), None
+        if not finished:
+            searcher = searcher or (_visitor if depth[root] > 1 else _finisher)(*args)
+            search = searcher(n)
         orbit_spent: dict[tuple, int] = {}  # an orbit's least valuation -> each one's candidates
         for assignment in valuations:
             orbit = [assignment[x::n] for x in range(n)]  # each world's values
@@ -832,7 +885,7 @@ def countermodel_search(
                 # valuation, which had no countermodel and as many candidates
                 spent, hit = orbit_spent[tuple(sorted(orbit))], None
             else:
-                spent, hit, rel = search(assignment, None if budget is None else budget - count)
+                spent, hit, rel = finished or search(assignment, None if budget is None else budget - count)
                 if hit is None:
                     orbit_spent[tuple(orbit)] = spent
             if budget is not None and count + spent > budget:

@@ -21,9 +21,11 @@ searches A1 at m=4 under ``--fid`` to four worlds, and two a tautology
 whose conditionals have two antecedents to three and four worlds. Five more pin
 the searches behind the README's reading of the abstract's two comparative
 claims, and one pins that a nested search to four worlds stops at its
-budget. Two pin refuted searches whole: a countermodel with two relations
-and one that needs three worlds. Two search conditionals nested four deep, to the right and to the
-left, a nesting the search once refused. One loads a model document from
+budget. Four pin refuted searches whole: countermodels with two relations
+at one world and, with witness w1, at two, one that needs three worlds,
+and one read off a screen table of 1,024 fields per valuation. Two search
+conditionals nested four deep, to the right and to the left, a nesting
+the search once refused. One loads a model document from
 ``tests/data`` whose variable no formula can name, which is refused. The
 last three give ``taut``, ``search`` and ``proofcheck`` an m of 2^70,
 which exits 3 as above the largest m, 2^20.
@@ -238,6 +240,30 @@ RUNS = (
         '"relations":[{"prop":[[],["w0","w1","w2"]],"matrix":{"w0":{"w0":1,"w1":1,"w2":1},'
         '"w1":{"w0":1,"w1":1,"w2":1},"w2":{"w0":1,"w1":1,"w2":1}}}],"default_relation":0,'
         '"witness_world":"w0"}',
+    ),
+    Run(
+        "A two-relation countermodel at m=2 under the identity frame condition whose "
+        "witness is w1",
+        ("search", "--fid", "--m", "2", "--max-worlds", "2", "--formula",
+         "(I{0}(T) => q) -> (p => q)"),
+        1,
+        '{"status":"countermodel","candidates":1095,"value":0,"m":2,"worlds":["w0","w1"],'
+        '"vars":["p","q"],"valuation":{"p":{"w0":0,"w1":1},"q":{"w0":0,"w1":0}},'
+        '"relations":[{"prop":[[],["w0","w1"]],"matrix":{"w0":{"w0":1,"w1":1},'
+        '"w1":{"w0":0,"w1":0}}},{"prop":[["w0"],["w1"]],"matrix":{"w0":{"w0":0,"w1":1},'
+        '"w1":{"w0":0,"w1":1}}}],"default_relation":0,"witness_world":"w1"}',
+    ),
+    Run(
+        "A countermodel read off a screen table of 1,024 fields per valuation: five "
+        "antecedents at two worlds, m=2, under the identity frame condition",
+        ("search", "--fid", "--m", "2", "--max-worlds", "2", "--formula",
+         "(T => p) | (p => ~p) | ((p & q) => ~p) | (q => ~q) | ((p | q) => ~p) | ~p"),
+        1,
+        '{"status":"countermodel","candidates":12825,"value":0,"m":2,"worlds":["w0","w1"],'
+        '"vars":["p","q"],"valuation":{"p":{"w0":0,"w1":1},"q":{"w0":0,"w1":1}},'
+        '"relations":[{"prop":[[],["w0","w1"]],"matrix":{"w0":{"w0":1,"w1":1},'
+        '"w1":{"w0":1,"w1":1}}},{"prop":[["w0"],["w1"]],"matrix":{"w0":{"w0":0,"w1":1},'
+        '"w1":{"w0":0,"w1":1}}}],"default_relation":0,"witness_world":"w1"}',
     ),
     Run(
         "Conditionals nested four deep to the right hold to two worlds at m=2",

@@ -1137,17 +1137,22 @@ def test_finisher_orders_keys_as_the_enumeration_does(monkeypatch):
     """At one world a key with a higher value comes first in the
     enumeration, so where p is 0 and q is 1, q's relation is enumerated
     before p's though p's antecedent slot comes first: the first
-    countermodel, its rank and its model are the enumeration's."""
+    countermodel, its rank and its model are the enumeration's. The
+    whole-table screen reads them off its own table; with the bit cap at
+    2^6 it screens in slabs, and _finisher searches the named valuation."""
     results, finishes = _screen_results(monkeypatch), _finishes(monkeypatch)
     phi = parse("(p => q) & (q => p) -> (p <-> q)")
-    for m, fid in [(3, False), (3, True), (4, False), (2, True)]:
-        results.clear()
-        finishes.clear()
-        got = _same_search(phi, m, SearchBounds(2), fid)
-        assert got[2] == "w0" and results == [(1, (0, 1))] == [tuple(f[:2]) for f in finishes]
-        model = got[4]
-        keys = [sorted(r["prop"][1]) for r in model["relations"]]  # worlds at value 1/(m-1)
-        assert len(model["relations"]) == 2 and ["w0"] in keys
+    for bits in (_SLAB_BITS, 1 << 6):
+        monkeypatch.setattr("mvcond.search._SLAB_BITS", bits)
+        for m, fid in [(3, False), (3, True), (4, False), (2, True)]:
+            results.clear()
+            finishes.clear()
+            got = _same_search(phi, m, SearchBounds(2), fid)
+            assert got[2] == "w0" and results == [(1, (0, 1))]
+            assert [tuple(f[:2]) for f in finishes] == ([] if bits == _SLAB_BITS else results)
+            model = got[4]
+            keys = [sorted(r["prop"][1]) for r in model["relations"]]  # worlds at value 1/(m-1)
+            assert len(model["relations"]) == 2 and ["w0"] in keys
 
 
 def test_finisher_gives_antecedents_that_coincide_one_relation(monkeypatch):
@@ -1284,6 +1289,87 @@ def test_a_refuted_screened_search_builds_no_tuple_operations(monkeypatch):
         results.clear()
         got = countermodel_search(parse(text), m, SearchBounds(3), fid)
         assert got.found is not None and results and results[-1][1] is not None
+
+
+def _keys_by_slot(phi, model):
+    """The model's numerators of phi's antecedents, in the order of their
+    slots in phi's node table (no nesting, so the relations play no part)."""
+    table = NodeTable()
+    table.add(phi)
+    slots = sorted({kids[0] for node, kids in zip(table.nodes, table.kids) if isinstance(node, Cond)})
+    evaluator = Evaluator(model)
+    return [evaluator.numerators(table.nodes[a]) for a in slots]
+
+
+# (text, m, max_worlds, relation values, fid), each refuted at its last world count
+WHOLE_TABLE_CASES = [
+    ("(p => q) & (q => p) -> (p <-> q)", 3, 2, None, False),  # q's key before p's slot
+    ("(p => q) & (q => p) -> (p <-> q)", 4, 2, (1, 2), True),
+    (PAST_W0_TWO_KEYS, 2, 2, None, True),
+    (PAST_W0_THREE_KEYS, 2, 2, None, False),
+    ("(I{0}(T) => q) -> (p => q)", 2, 2, None, True),  # two relations, witness w1
+    ("(T => p | q) | (T => p | ~q) | (T => ~p | q)", 2, 3, None, False),
+]
+
+
+def test_whole_table_screen_reads_the_first_countermodel_off_its_own_table(monkeypatch):
+    """A world count that the screen settles on one whole table is finished
+    from the named valuation's block of that table, without _finisher:
+    the formulas above and seeded ones with two and three antecedents,
+    which coincide at some valuations only, give the enumerating search's
+    fields, with witnesses past w0, one to three worlds, relation values
+    without 0 or the top and under fid. With the bit cap at 2^6 the same
+    searches screen in slabs, _finisher finishes them, and every field is
+    the same."""
+    rng = Random(3800)
+    cases = [(parse(text), m, SearchBounds(n, values), fid) for text, m, n, values, fid in WHOLE_TABLE_CASES]
+    for i in range(24):
+        m, antecedents = (2, 3, 4)[i % 3], KEYED[i % len(KEYED)]
+        worlds = 2 if m == 2 or (m == 3 and len(antecedents) == 2) else 1  # whole tables
+        values, fid = rng.choice((None, tuple(range(1, m - 1)) or None)), rng.random() < 0.4
+        phi = _keyed_formula(rng, m, antecedents)
+        while not countermodel_search(phi, m, SearchBounds(worlds, values), fid).found or (
+            i % 2 and worlds > 1 and countermodel_search(phi, m, SearchBounds(1, values), fid).found
+        ):
+            phi = _keyed_formula(rng, m, antecedents)
+        cases.append((phi, m, SearchBounds(worlds, values), fid))
+    widths, finishes = _screen_widths(monkeypatch), _finishes(monkeypatch)
+    got, seen = [], set()
+    for phi, m, bounds, fid in cases:
+        widths.clear()
+        finishes.clear()
+        got.append(_same_search(phi, m, bounds, fid))
+        assert got[-1][2] is not None and widths and all(whole for _, whole in widths) and not finishes
+        keys = _keys_by_slot(phi, model_from_json(got[-1][4]))
+        distinct = list(dict.fromkeys(keys))
+        seen |= {("worlds", len(got[-1][4]["worlds"])), ("witness", got[-1][2]), ("fid", fid),
+                 ("inner values", bool(bounds.relation_values) and 0 not in bounds.relation_values
+                  and m - 1 not in bounds.relation_values),
+                 ("slot order", distinct != sorted(distinct, key=search._key_order)),
+                 ("coincide", len(distinct) < len(keys))}
+    assert {("worlds", 3), ("witness", "w1"), ("fid", True), ("inner values", True), ("slot order", True),
+            ("coincide", True)} <= seen
+    monkeypatch.setattr("mvcond.search._SLAB_BITS", 1 << 6)
+    for (phi, m, bounds, fid), fields in zip(cases, got):
+        widths.clear()
+        finishes.clear()
+        assert _search_fields(countermodel_search, phi, m, bounds, fid) == fields
+        assert finishes and not any(whole for _, whole in widths)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_digit_masks_mark_the_rows_of_each_digit(m):
+    """Over m^j rows, the mask of name i and value d is top in exactly the
+    rows whose i-th digit, the first the most significant, is d."""
+    w = _field_bits(m)
+    for j in range(4):
+        for size in (1, m):
+            masks = search._digit_masks(m, j, size)
+            assert len(masks) == j and all(len(per) == size for per in masks)
+            for i, per in enumerate(masks):
+                for d, mask in enumerate(per):
+                    rows = [r for r in range(m**j) if r // m ** (j - 1 - i) % m == d]
+                    assert mask == sum((m - 1) << w * r for r in rows)
 
 # antecedents 0 to 6 conditionals deep, so seven relation rounds
 SEVEN_DEEP = "(((((((p => q) => q) => q) => q) => q) => q) => q)"
