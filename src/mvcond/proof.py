@@ -308,28 +308,53 @@ def _check_graded(
     a_list: Sequence[Fraction] | None,
 ) -> str | None:
     """The steps Ra and RaGen share; RaGen's thresholds are a_list, Ra's
-    (a_list None) the chain values."""
+    (a_list None) the chain values.
+
+    A line is compared with _graded's formula as rule_eq would, but on its
+    Imp spine, building nothing: each test must be an I node whose index is
+    max(0, t + b - (m-1)) over m-1, in integers, for its threshold t and
+    the premise's chain value b over m-1, and whose child is rule_eq to its
+    part. The conclusion is the case b = m-1, each part under Cond(phi, .).
+    _graded builds the formula only for the message of a line that fails.
+    """
     m = derivation.m
     if len(rule.premise_lines) != m:
         return f"needs exactly {m} premise lines, got {len(rule.premise_lines)}"
+    numerators = []
     for value in (rule.a, *(a_list or ())):
         try:
-            index_numerator(value, m)
+            numerators.append(index_numerator(value, m))
         except UnrepresentableIndexError:
             return f"threshold {value} is not on the {m}-element chain"
-    chain = [Fraction(m - 1 - t, m - 1) for t in range(m)]  # descending
-    thresholds = chain if a_list is None else a_list
-    for cited, b in zip(rule.premise_lines, chain):
+    descending = range(m - 1, -1, -1)  # the chain's numerators
+    thresholds = descending if a_list is None else numerators[1:]
+    spine = [*zip(thresholds, parts)][::-1] + [(numerators[0], target)]
+
+    def matches(line: Formula, b: int, phi: Formula | None) -> bool:
+        nodes = []  # the tests on line's spine, outermost first
+        while type(line) is Imp and len(nodes) < len(spine) - 1:
+            nodes.append(line.left)
+            line = line.right
+        nodes.append(line)
+        return len(nodes) == len(spine) and all(
+            type(node) is I
+            and node.index.numerator * (m - 1) == max(0, t + b - (m - 1)) * node.index.denominator
+            and rule_eq(node.child, part if phi is None else Cond(phi, part))
+            for node, (t, part) in zip(nodes, spine)
+        )
+
+    def expected(b: Fraction = Fraction(1), phi: Formula | None = None) -> str:
+        values = [Fraction(k, m - 1) for k in descending] if a_list is None else a_list
+        return print_formula(_graded(rule.a, values, parts, target, b, phi))
+
+    for cited, b in zip(rule.premise_lines, descending):
         premise = derivation.lines[cited - 1].formula
-        expected = _graded(rule.a, thresholds, parts, target, b)
-        if not rule_eq(premise, expected):
-            return (
-                f"premise for b={b} (line {cited}) is "
-                f"{print_formula(premise)}, expected {print_formula(expected)}"
-            )
-    expected = _graded(rule.a, thresholds, parts, target, phi=rule.phi)
-    if not rule_eq(formula, expected):
-        return f"conclusion is {print_formula(formula)}, expected {print_formula(expected)}"
+        if not matches(premise, b, None):
+            b = Fraction(b, m - 1)
+            shown = print_formula(premise)
+            return f"premise for b={b} (line {cited}) is {shown}, expected {expected(b)}"
+    if not matches(formula, m - 1, rule.phi):
+        return f"conclusion is {print_formula(formula)}, expected {expected(phi=rule.phi)}"
     return None
 
 

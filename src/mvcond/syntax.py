@@ -161,9 +161,10 @@ class _Graded(Formula):
     child: Formula
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "index", Fraction(self.index))
-        if not 0 <= self.index <= 1:
-            raise ValueError(f"graded operator index {self.index} outside [0, 1]")
+        index = self.index if type(self.index) is Fraction else Fraction(self.index)
+        object.__setattr__(self, "index", index)
+        if not 0 <= index.numerator <= index.denominator:
+            raise ValueError(f"graded operator index {index} outside [0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,13 +360,15 @@ def strong_sum(phis: Sequence[Formula]) -> Formula:
 
 
 def index_numerator(index: Fraction | int, scale: int) -> int:
-    """Numerator of index on the scale-element chain; rejects off-chain values."""
-    as_num = Fraction(index) * (scale - 1)
-    if not 0 <= Fraction(index) <= 1 or as_num.denominator != 1:
+    """Numerator of index on the scale-element chain; rejects off-chain values.
+    An int or Fraction is read in integers, anything else through Fraction."""
+    value = index if isinstance(index, (int, Fraction)) else Fraction(index)
+    k, rest = divmod(value.numerator * (scale - 1), value.denominator)
+    if not 0 <= value.numerator <= value.denominator or rest:
         raise UnrepresentableIndexError(
             f"index {index} is not on the {scale}-element chain"
         )
-    return int(as_num)
+    return k
 
 
 # Core-level builders used by the J construction. These expand the
@@ -403,24 +406,28 @@ def mk_J(a: Fraction | int, phi: Formula, m: int) -> Formula:
     1/2 <= a < 1 let n be the largest k with k*(1-a) < 1 and either
     (when n = a/(1-a) exactly) close out via the index-1 test of
     ~(phi (*) ... (*) phi) <-> phi, or go on at the strictly larger
-    index n*(1-a). Each step raises the numerator, so it terminates.
+    index n*(1-a). Each step raises the index, so it terminates. The loop
+    runs in integers, on a's numerator k over m-1: 1-a is m-1-k.
     """
-    a = Fraction(a)
-    while (k := index_numerator(a, m)) < m - 1:
+    return _exact_test(index_numerator(Fraction(a), m), phi, m)  # errors name a Fraction
+
+
+def _exact_test(k: int, phi: Formula, m: int) -> Formula:
+    """mk_J at the index k/(m-1), given the numerator k of a chain value."""
+    while k < m - 1:
         n = (m - 2) // ((m - 1) - k)
         if 2 * k < m - 1:
-            a, phi = 1 - a, Not(phi)
-        elif n == a / (1 - a):
-            a, phi = Fraction(1), _iff_core(Not(_product_core(phi, n)), phi)
+            k, phi = m - 1 - k, Not(phi)
+        elif n * (m - 1 - k) == k:
+            k, phi = m - 1, _iff_core(Not(_product_core(phi, n)), phi)
         else:
-            a, phi = n * (1 - a), Not(_product_core(phi, n))
+            k, phi = n * (m - 1 - k), Not(_product_core(phi, n))
     return _product_core(phi, m - 1)
 
 
 def _value_tests(a: Fraction | int, phi: Formula, m: int) -> list[Formula]:
     """The exact-value tests for every chain value >= a, ascending."""
-    k = index_numerator(a, m)
-    return [mk_J(Fraction(i, m - 1), phi, m) for i in range(k, m)]
+    return [_exact_test(i, phi, m) for i in range(index_numerator(a, m), m)]
 
 
 def mk_I(a: Fraction | int, phi: Formula, m: int) -> Formula:

@@ -26,8 +26,11 @@ at one world and, with witness w1, at two, one that needs three worlds,
 and one read off a screen table of 1,024 fields per valuation. Two search
 conditionals nested four deep, to the right and to the left, a nesting
 the search once refused. One loads a model document from
-``tests/data`` whose variable no formula can name, which is refused. The
-last three give ``taut``, ``search`` and ``proofcheck`` an m of 2^70,
+``tests/data`` whose variable no formula can name, which is refused. Four
+check graded derivations from ``tests/data/derivations``: the Ra and RaGen
+samples at m=3, the Ra sample with one premise index a chain step off,
+whose message names the premise expected, and a seeded Ra derivation at
+m=9. The last three give ``taut``, ``search`` and ``proofcheck`` an m of 2^70,
 which exits 3 as above the largest m, 2^20.
 """
 
@@ -41,6 +44,16 @@ from typing import NamedTuple
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DATA = Path(__file__).resolve().parent / "data"
+
+
+RA_GOAL = "I{0}(p => s) -> (I{1/2}(p => r) -> (I{1}(p => q) -> I{1}(p => q)))"
+RA_M9_GOAL = (
+    "I{0}(p -> q & s => s & (q -> p)) -> I{1/8}(p -> q & s => r -> s & q) -> "
+    "I{1/4}(p -> q & s => p & (s -> r)) -> I{3/8}(p -> q & s => q & s -> r) -> "
+    "I{1/2}(p -> q & s => q & (r -> s)) -> I{5/8}(p -> q & s => q & p -> r) -> "
+    "I{3/4}(p -> q & s => (s -> p) & r) -> I{7/8}(p -> q & s => (p -> s) & r) -> "
+    "I{1}(p -> q & s => q & (r -> p)) -> I{7/8}(p -> q & s => q & (r -> p))"
+)
 
 
 class Run(NamedTuple):
@@ -319,6 +332,33 @@ RUNS = (
         '"relations":1}',
         sha256=(("model1m.json",
                 "5416e4b5ed7f1343e06dbc061d30dd70329d5cc57bd3bbea787a2a1108e6404b"),),
+    ),
+    Run(
+        "The graded rule Ra at m=3 accepts its sample derivation",
+        ("proofcheck", "--file", str(DATA / "derivations" / "ra_level_one.json"), "--goal", RA_GOAL),
+        0,
+        '{"status":"accepted","lines":4}',
+    ),
+    Run(
+        "The generalized graded rule RaGen at m=3 accepts its sample derivation",
+        ("proofcheck", "--file", str(DATA / "derivations" / "ra_gen_two_formulas.json"),
+         "--goal", "I{1/2}(p => r) -> (I{1}(p => q) -> I{1}(p => q))"),
+        0,
+        '{"status":"accepted","lines":4}',
+    ),
+    Run(
+        "Ra refuses a premise whose index is one chain step off, naming the expected premise",
+        ("proofcheck", "--file", str(DATA / "derivations" / "ra_bad_index.json"), "--goal", RA_GOAL),
+        1,
+        '{"status":"rejected","line":4,"message":"line 4 (Ra): premise for b=1/2 (line 2) is '
+        'I{0}(s) -> I{1/2}(r) -> I{1/2}(q) -> I{1/2}(q), expected '
+        'I{0}(s) -> I{0}(r) -> I{1/2}(q) -> I{1/2}(q)"}',
+    ),
+    Run(
+        "Ra at m=9 accepts a seeded derivation of nine chain tautologies",
+        ("proofcheck", "--file", str(DATA / "derivations" / "ra_m9.json"), "--goal", RA_M9_GOAL),
+        0,
+        '{"status":"accepted","lines":10}',
     ),
     Run(
         "A truth table at m = 2^70 is refused as too large",

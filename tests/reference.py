@@ -59,6 +59,14 @@ decoder as it was before its rules were read through tables: one branch
 per rule name, so it is the oracle for the justification or error text
 each rule's arguments give.
 
+reference_index_numerator, reference_graded_index and reference_mk_J are
+syntax.index_numerator, the J/I index check and mk_J as they were before
+graded indices were read as integer numerators: every step in Fraction
+arithmetic, so they are the oracle for the numerators, stored indices,
+error texts and trees of the integer versions. reference_mk_I is mk_I
+over reference_mk_J. The core builders they call are the library's, which
+do no index arithmetic.
+
 enumerated_search is the search as it was before rows were separated:
 it runs the compiled program on every candidate, so it is fast enough
 for the 3-world and m=4 cases that reference_search cannot reach.
@@ -139,6 +147,8 @@ from mvcond.syntax import (
     Var,
     _KIDS,
     _PARAM,
+    _iff_core,
+    _product_core,
     children,
     free_vars,
     imp_chain,
@@ -556,6 +566,48 @@ def reference_normalize(phi: Formula, m: int) -> Formula:
     if isinstance(phi, I):
         return reference_normalize(mk_I(phi.index, phi.child, m), m)
     raise TypeError(f"not a formula node: {phi!r}")
+
+
+def reference_index_numerator(index: Fraction | int, scale: int) -> int:
+    """Numerator of index on the scale-element chain; rejects off-chain values."""
+    as_num = Fraction(index) * (scale - 1)
+    if not 0 <= Fraction(index) <= 1 or as_num.denominator != 1:
+        raise UnrepresentableIndexError(
+            f"index {index} is not on the {scale}-element chain"
+        )
+    return int(as_num)
+
+
+def reference_graded_index(index: object) -> Fraction:
+    """The index a J or I node stores for index, or the ValueError it raises."""
+    index = Fraction(index)
+    if not 0 <= index <= 1:
+        raise ValueError(f"graded operator index {index} outside [0, 1]")
+    return index
+
+
+def reference_mk_J(a: Fraction | int, phi: Formula, m: int) -> Formula:
+    """Core formula with value 1 where phi has value a, and 0 elsewhere."""
+    a = Fraction(a)
+    while (k := reference_index_numerator(a, m)) < m - 1:
+        n = (m - 2) // ((m - 1) - k)
+        if 2 * k < m - 1:
+            a, phi = 1 - a, Not(phi)
+        elif n == a / (1 - a):
+            a, phi = Fraction(1), _iff_core(Not(_product_core(phi, n)), phi)
+        else:
+            a, phi = n * (1 - a), Not(_product_core(phi, n))
+    return _product_core(phi, m - 1)
+
+
+def reference_mk_I(a: Fraction | int, phi: Formula, m: int) -> Formula:
+    """Disjunction of the exact-value tests for every chain value >= a."""
+    k = reference_index_numerator(a, m)
+    tests = [reference_mk_J(Fraction(i, m - 1), phi, m) for i in range(k, m)]
+    out = tests[0]
+    for test in tests[1:]:
+        out = Or(out, test)
+    return out
 
 
 _RESERVED = Var(RESERVED_VAR)

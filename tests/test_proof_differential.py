@@ -5,11 +5,13 @@ message must be equal."""
 import json
 from dataclasses import replace
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 from random import Random
 
 import pytest
 
+from mvcond import proof
 from mvcond.parser import parse
 from mvcond.proof import (
     MP,
@@ -30,7 +32,7 @@ from mvcond.proof import (
     match_axiom,
     _justification_from_json,
 )
-from mvcond.syntax import Bot, Cond, I, Iff, Imp, Not, Top, Var, children, imp_chain
+from mvcond.syntax import Bot, Cond, I, Iff, Imp, J, Not, Top, Var, children, imp_chain
 
 from formula_gen import chain_formula, random_formula
 from reference import (
@@ -427,3 +429,156 @@ def test_seeded_derivation_documents_decode_as_reference(seed):
             failures += 1
         assert _outcome(lambda: derivation_from_json(doc)) == want
     assert 10 <= failures <= 50
+
+
+# --- the graded matcher -------------------------------------------------------
+# proof._check_graded matches a line on its Imp spine, with integer indices,
+# and builds the expected formula only for a message. The battery below
+# mutates valid Ra and RaGen lines in each way the matcher reads a line.
+
+
+def _spine(phi):
+    """The tests on a graded formula's Imp spine, the outermost antecedent
+    first and the target last."""
+    tests = []
+    while isinstance(phi, Imp):
+        tests.append(phi.left)
+        phi = phi.right
+    return tests + [phi]
+
+
+def _unspine(tests):
+    return imp_chain(tests[-2::-1], tests[-1])
+
+
+def _graded_derivation(rng, m, general):
+    """A valid Ra (or, when general, RaGen) line on m LTaut premise lines;
+    every part holds T or F, so that a line may spell them."""
+    phi = chain_formula(rng, 1, m, names=NAMES)
+    parts = [
+        Imp(chain_formula(rng, 1, m, names=NAMES), rng.choice([Top(), Bot()]))
+        for _ in range(rng.randrange(2, 4) if general else m)
+    ]
+    chain = _chain_desc(m)  # RaGen: the first two thresholds differ
+    thresholds = rng.sample(chain, 2) + [rng.choice(chain)] * (len(parts) - 2) if general else chain
+    pick = rng.randrange(len(parts))
+    a, target = thresholds[pick], parts[pick]
+    lines = []
+    for b in _chain_desc(m):
+        tests = [I(_odot(t, b), part) for t, part in zip(thresholds, parts)]
+        lines.append(Line(imp_chain(tests, I(_odot(a, b), target)), LTaut()))
+    conclusion = imp_chain(
+        [I(t, Cond(phi, part)) for t, part in zip(thresholds, parts)], I(a, Cond(phi, target))
+    )
+    cited = tuple(range(1, m + 1))
+    if general:
+        rule = RaGen(a, tuple(thresholds), phi, tuple(parts), target, cited)
+    else:
+        rule = Ra(a, phi, tuple(parts), target, cited)
+    lines.append(Line(conclusion, rule))
+    return Derivation(m, (), tuple(lines)), conclusion
+
+
+def _step(node, m):
+    """node's index one chain step up, or down from the top."""
+    k = node.index * (m - 1)
+    return Fraction(k + 1 if k < m - 1 else k - 1, m - 1)
+
+
+def _graded_mutations(tests, m, rng, conclusion):
+    """(kind, mutated spine) for one line's spine, outermost first."""
+    k = rng.randrange(len(tests))
+    node = tests[k]
+    out = {
+        "index off by a step": tests[:k] + [I(_step(node, m), node.child)] + tests[k + 1:],
+        "J for I": tests[:k] + [J(node.index, node.child)] + tests[k + 1:],
+        "one link long": [tests[rng.randrange(len(tests))]] + tests,
+        "T and F spelled": [I(t.index, _respell(t.child)) for t in tests],
+    }
+    if len(tests) > 1:
+        out["one link short"] = tests[:k] + tests[k + 1:] if k < len(tests) - 1 else tests[1:]
+    # two tests whose parts differ (the target's part is also an antecedent's)
+    pairs = [(i, j) for i in range(len(tests)) for j in range(i) if tests[i].child != tests[j].child]
+    if pairs:
+        i, j = rng.choice(pairs)
+        swapped = list(tests)
+        swapped[i] = I(tests[i].index, tests[j].child)
+        swapped[j] = I(tests[j].index, tests[i].child)
+        out["parts swapped"] = swapped
+    if conclusion and node.child.left != node.child.right:
+        out["Cond sides swapped"] = (
+            tests[:k] + [I(node.index, Cond(node.child.right, node.child.left))] + tests[k + 1:]
+        )
+    return out
+
+
+def _with_line(derivation, index, **changes):
+    lines = list(derivation.lines)
+    lines[index - 1] = replace(lines[index - 1], **changes)
+    return replace(derivation, lines=tuple(lines))
+
+
+def _graded_line_agrees(derivation):
+    """The graded line's error and the derivation's verdict are those of the
+    reference checker; returns the graded line's error. The goal is the last
+    line as written, since the reference compares it without respelling."""
+    n = len(derivation.lines)
+    goal = derivation.lines[-1].formula
+    got = check_line(derivation, n)
+    assert got == reference_check_line(derivation, n)
+    assert check_derivation(derivation, goal) == reference_check_derivation(derivation, goal)
+    return got
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+@pytest.mark.parametrize("general", (False, True), ids=("Ra", "RaGen"))
+def test_graded_matcher_mutation_battery_matches_reference(m, general):
+    rng = Random(100 * m + general)
+    kinds = set()  # the mutations met
+    for _ in range(3):
+        derivation, goal = _graded_derivation(rng, m, general)
+        n = len(derivation.lines)
+        assert _agree(derivation, goal).ok
+        for index in range(1, n + 1):
+            conclusion = index == n
+            tests = _spine(derivation.lines[index - 1].formula)
+            for kind, mutated in _graded_mutations(tests, m, rng, conclusion).items():
+                error = _graded_line_agrees(
+                    _with_line(derivation, index, formula=_unspine(mutated))
+                )
+                kinds.add(kind)
+                if kind == "T and F spelled":
+                    assert error is None
+                else:
+                    assert error is not None and error.line == n
+                    where = "conclusion is" if conclusion else "premise for b="
+                    assert where in error.message
+        if general:
+            rule = derivation.lines[-1].rule
+            for a_list in set(permutations(rule.a_list)) - {rule.a_list}:
+                reordered = replace(rule, a_list=a_list)
+                error = _graded_line_agrees(_with_line(derivation, n, rule=reordered))
+                assert error is not None and "premise for b=1 " in error.message
+                kinds.add("thresholds reordered")
+    assert len(kinds) == 8 - (not general)
+
+
+def test_a_passing_graded_line_builds_no_expected_formula(monkeypatch):
+    built = []
+    real = proof._graded
+    monkeypatch.setattr(proof, "_graded", lambda *args, **kw: built.append(args) or real(*args, **kw))
+    rng = Random(7)
+    cases = [
+        (load_derivation(str(DATA / "ra_level_one.json")), parse(RA_GOAL)),
+        (
+            load_derivation(str(DATA / "ra_gen_two_formulas.json")),
+            parse("I{1/2}(p => r) -> (I{1}(p => q) -> I{1}(p => q))"),
+        ),
+    ]
+    cases += [_graded_derivation(rng, m, general) for m in range(2, 7) for general in (False, True)]
+    for derivation, goal in cases:
+        assert check_derivation(derivation, goal).ok
+    assert built == []
+    derivation, goal = cases[0]
+    broken = _with_line(derivation, 4, formula=derivation.lines[0].formula)
+    assert not check_derivation(broken, goal).ok and len(built) == 1  # built for the message

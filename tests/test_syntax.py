@@ -5,12 +5,14 @@ import pickle
 import time
 from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
+from functools import reduce
 from random import Random
 from unittest import mock
 
 import pytest
 
-from mvcond.search import value_under
+from mvcond.parser import print_formula
+from mvcond.search import MAX_M, value_under
 from mvcond.semantics import Evaluator, KripkeModel
 from mvcond.syntax import (
     _KIDS,
@@ -46,7 +48,14 @@ from mvcond.syntax import (
 from mvcond.truthvalues import TruthValue, chain
 
 from formula_gen import chain_formula, random_formula
-from reference import generated, reference_normalize
+from reference import (
+    generated,
+    reference_graded_index,
+    reference_index_numerator,
+    reference_mk_I,
+    reference_mk_J,
+    reference_normalize,
+)
 
 P, Q, R = Var("p"), Var("q"), Var("r")
 
@@ -431,3 +440,77 @@ def test_node_classes_generate_no_equality_or_hash():
     for node in (phi, phi.left, P, Top()):
         assert not hasattr(node, "__dict__")
     assert pickle.dumps(phi) == pickle.dumps(Imp(J(1, P), Q))
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except Exception as exc:  # the error's type and text are compared
+        return type(exc).__name__, str(exc)
+
+
+# ints, bools, Fractions, strings and floats: on and off chains, below 0,
+# above 1, and values Fraction refuses
+_INDICES = [
+    0, 1, 2, -1, True, False, Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1, 7),
+    Fraction(-1, 2), Fraction(3, 2), Fraction(999, 1000), "1/2", "2/4", "0", "1", "3/2", "-1/3",
+    " 1/3 ", "1/6", "x", "1/0", "", 0.5, 0.25, 0.1, 1.0, 1.5, -0.0, -0.5, float("nan"),
+    float("inf"), None, [1],
+]
+_SCALES = [2, 3, 4, 5, 7, 9, 12, 1000, MAX_M - 1, MAX_M]
+
+
+def test_index_numerator_matches_the_fraction_formula():
+    """The same numerator, or the same exception type and text, as the
+    Fraction arithmetic it replaced, on every scale up to search.MAX_M."""
+    rng = Random(5)
+    indices = list(_INDICES)
+    for scale in (MAX_M - 1, MAX_M):
+        k = rng.randrange(scale)
+        indices += [Fraction(k, scale - 1), Fraction(k, scale), Fraction(scale - 1 + k, scale - 1)]
+    seen = set()
+    for scale in _SCALES:
+        for index in indices:
+            got = _outcome(lambda: index_numerator(index, scale))
+            assert got == _outcome(lambda: reference_index_numerator(index, scale)), (index, scale)
+            seen.add(got[0])
+    assert seen == {"ok", "UnrepresentableIndexError", "ValueError", "ZeroDivisionError",
+                    "TypeError", "OverflowError"}
+
+
+@pytest.mark.parametrize("kind", (J, I))
+def test_graded_nodes_store_the_fraction_they_stored_before(kind):
+    seen = set()
+    for index in _INDICES:
+        got = _outcome(lambda: kind(index, P).index)
+        assert got == _outcome(lambda: reference_graded_index(index)), index
+        assert got[0] != "ok" or type(got[1]) is Fraction
+        seen.add(got[0])
+    assert seen == {"ok", "ValueError", "ZeroDivisionError", "TypeError", "OverflowError"}
+
+
+def test_graded_constructions_give_the_trees_they_gave_before():
+    """mk_J, mk_I and normalize give the trees of the Fraction construction
+    for every chain index at m = 2-12, and its errors off the chains.
+    normalize's J and I are compared with the old expansion of a
+    normalized child: mk_J's tree, or the core disjunction of the tests."""
+    or_core = lambda x, y: Imp(Imp(x, y), y)
+    for m in range(2, 13):
+        phi = And(P, Top()) if m < 10 else P  # the printed trees grow fast in m
+        core = normalize(phi, m)
+        for k in range(m):
+            a = Fraction(k, m - 1)
+            tests = [reference_mk_J(Fraction(i, m - 1), core, m) for i in range(k, m)]
+            pairs = (
+                (mk_J(a, phi, m), reference_mk_J(a, phi, m)),
+                (mk_I(a, phi, m), reference_mk_I(a, phi, m)),
+                (normalize(J(a, phi), m), tests[0]),
+                (normalize(I(a, phi), m), reduce(or_core, tests)),
+            )
+            for got, want in pairs:
+                assert got == want and print_formula(got) == print_formula(want), (m, a)
+    for m in (3, 4):
+        for index in _INDICES:
+            for build, reference in ((mk_J, reference_mk_J), (mk_I, reference_mk_I)):
+                got = _outcome(lambda: build(index, P, m))
+                assert got == _outcome(lambda: reference(index, P, m)), (m, index)
